@@ -1,28 +1,24 @@
 //! Runs every figure and writes EXPERIMENTS.md (paper vs measured) plus
-//! BENCH_report.json (per-figure wall-clock and simulator throughput).
+//! BENCH_report.json (per-figure wall-clock seconds and processed
+//! simulation events).
 //!
 //! Usage: `cargo run --release -p rperf-bench --bin report
 //!         [--quick] [--jobs N] [--out PATH] [--gate [PCT]] [--bless] [--prof]`
 //!
 //! `--gate` turns the run into a perf-regression gate: after the report is
-//! written, every figure's events/sec — and the aggregate — is compared
+//! written, every figure's wall seconds — and the total — are compared
 //! against the committed BENCH_baseline.json, and the process exits
-//! non-zero if any drops more than PCT percent (default 10) below it.
-//! The gate additionally enforces a *balance floor*: the latency figures
-//! (fig4, fig11, fig12) must each reach at least 60% of this run's
-//! aggregate events/sec, so an optimization that feeds the long bandwidth
-//! sweeps while starving the short latency sweeps cannot pass. The
-//! converged incast figure (fig8_fig9) carries its own 45% floor — its
-//! event mix is inherently denser than the wake-dominated sweeps (see
-//! `FLOOR_FIGS`), so it runs slower by construction, but a collapse
-//! below half the aggregate would still mean the packet/credit/CQE
-//! paths regressed.
+//! non-zero if any takes more than PCT percent (default 10) longer. Wall
+//! time is the metric because it is what a user waits for; events/sec
+//! would reward wasted events. The per-figure event counts in
+//! BENCH_report.json are deterministic and serve as the exact regression
+//! signal beside it.
 //!
-//! `--bless` re-blesses the baseline: the run's per-figure throughput is
-//! min-merged into BENCH_baseline.json (missing baseline: the run is
+//! `--bless` re-blesses the baseline: the run's per-figure wall time is
+//! max-merged into BENCH_baseline.json (missing baseline: the run is
 //! written as-is). `make bench-bless` deletes the old baseline and runs
-//! this several times, leaving the per-figure minimum over N runs — a
-//! conservative floor that keeps the gate from flaking on scheduler
+//! this several times, leaving the per-figure slowest time over N runs —
+//! a conservative ceiling that keeps the gate from flaking on scheduler
 //! noise.
 //!
 //! `--prof` (requires building with `--features sim-prof`) writes the
@@ -72,9 +68,8 @@ fn prof_delta(before: &[rperf_fabric::prof::ProfEntry]) -> Vec<ProfRow> {
 /// Figures whose first run finishes below this wall time are re-run (up
 /// to [`TIMED_MAX_RUNS`] total) and credited with their fastest run: a
 /// sweep over in tens of milliseconds is dominated by scheduler noise
-/// and first-touch effects, not by dispatch throughput, and the
-/// per-figure floor check in `--gate` needs a stable rate. Min-over-N is
-/// the same estimator `--bless` uses across whole report runs.
+/// and first-touch effects, not by the simulator, and `--gate` needs a
+/// stable time to compare.
 const TIMED_RERUN_BELOW_S: f64 = 0.25;
 const TIMED_MAX_RUNS: u32 = 5;
 
@@ -113,10 +108,7 @@ fn timed<T>(stats: &mut Vec<FigStat>, id: &'static str, f: impl Fn() -> T) -> T 
         }
         runs += 1;
     }
-    eprintln!(
-        "  {id}: {wall_s:.2} s, {events} events, {:.2} Mev/s (best of {runs})",
-        events as f64 / wall_s / 1e6
-    );
+    eprintln!("  {id}: {wall_s:.3} s, {events} events (best of {runs})");
     stats.push(FigStat {
         id,
         wall_s,
@@ -126,18 +118,16 @@ fn timed<T>(stats: &mut Vec<FigStat>, id: &'static str, f: impl Fn() -> T) -> T 
     out
 }
 
-/// One figure's committed throughput plus the wall time it was measured
-/// over (the latter sets how much timing noise to tolerate).
+/// One figure's committed wall time.
 struct BaselineFig {
     id: String,
     wall_s: f64,
-    events_per_sec: f64,
 }
 
-/// Per-figure and aggregate simulator throughput from a previously
-/// written BENCH_baseline.json (same schema as BENCH_report.json).
+/// Per-figure and total wall seconds from a previously written
+/// BENCH_baseline.json.
 struct Baseline {
-    total_events_per_sec: f64,
+    total_wall_s: f64,
     figures: Vec<BaselineFig>,
 }
 
@@ -152,7 +142,7 @@ fn load_baseline(path: &std::path::Path) -> Option<Baseline> {
             return None;
         }
     };
-    let total_events_per_sec = doc.get("total_events_per_sec")?.as_f64()?;
+    let total_wall_s = doc.get("total_wall_s")?.as_f64()?;
     let figures = doc
         .get("figures")?
         .as_array()?
@@ -161,153 +151,47 @@ fn load_baseline(path: &std::path::Path) -> Option<Baseline> {
             Some(BaselineFig {
                 id: f.get("id")?.as_str()?.to_string(),
                 wall_s: f.get("wall_s")?.as_f64()?,
-                events_per_sec: f.get("events_per_sec")?.as_f64()?,
             })
         })
         .collect();
     Some(Baseline {
-        total_events_per_sec,
+        total_wall_s,
         figures,
     })
 }
 
-/// Timing noise on a throughput measured over a short window scales
-/// roughly with 1/sqrt(wall seconds): back-to-back runs of a 30 ms
-/// figure swing ±15% while multi-second figures repeat within a couple
-/// percent. Widen the tolerance accordingly so the gate catches real
-/// regressions on the figures long enough to measure them, instead of
-/// flaking on scheduler jitter. Figures at or above one second — and the
-/// aggregate — are gated at the requested percentage exactly.
+/// Timing noise on a short measurement scales roughly with
+/// 1/sqrt(wall seconds): back-to-back runs of a 30 ms figure swing ±15%
+/// while multi-second figures repeat within a couple percent. Widen the
+/// tolerance accordingly so the gate catches real regressions on the
+/// figures long enough to measure them, instead of flaking on scheduler
+/// jitter. Figures at or above one second — and the total — are gated at
+/// the requested percentage exactly.
 fn noise_adjusted_pct(pct: f64, baseline_wall_s: f64) -> f64 {
     (pct * (1.0 / baseline_wall_s.max(1e-3)).sqrt().max(1.0)).min(50.0)
 }
 
-/// Prints one gate line and reports whether `measured` fell more than
-/// `tol_pct` percent below `base`.
-fn gate_line(id: &str, measured: f64, base: f64, tol_pct: f64) -> bool {
-    let ratio = measured / base;
-    let regressed = ratio < 1.0 - tol_pct / 100.0;
+/// Prints one gate line and reports whether `measured_s` took more than
+/// `tol_pct` percent longer than `base_s`.
+fn gate_line(id: &str, measured_s: f64, base_s: f64, tol_pct: f64) -> bool {
+    let ratio = measured_s / base_s;
+    let regressed = ratio > 1.0 + tol_pct / 100.0;
     eprintln!(
-        "  {id:>9}: {:8.2} Mev/s vs {:8.2} Mev/s baseline ({ratio:.3}x, tol {tol_pct:.0}%){}",
-        measured / 1e6,
-        base / 1e6,
+        "  {id:>10}: {measured_s:8.3} s vs {base_s:8.3} s baseline ({ratio:.3}x, tol {tol_pct:.0}%){}",
         if regressed { "  REGRESSED" } else { "" }
     );
     regressed
 }
 
-/// The figures the balance floor protects, each with the fraction of the
-/// run's aggregate events/sec it must reach.
-///
-/// fig4/fig11/fig12 are the latency figures — dominated by short sweeps
-/// and timer churn rather than saturated links, i.e. the first to regress
-/// when an optimization trades wheel-advance latency for bulk throughput.
-///
-/// fig8_fig9 guards the *other* failure mode. The wake-dominated sweeps
-/// (fig5/fig7/fig10) are ~99% rearm-only `rnic_wake`s at ~45 ns each,
-/// which is what sets the aggregate rate; fig8_fig9's converged incast is
-/// a balanced mix (~10% each of switch/rnic packets, credits, and CQEs at
-/// 65–175 ns, only ~20% cheap wakes), so ~55% of aggregate is its natural
-/// ceiling — the sim-prof attribution shows no single hot kind to shave.
-/// Its 45% floor is headroom below that ceiling, not a target: dropping
-/// under it means the packet/credit/CQE handler paths themselves
-/// regressed, which the wake-heavy figures would barely notice.
-const FLOOR_FIGS: [(&str, f64); 4] = [
-    ("fig4", 0.6),
-    ("fig11", 0.6),
-    ("fig12", 0.6),
-    ("fig8_fig9", 0.45),
-];
-
-/// The floor fraction for `id`, if it is a floor figure.
-fn floor_frac(id: &str) -> Option<f64> {
-    FLOOR_FIGS.iter().find(|(f, _)| *f == id).map(|&(_, p)| p)
-}
-
-/// Checks the per-figure balance floor against this run's own aggregate;
-/// returns the number of figures below it.
-fn gate_figure_floors(stats: &[FigStat]) -> usize {
-    let total_wall: f64 = stats.iter().map(|s| s.wall_s).sum();
-    let total_events: u64 = stats.iter().map(|s| s.events).sum();
-    let aggregate = total_events as f64 / total_wall;
-    let mut below = 0;
-    for s in stats.iter() {
-        let Some(frac) = floor_frac(s.id) else {
-            continue;
-        };
-        let floor = aggregate * frac;
-        let eps = s.events as f64 / s.wall_s;
-        let ok = eps >= floor;
-        eprintln!(
-            "  {:>9}: {:8.2} Mev/s vs {:8.2} Mev/s floor ({:.0}% of aggregate){}",
-            s.id,
-            eps / 1e6,
-            floor / 1e6,
-            frac * 100.0,
-            if ok { "" } else { "  BELOW FLOOR" }
-        );
-        if !ok {
-            below += 1;
-        }
-    }
-    below
-}
-
-/// Extra chances a floor figure gets if its recorded rate sits below the
-/// balance floor when a gate is requested. `timed`'s best-of-N re-runs
-/// are back-to-back, so one multi-second background load spike can
-/// depress every sample of a 20 ms figure at once; by gate time —
-/// seconds later — the spike has usually passed. Min-wall is a one-sided
-/// estimator: retries only strip noise, they cannot hide a real
-/// regression (slower code stays below the floor on every retry).
-const FLOOR_RETRIES: u32 = 3;
-
-/// Re-measures floor figures that sit below the balance floor, keeping
-/// the fastest wall time. The floor is recomputed from the updated stats
-/// before each attempt (shorter walls nudge the aggregate up slightly).
-fn retry_floor_figures(stats: &mut [FigStat], reruns: &[(&str, &dyn Fn())]) {
-    for (id, rerun) in reruns {
-        let frac = floor_frac(id).expect("rerun list names a floor figure");
-        for _ in 0..FLOOR_RETRIES {
-            let total_wall: f64 = stats.iter().map(|s| s.wall_s).sum();
-            let total_events: u64 = stats.iter().map(|s| s.events).sum();
-            let floor = total_events as f64 / total_wall * frac;
-            let stat = stats
-                .iter_mut()
-                .find(|s| s.id == *id)
-                .expect("floor figure was measured");
-            if stat.events as f64 / stat.wall_s >= floor {
-                break;
-            }
-            let events_before = rperf_fabric::events_processed_total();
-            let start = Instant::now();
-            rerun();
-            let wall_s = start.elapsed().as_secs_f64();
-            let events = rperf_fabric::events_processed_total() - events_before;
-            assert_eq!(
-                events, stat.events,
-                "{id}: event count changed on floor retry"
-            );
-            eprintln!(
-                "  {id}: below balance floor, retried: {:.2} Mev/s",
-                events as f64 / wall_s / 1e6
-            );
-            if wall_s < stat.wall_s {
-                stat.wall_s = wall_s;
-            }
-        }
-    }
-}
-
 /// Compares the measured run against the committed baseline, printing
-/// one line per figure plus the aggregate; returns the regression count.
+/// one line per figure plus the total; returns the regression count.
 fn gate_against_baseline(baseline: &Baseline, stats: &[FigStat], pct: f64) -> usize {
     let mut regressions = 0;
     for s in stats {
         match baseline.figures.iter().find(|f| f.id == s.id) {
             Some(base) => {
                 let tol = noise_adjusted_pct(pct, base.wall_s);
-                if gate_line(s.id, s.events as f64 / s.wall_s, base.events_per_sec, tol) {
+                if gate_line(s.id, s.wall_s, base.wall_s, tol) {
                     regressions += 1;
                 }
             }
@@ -321,20 +205,16 @@ fn gate_against_baseline(baseline: &Baseline, stats: &[FigStat], pct: f64) -> us
         }
     }
     let total_wall: f64 = stats.iter().map(|s| s.wall_s).sum();
-    let total_events: u64 = stats.iter().map(|s| s.events).sum();
-    if gate_line(
-        "total",
-        total_events as f64 / total_wall,
-        baseline.total_events_per_sec,
-        pct,
-    ) {
+    if gate_line("total", total_wall, baseline.total_wall_s, pct) {
         regressions += 1;
     }
     regressions
 }
 
 /// Serializes the per-figure stats deterministically (modulo the timings
-/// themselves, which are wall-clock measurements).
+/// themselves, which are wall-clock measurements). `baseline` is the
+/// committed total wall time; `speedup_vs_baseline` is baseline ÷ this
+/// run's total, so above 1 means faster.
 fn bench_report_json(effort: &Effort, stats: &[FigStat], baseline: Option<f64>) -> String {
     let figures: Vec<String> = stats
         .iter()
@@ -343,27 +223,21 @@ fn bench_report_json(effort: &Effort, stats: &[FigStat], baseline: Option<f64>) 
                 ("id", json::string(s.id)),
                 ("wall_s", json::num(s.wall_s)),
                 ("events", json::num(s.events as f64)),
-                ("events_per_sec", json::num(s.events as f64 / s.wall_s)),
             ])
         })
         .collect();
     let total_wall: f64 = stats.iter().map(|s| s.wall_s).sum();
     let total_events: u64 = stats.iter().map(|s| s.events).sum();
-    let events_per_sec = total_events as f64 / total_wall;
     json::object([
         ("jobs", json::num(effort.jobs as f64)),
         ("seeds", json::num(effort.seeds.len() as f64)),
         ("scale", json::num(effort.scale)),
         ("total_wall_s", json::num(total_wall)),
         ("total_events", json::num(total_events as f64)),
-        ("total_events_per_sec", json::num(events_per_sec)),
-        (
-            "baseline_events_per_sec",
-            json::num(baseline.unwrap_or(f64::NAN)),
-        ),
+        ("baseline_wall_s", json::num(baseline.unwrap_or(f64::NAN))),
         (
             "speedup_vs_baseline",
-            json::num(baseline.map_or(f64::NAN, |b| events_per_sec / b)),
+            json::num(baseline.map_or(f64::NAN, |b| b / total_wall)),
         ),
         (
             "slab_high_water",
@@ -378,34 +252,26 @@ fn bench_report_json(effort: &Effort, stats: &[FigStat], baseline: Option<f64>) 
     ])
 }
 
-/// Baseline re-blessing: this run's per-figure throughput min-merged with
+/// Baseline re-blessing: this run's per-figure wall time max-merged with
 /// the existing baseline (absent baseline: the run as-is). Repeated
-/// invocations converge on the per-figure minimum over N runs.
+/// invocations converge on the per-figure slowest time over N runs.
 fn bless_baseline_json(stats: &[FigStat], existing: Option<&Baseline>) -> String {
     let figures: Vec<String> = stats
         .iter()
         .map(|s| {
-            let cur_eps = s.events as f64 / s.wall_s;
-            let (eps, wall_s) = match existing.and_then(|b| b.figures.iter().find(|f| f.id == s.id))
-            {
-                Some(base) if base.events_per_sec < cur_eps => (base.events_per_sec, base.wall_s),
-                _ => (cur_eps, s.wall_s),
-            };
+            let prior = existing
+                .and_then(|b| b.figures.iter().find(|f| f.id == s.id))
+                .map_or(0.0, |f| f.wall_s);
             json::object([
                 ("id", json::string(s.id)),
-                ("wall_s", json::num(wall_s)),
-                ("events_per_sec", json::num(eps)),
+                ("wall_s", json::num(s.wall_s.max(prior))),
             ])
         })
         .collect();
     let total_wall: f64 = stats.iter().map(|s| s.wall_s).sum();
-    let total_events: u64 = stats.iter().map(|s| s.events).sum();
-    let mut total_eps = total_events as f64 / total_wall;
-    if let Some(b) = existing {
-        total_eps = total_eps.min(b.total_events_per_sec);
-    }
+    let prior_total = existing.map_or(0.0, |b| b.total_wall_s);
     json::object([
-        ("total_events_per_sec", json::num(total_eps)),
+        ("total_wall_s", json::num(total_wall.max(prior_total))),
         ("figures", json::array(figures)),
     ])
 }
@@ -779,7 +645,7 @@ fn main() {
         slope(4),
     );
 
-    // 128-host leaf-spine scale row (throughput accounting for
+    // 128-host leaf-spine scale row (wall-time accounting for
     // BENCH_report.json; the figure doubles as a sanity table here).
     let ft128 = timed(&mut stats, "fattree_k8", || figures::fattree128(&effort));
     md.push_str(&ft128.to_markdown());
@@ -787,7 +653,7 @@ fn main() {
         md,
         "The k = 8, o = 2 leaf-spine (128 hosts, 16 leaves, 4 spines) is\n\
          the largest routed fabric in the suite; the row above is its\n\
-         events/sec entry in BENCH_report.json.\n"
+         `wall_s` entry in BENCH_report.json.\n"
     );
 
     let _ = writeln!(
@@ -862,26 +728,6 @@ fn main() {
          DESIGN.md §8.\n"
     );
 
-    // Gated runs refine floor-figure measurements before anything is
-    // written, so the JSON report and the gate see the same numbers.
-    if gate_pct.is_some() {
-        let floor_reruns: [(&str, &dyn Fn()); 4] = [
-            ("fig4", &|| {
-                figures::fig4(&effort);
-            }),
-            ("fig11", &|| {
-                figures::fig11(&effort);
-            }),
-            ("fig12", &|| {
-                figures::fig12(&effort);
-            }),
-            ("fig8_fig9", &|| {
-                figures::fig8_fig9(&effort);
-            }),
-        ];
-        retry_floor_figures(&mut stats, &floor_reruns);
-    }
-
     std::fs::write(&out_path, md).expect("write EXPERIMENTS.md");
     eprintln!("wrote {}", out_path.display());
 
@@ -890,27 +736,21 @@ fn main() {
     let baseline = load_baseline(&baseline_path);
     std::fs::write(
         &bench_path,
-        bench_report_json(
-            &effort,
-            &stats,
-            baseline.as_ref().map(|b| b.total_events_per_sec),
-        ) + "\n",
+        bench_report_json(&effort, &stats, baseline.as_ref().map(|b| b.total_wall_s)) + "\n",
     )
     .expect("write BENCH_report.json");
     let total_wall: f64 = stats.iter().map(|s| s.wall_s).sum();
     let total_events: u64 = stats.iter().map(|s| s.events).sum();
-    let events_per_sec = total_events as f64 / total_wall;
     eprintln!(
-        "wrote {} ({} jobs, {total_wall:.2} s wall, {:.2} Mev/s aggregate)",
+        "wrote {} ({} jobs, {total_wall:.2} s wall, {total_events} events)",
         bench_path.display(),
         effort.jobs,
-        events_per_sec / 1e6
     );
     if let Some(b) = &baseline {
         eprintln!(
-            "  vs BENCH_baseline.json: {:.2} Mev/s baseline, {:.2}x",
-            b.total_events_per_sec / 1e6,
-            events_per_sec / b.total_events_per_sec
+            "  vs BENCH_baseline.json: {:.2} s baseline, {:.2}x faster",
+            b.total_wall_s,
+            b.total_wall_s / total_wall
         );
     }
     eprintln!(
@@ -961,7 +801,7 @@ fn main() {
         )
         .expect("write BENCH_baseline.json");
         eprintln!(
-            "blessed {} (per-figure min with any prior baseline)",
+            "blessed {} (per-figure max wall time with any prior baseline)",
             baseline_path.display()
         );
     }
@@ -974,18 +814,17 @@ fn main() {
             );
             std::process::exit(1);
         };
-        eprintln!("perf gate: fail if any figure or the total drops >{pct}% below baseline");
+        eprintln!(
+            "perf gate: fail if any figure or the total takes >{pct}% longer than baseline"
+        );
         let regressions = gate_against_baseline(base, &stats, pct);
-        eprintln!("perf gate: per-figure balance floors (fractions of this run's aggregate)");
-        let below = gate_figure_floors(&stats);
-        if regressions + below > 0 {
+        if regressions > 0 {
             eprintln!(
-                "error: {regressions} perf regression(s) beyond {pct}% and {below} figure(s) \
-                 below the balance floor; if the slowdown is intentional, re-bless with \
-                 `make bench-bless`"
+                "error: {regressions} perf regression(s) beyond {pct}%; if the slowdown is \
+                 intentional, re-bless with `make bench-bless`"
             );
             std::process::exit(1);
         }
-        eprintln!("perf gate: ok (all figures within {pct}% of baseline and above the floor)");
+        eprintln!("perf gate: ok (all figures within {pct}% of baseline wall time)");
     }
 }

@@ -604,16 +604,8 @@ impl Domain {
             }
             FabricEvent::RnicWake(node) => {
                 let li = self.local_rnic(node);
-                // Busy-wire re-arm fast path, same as the sequential
-                // engine: a wake that only reschedules itself skips the
-                // action buffer.
-                if let Some(at) = self.rnics[li].wake_rearm_only(now) {
-                    let k = emit_key(at, now, node, self.keys[li].next(now));
-                    self.q.schedule_keyed(at, k, FabricEvent::RnicWake(node));
-                } else {
-                    self.rnics[li].wake(now, &self.slab, &mut self.rnic_out);
-                    self.route_rnic(node, li, now);
-                }
+                self.rnics[li].wake(now, &self.slab, &mut self.rnic_out);
+                self.route_rnic(node, li, now);
             }
             FabricEvent::SwitchCredit {
                 switch,

@@ -517,16 +517,9 @@ impl WorldState {
                 apply_rnic_actions(fabric, q, node, now, &mut self.rnic_out);
             }
             FabricEvent::RnicWake(node) => {
-                let idx = node as usize;
-                // Busy-wire re-arm fast path: when the wake would only
-                // reschedule itself (the dominant event in bandwidth-bound
-                // runs), skip the action buffer entirely.
-                if let Some(at) = fabric.rnics[idx].wake_rearm_only(now) {
-                    q.schedule(at, FabricEvent::RnicWake(node));
-                } else {
-                    fabric.rnics[idx].wake(now, &fabric.slab, &mut self.rnic_out);
-                    apply_rnic_actions(fabric, q, idx, now, &mut self.rnic_out);
-                }
+                let node = node as usize;
+                fabric.rnics[node].wake(now, &fabric.slab, &mut self.rnic_out);
+                apply_rnic_actions(fabric, q, node, now, &mut self.rnic_out);
             }
             FabricEvent::SwitchCredit {
                 switch,

@@ -586,25 +586,6 @@ impl Rnic {
         self.dispatch(now, slab, out);
     }
 
-    /// Probes for the overwhelmingly common wake outcome in
-    /// bandwidth-bound runs (sim-prof attributes ~98% of all dispatched
-    /// events to it): the wire is still busy, no injection timer has
-    /// matured, and packets are queued — a full [`Rnic::wake`] would do
-    /// nothing but re-arm itself at `wire_free`. Returns that re-arm
-    /// time so the caller can schedule it directly and skip the action
-    /// buffer round-trip; `None` means take the full path.
-    #[inline]
-    pub fn wake_rearm_only(&self, now: SimTime) -> Option<SimTime> {
-        if self.wire_free > now
-            && !self.txq.is_empty()
-            && self.pending_tx.peek().is_none_or(|t| t.at > now)
-        {
-            Some(self.wire_free)
-        } else {
-            None
-        }
-    }
-
     fn drain_pending(&mut self, now: SimTime) {
         // Timers pop in (at, seq) order — time-ascending, FIFO within an
         // instant — so injection-queue order matches the schedule order.
@@ -624,10 +605,11 @@ impl Rnic {
     }
 
     fn dispatch(&mut self, now: SimTime, slab: &PacketSlab, out: &mut Vec<RnicAction>) {
+        // A busy wire needs no wake of its own: the transmit that set
+        // `wire_free` already queued the one wake its busy period needs,
+        // and that wake pops before any later-emitted wake at the same
+        // instant.
         if self.wire_free > now {
-            if !self.txq.is_empty() {
-                out.push(RnicAction::Wake { at: self.wire_free });
-            }
             return;
         }
         let credits = &mut self.peer_credits;

@@ -10,11 +10,14 @@ use rperf_verbs::{SendWr, WrId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+/// Delivers every wake the RNIC asks for, in time order, until none is
+/// left. Returns the transmitted packets with their start times and
+/// serialization delays, plus the number of wakes delivered.
 fn pump(
     rnic: &mut Rnic,
     slab: &mut PacketSlab,
     first: Vec<RnicAction>,
-) -> Vec<(SimTime, Packet, SimDuration)> {
+) -> (Vec<(SimTime, Packet, SimDuration)>, usize) {
     let mut wakes: BinaryHeap<Reverse<u64>> = BinaryHeap::new();
     let mut transmitted = Vec::new();
     let absorb = |actions: Vec<RnicAction>,
@@ -33,16 +36,16 @@ fn pump(
         }
     };
     absorb(first, SimTime::ZERO, slab, &mut wakes, &mut transmitted);
-    let mut guard = 0;
+    let mut delivered = 0;
     while let Some(Reverse(ps)) = wakes.pop() {
-        guard += 1;
-        assert!(guard < 200_000, "wake storm");
+        delivered += 1;
+        assert!(delivered < 200_000, "wake storm");
         let t = SimTime::from_ps(ps);
         let mut actions = Vec::new();
         rnic.wake(t, slab, &mut actions);
         absorb(actions, t, slab, &mut wakes, &mut transmitted);
     }
-    transmitted
+    (transmitted, delivered)
 }
 
 fn rnic_under_test() -> Rnic {
@@ -76,7 +79,7 @@ proptest! {
         let mut actions = Vec::new();
         rnic.post_send_batch(SimTime::ZERO, qp, wrs, &mut slab, &mut actions)
             .unwrap();
-        let transmitted = pump(&mut rnic, &mut slab, actions);
+        let (transmitted, _) = pump(&mut rnic, &mut slab, actions);
         prop_assert!(slab.is_empty(), "every injected packet leaves the slab");
 
         let mtu = rnic.config().mtu;
@@ -94,7 +97,9 @@ proptest! {
 
     /// Wire transmissions never overlap: each packet starts at or after
     /// the previous serialization (plus inter-packet gap) finished, and
-    /// messages leave in posted order.
+    /// messages leave in posted order. The RNIC needs at most two wakes
+    /// per packet: one when its injection timer matures and one when the
+    /// wire frees after the packet ahead of it.
     #[test]
     fn wire_is_serial_and_ordered(payloads in prop::collection::vec(1u64..8_192, 2..30)) {
         let mut rnic = rnic_under_test();
@@ -108,7 +113,12 @@ proptest! {
         let mut actions = Vec::new();
         rnic.post_send_batch(SimTime::ZERO, qp, wrs, &mut slab, &mut actions)
             .unwrap();
-        let transmitted = pump(&mut rnic, &mut slab, actions);
+        let (transmitted, wakes) = pump(&mut rnic, &mut slab, actions);
+        prop_assert!(
+            wakes <= 2 * transmitted.len(),
+            "{wakes} wakes for {} packets: a wake storm",
+            transmitted.len()
+        );
 
         for pair in transmitted.windows(2) {
             let (t0, _, s0) = &pair[0];
@@ -136,7 +146,7 @@ proptest! {
         let mut actions = Vec::new();
         rnic.post_send_batch(SimTime::ZERO, qp, wrs, &mut slab, &mut actions)
             .unwrap();
-        let transmitted = pump(&mut rnic, &mut slab, actions);
+        let (transmitted, _) = pump(&mut rnic, &mut slab, actions);
         prop_assert_eq!(transmitted.len(), count);
         let engine = rnic.config().engine_time(1);
         let span = transmitted.last().unwrap().0 - transmitted.first().unwrap().0;
@@ -158,7 +168,7 @@ proptest! {
         let mut actions = Vec::new();
         rnic.post_send(SimTime::ZERO, qp, wr, &mut slab, &mut actions)
             .unwrap();
-        let transmitted = pump(&mut rnic, &mut slab, actions);
+        let (transmitted, _) = pump(&mut rnic, &mut slab, actions);
         prop_assert!(transmitted.is_empty());
         prop_assert!(slab.is_empty());
         prop_assert_eq!(rnic.stats().loopbacks, 1);

@@ -229,7 +229,14 @@ mod tests {
 
     use crate::Sink;
 
-    fn run_bsg(payload: u64, ms: u64) -> (f64, u64) {
+    /// A wake-storm-free BSG needs about 20 events per completed message
+    /// (injection and wire wakes, switch hops, credits, the ACK's return);
+    /// a wake that re-arms itself while the wire is busy costs thousands.
+    const MAX_EVENTS_PER_COMPLETION: u64 = 32;
+
+    /// Runs one BSG for `ms` milliseconds; returns its goodput, its
+    /// completed messages and the events the simulation processed.
+    fn run_bsg(payload: u64, ms: u64) -> (f64, u64, u64) {
         let cfg = ClusterConfig::omnet_simulator();
         let mut sim = Sim::new(Fabric::single_switch(cfg, 2, 11));
         let warmup = SimDuration::from_us(50);
@@ -241,19 +248,24 @@ mod tests {
         sim.start();
         let end = SimTime::ZERO + SimDuration::from_us(ms * 1000);
         sim.run_until(end);
+        let events = sim.events_processed();
         let bsg = sim.app_as::<Bsg>(0);
-        (bsg.gbps_until(end.as_ps()), bsg.completed())
+        (bsg.gbps_until(end.as_ps()), bsg.completed(), events)
     }
 
     #[test]
     fn large_payload_reaches_wire_limit() {
         let cfg = ClusterConfig::omnet_simulator();
         let expected = wire_limited_goodput_gbps(&cfg, 4096);
-        let (gbps, done) = run_bsg(4096, 2);
+        let (gbps, done, events) = run_bsg(4096, 2);
         assert!(done > 1000);
         assert!(
             (gbps - expected).abs() / expected < 0.06,
             "goodput {gbps:.2} vs wire limit {expected:.2}"
+        );
+        assert!(
+            events <= MAX_EVENTS_PER_COMPLETION * done,
+            "{events} events for {done} completions: a wake storm"
         );
     }
 
@@ -261,13 +273,17 @@ mod tests {
     fn small_payload_is_message_rate_limited() {
         let cfg = ClusterConfig::omnet_simulator();
         let rate_limit = rperf_model::analytic::rate_limited_goodput_gbps(&cfg, 64);
-        let (gbps, _) = run_bsg(64, 2);
+        let (gbps, done, events) = run_bsg(64, 2);
         assert!(
             (gbps - rate_limit).abs() / rate_limit < 0.10,
             "goodput {gbps:.2} vs engine limit {rate_limit:.2}"
         );
         // The headline observation of Fig. 5: tiny fraction of the link.
         assert!(gbps < 6.0, "64 B flows must not exceed a few Gbps: {gbps}");
+        assert!(
+            events <= MAX_EVENTS_PER_COMPLETION * done,
+            "{events} events for {done} completions: a wake storm"
+        );
     }
 
     #[test]
