@@ -73,6 +73,22 @@ fn prof_delta(before: &[rperf_fabric::prof::ProfEntry]) -> Vec<ProfRow> {
 const TIMED_RERUN_BELOW_S: f64 = 0.25;
 const TIMED_MAX_RUNS: u32 = 5;
 
+/// The ids `main` times, in report order: the rows of BENCH_report.json,
+/// each of which `--gate` needs in BENCH_baseline.json.
+const TIMED_FIGURES: [&str; 11] = [
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8_fig9",
+    "fig10",
+    "fig11",
+    "fig12",
+    "fig13",
+    "fig_clos",
+    "fattree_k8",
+];
+
 /// Runs one figure generator, attributing wall-clock time and processed
 /// simulation events (summed over all worker threads) to it.
 fn timed<T>(stats: &mut Vec<FigStat>, id: &'static str, f: impl Fn() -> T) -> T {
@@ -728,6 +744,11 @@ fn main() {
          DESIGN.md §8.\n"
     );
 
+    assert!(
+        stats.iter().map(|s| s.id).eq(TIMED_FIGURES),
+        "TIMED_FIGURES must list the timed figures in report order"
+    );
+
     std::fs::write(&out_path, md).expect("write EXPERIMENTS.md");
     eprintln!("wrote {}", out_path.display());
 
@@ -814,9 +835,7 @@ fn main() {
             );
             std::process::exit(1);
         };
-        eprintln!(
-            "perf gate: fail if any figure or the total takes >{pct}% longer than baseline"
-        );
+        eprintln!("perf gate: fail if any figure or the total takes >{pct}% longer than baseline");
         let regressions = gate_against_baseline(base, &stats, pct);
         if regressions > 0 {
             eprintln!(
@@ -826,5 +845,28 @@ fn main() {
             std::process::exit(1);
         }
         eprintln!("perf gate: ok (all figures within {pct}% of baseline wall time)");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `make perf-gate` fails outright when the committed baseline does
+    /// not load, so it must have the schema `--gate` reads and a time for
+    /// every figure the report times.
+    #[test]
+    fn committed_baseline_loads_with_every_timed_figure() {
+        let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_baseline.json");
+        let base = load_baseline(&path).expect("BENCH_baseline.json loads as a gate baseline");
+        assert!(base.total_wall_s > 0.0, "total_wall_s must be positive");
+        for id in TIMED_FIGURES {
+            let fig = base
+                .figures
+                .iter()
+                .find(|f| f.id == id)
+                .unwrap_or_else(|| panic!("baseline has no wall_s for {id}"));
+            assert!(fig.wall_s > 0.0, "{id}: wall_s must be positive");
+        }
     }
 }

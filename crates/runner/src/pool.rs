@@ -8,15 +8,16 @@
 //! worker that hit it, a replacement thread is spawned, and the pool keeps
 //! serving.
 //!
-//! The pool deliberately performs **no wall-clock reads** (lint rule D2
-//! covers this crate): [`WorkerPool::drain`] bounds its wait by counting
-//! fixed-length sleeps, and deadline enforcement belongs to the caller's
-//! job handler (see `rperf-serve`).
+//! The pool itself deliberately performs **no wall-clock reads** (lint
+//! rule D2 covers this crate): [`WorkerPool::drain`] bounds its wait with
+//! a condition-variable timeout that each exiting worker notifies, and
+//! deadline enforcement belongs to the caller's job handler (see
+//! `rperf-serve`).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Why [`WorkerPool::try_submit`] rejected a job; the job is handed back.
 #[derive(Debug)]
@@ -31,7 +32,9 @@ struct Inner<J> {
     tx: Mutex<Option<SyncSender<J>>>,
     rx: Mutex<Receiver<J>>,
     handler: Box<dyn Fn(J) + Send + Sync>,
-    live: AtomicUsize,
+    /// Worker threads alive; `exited` is notified each time one exits.
+    live: Mutex<usize>,
+    exited: Condvar,
     panics: AtomicU64,
     respawned: AtomicU64,
 }
@@ -62,7 +65,7 @@ struct Inner<J> {
 /// });
 /// pool.try_submit(21).expect("queue has room");
 /// assert_eq!(rx.recv().expect("worker replies"), 42);
-/// assert!(pool.drain(1, 1_000));
+/// assert!(pool.drain(1_000));
 /// ```
 pub struct WorkerPool<J: Send + 'static> {
     inner: Arc<Inner<J>>,
@@ -90,7 +93,8 @@ impl<J: Send + 'static> WorkerPool<J> {
             tx: Mutex::new(Some(tx)),
             rx: Mutex::new(rx),
             handler: Box::new(handler),
-            live: AtomicUsize::new(0),
+            live: Mutex::new(0),
+            exited: Condvar::new(),
             panics: AtomicU64::new(0),
             respawned: AtomicU64::new(0),
         });
@@ -123,29 +127,26 @@ impl<J: Send + 'static> WorkerPool<J> {
     }
 
     /// Closes the queue and waits for every worker to finish its backlog
-    /// and exit, polling every `poll_ms` for at most `max_wait_ms`.
+    /// and exit, for at most `max_wait_ms`.
     ///
-    /// Returns `true` when the pool fully drained within the bound. The
-    /// wait counts sleeps rather than reading a clock, so it is only as
-    /// accurate as the sleep granularity — callers needing hard deadlines
-    /// enforce them inside the job handler.
-    pub fn drain(&self, poll_ms: u64, max_wait_ms: u64) -> bool {
+    /// Returns `true` when the pool fully drained within the bound. Each
+    /// exiting worker wakes the wait, so it returns as soon as the last
+    /// one is gone; callers needing hard per-job deadlines enforce them
+    /// inside the job handler.
+    pub fn drain(&self, max_wait_ms: u64) -> bool {
         self.close();
-        let poll = poll_ms.max(1);
-        let mut waited = 0u64;
-        while self.live_workers() > 0 {
-            if waited >= max_wait_ms {
-                return false;
-            }
-            std::thread::sleep(core::time::Duration::from_millis(poll));
-            waited += poll;
-        }
-        true
+        let bound = core::time::Duration::from_millis(max_wait_ms);
+        let (live, _) = self
+            .inner
+            .exited
+            .wait_timeout_while(self.inner.live(), bound, |n| *n > 0)
+            .expect("pool live count poisoned");
+        *live == 0
     }
 
     /// Worker threads currently alive (replacements included).
     pub fn live_workers(&self) -> usize {
-        self.inner.live.load(Ordering::SeqCst)
+        *self.inner.live()
     }
 
     /// Handler panics caught at the job boundary so far.
@@ -159,8 +160,14 @@ impl<J: Send + 'static> WorkerPool<J> {
     }
 }
 
+impl<J> Inner<J> {
+    fn live(&self) -> MutexGuard<'_, usize> {
+        self.live.lock().expect("pool live count poisoned")
+    }
+}
+
 fn spawn_worker<J: Send + 'static>(inner: Arc<Inner<J>>) {
-    inner.live.fetch_add(1, Ordering::SeqCst);
+    *inner.live() += 1;
     std::thread::spawn(move || worker_loop(inner));
 }
 
@@ -186,7 +193,8 @@ fn worker_loop<J: Send + 'static>(inner: Arc<Inner<J>>) {
             break;
         }
     }
-    inner.live.fetch_sub(1, Ordering::SeqCst);
+    *inner.live() -= 1;
+    inner.exited.notify_all();
 }
 
 #[cfg(test)]
@@ -206,7 +214,7 @@ mod tests {
         let mut got: Vec<u64> = (0..20).map(|_| rx.recv().expect("reply")).collect();
         got.sort_unstable();
         assert_eq!(got, (1..=20).collect::<Vec<_>>());
-        assert!(pool.drain(1, 2_000));
+        assert!(pool.drain(2_000));
         assert_eq!(pool.live_workers(), 0);
     }
 
@@ -239,7 +247,7 @@ mod tests {
         }
         assert_eq!(pool.panics(), 1);
         assert_eq!(pool.respawned(), 1);
-        assert!(pool.drain(1, 2_000));
+        assert!(pool.drain(2_000));
     }
 
     #[test]
@@ -268,6 +276,6 @@ mod tests {
             other => panic!("expected Closed, got {other:?}"),
         }
         drop(gate_tx);
-        assert!(pool.drain(1, 2_000));
+        assert!(pool.drain(2_000));
     }
 }

@@ -18,14 +18,17 @@
 //! * **Request coalescing** — concurrent submissions of the same
 //!   (spec, seed) share one simulation: later arrivals register as
 //!   waiters on the in-flight key instead of duplicating work.
-//! * **Graceful drain** — on shutdown the acceptor stops, new submits
-//!   are rejected with `SHUTTING_DOWN`, in-flight work finishes or
-//!   deadlines out, and the final stats snapshot is flushed.
+//! * **Graceful drain** — the acceptor blocks in `accept`, so a drain
+//!   wakes it with one loopback connection to the listener's own port,
+//!   which it drops uncounted before it exits; new submits are rejected
+//!   with `SHUTTING_DOWN`, in-flight work finishes or deadlines out, and
+//!   the final stats snapshot is flushed. Every wait on the drain is a
+//!   condition-variable wait, notified where the state changes.
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, RecvTimeoutError, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use rperf::{execute_budgeted, ExecBudget, ScenarioSpec};
@@ -43,6 +46,10 @@ use crate::protocol::{
 /// function of (spec, seed, code version), so a version bump fences all
 /// cached results from older code.
 pub const CODE_VERSION: &str = concat!("rperf-serve/", env!("CARGO_PKG_VERSION"));
+
+/// The longest the acceptor waits after a failed `accept` before trying
+/// again; a closing connection or a drain ends the wait sooner.
+const ACCEPT_RETRY: Duration = Duration::from_millis(10);
 
 /// Server tunables. `Default` suits tests and local runs.
 #[derive(Debug, Clone)]
@@ -129,13 +136,18 @@ struct Job {
 
 struct Shared {
     cfg: ServeConfig,
+    /// The listener's bound address, where a drain wakes the acceptor.
+    addr: SocketAddr,
     stats: Stats,
     cache: Mutex<ResultCache>,
     waiters: Mutex<std::collections::BTreeMap<u128, Vec<SyncSender<Reply>>>>,
     pool: WorkerPool<Job>,
     draining: AtomicBool,
     job_seq: AtomicU64,
-    conns_live: AtomicUsize,
+    /// Connection threads alive; `lifecycle` is notified when one exits.
+    conns_live: Mutex<usize>,
+    /// Notified when a drain begins and when a connection thread exits.
+    lifecycle: Condvar,
 }
 
 /// Sends `reply` to every waiter registered under `key`.
@@ -235,7 +247,6 @@ impl Server {
     /// Binds, spawns the warm worker pool and the acceptor, and returns.
     pub fn start(cfg: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
         let shared = Arc::new_cyclic(|weak: &std::sync::Weak<Shared>| {
@@ -246,12 +257,14 @@ impl Server {
                 }
             });
             Shared {
+                addr,
                 cache: Mutex::new(ResultCache::new(cfg.cache_entries)),
                 waiters: Mutex::new(std::collections::BTreeMap::new()),
                 pool,
                 draining: AtomicBool::new(false),
                 job_seq: AtomicU64::new(0),
-                conns_live: AtomicUsize::new(0),
+                conns_live: Mutex::new(0),
+                lifecycle: Condvar::new(),
                 stats: Stats::default(),
                 cfg,
             }
@@ -287,9 +300,13 @@ impl Server {
     /// Blocks until a drain begins (e.g. a client sent SHUTDOWN), then
     /// completes it; returns the final stats snapshot.
     pub fn run_until_shutdown(mut self) -> String {
-        while !self.is_draining() {
-            std::thread::sleep(Duration::from_millis(20));
-        }
+        let live = self.shared.conns_live();
+        drop(
+            self.shared
+                .lifecycle
+                .wait_while(live, |_| !self.is_draining())
+                .expect("conns_live lock poisoned"),
+        );
         self.finish_drain()
     }
 
@@ -307,13 +324,15 @@ impl Server {
         // io_timeout_ms and in-flight submissions resolve within
         // deadline_ms, so anything beyond that is a bug we refuse to
         // hang on.
-        let conn_wait_ms = cfg.io_timeout_ms + cfg.deadline_ms + 2_000;
-        let mut waited = 0u64;
-        while self.shared.conns_live.load(Ordering::SeqCst) > 0 && waited < conn_wait_ms {
-            std::thread::sleep(Duration::from_millis(5));
-            waited += 5;
-        }
-        self.shared.pool.drain(5, cfg.deadline_ms + 2_000);
+        let conn_wait = Duration::from_millis(cfg.io_timeout_ms + cfg.deadline_ms + 2_000);
+        let live = self.shared.conns_live();
+        drop(
+            self.shared
+                .lifecycle
+                .wait_timeout_while(live, conn_wait, |n| *n > 0)
+                .expect("conns_live lock poisoned"),
+        );
+        self.shared.pool.drain(cfg.deadline_ms + 2_000);
         if let Some(h) = self.acceptor.take() {
             let _ = h.join();
         }
@@ -322,37 +341,70 @@ impl Server {
 }
 
 impl Shared {
+    fn conns_live(&self) -> std::sync::MutexGuard<'_, usize> {
+        self.conns_live.lock().expect("conns_live lock poisoned")
+    }
+
+    /// Starts the drain once: closes admission (queued jobs still run to
+    /// completion), wakes the acceptor and every drain waiter.
     fn begin_drain(&self) {
-        self.draining.store(true, Ordering::SeqCst);
-        // Close admission; queued jobs still run to completion.
+        if self.draining.swap(true, Ordering::SeqCst) {
+            return;
+        }
         self.pool.close();
+        // The acceptor blocks in `accept`; one connection to its own port
+        // returns it, and it sees `draining` and exits. A listener bound
+        // to an unspecified address accepts on loopback too.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let timeout = Duration::from_millis(self.cfg.io_timeout_ms.max(1));
+        let _ = TcpStream::connect_timeout(&wake, timeout);
+        // Taking the lock orders this notify after any waiter's check of
+        // `draining`, so no waiter misses it.
+        let _live = self.conns_live();
+        self.lifecycle.notify_all();
+    }
+
+    fn conn_exited(&self) {
+        *self.conns_live() -= 1;
+        self.lifecycle.notify_all();
     }
 }
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     loop {
-        if shared.draining.load(Ordering::SeqCst) {
-            break;
-        }
         match listener.accept() {
+            // The drain's wake connection, or a client that raced it:
+            // either way the listener closes now.
+            Ok(_) if shared.draining.load(Ordering::SeqCst) => break,
             Ok((stream, _peer)) => {
                 bump!(shared, connections);
-                shared.conns_live.fetch_add(1, Ordering::SeqCst);
+                *shared.conns_live() += 1;
                 let conn_shared = Arc::clone(&shared);
                 let spawned = std::thread::Builder::new()
                     .name("rperf-serve-conn".to_string())
                     .spawn(move || {
                         serve_conn(stream, &conn_shared);
-                        conn_shared.conns_live.fetch_sub(1, Ordering::SeqCst);
+                        conn_shared.conn_exited();
                     });
                 if spawned.is_err() {
-                    shared.conns_live.fetch_sub(1, Ordering::SeqCst);
+                    shared.conn_exited();
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
+            Err(_) => {
+                // Out of descriptors or buffers: retry once a connection
+                // closes or a drain begins, not in a spin on the same error.
+                let live = shared.conns_live();
+                drop(shared.lifecycle.wait_timeout(live, ACCEPT_RETRY));
+                if shared.draining.load(Ordering::SeqCst) {
+                    break;
+                }
             }
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
         }
     }
 }

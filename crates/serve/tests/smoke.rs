@@ -10,15 +10,27 @@
 //! * the panicked worker was respawned and the malformed frame answered
 //!   with a typed `BAD_FRAME` error,
 //! * shutdown drains cleanly and flushes a coherent final stats snapshot.
+//!
+//! Beside it: a fresh connection is answered as soon as it arrives (the
+//! acceptor blocks in `accept` rather than polling), and a server bound
+//! to an unspecified address still shuts down.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 use rperf_serve::chaos::{inject_malformed_frame, FaultPlan};
 use rperf_serve::protocol::{decode_error, read_frame, resp, ErrorCode, DEFAULT_MAX_PAYLOAD};
 use rperf_serve::{Client, ClientConfig, ServeConfig, Server};
 use rperf_stats::json::{parse, Value};
+
+/// Runs the tests of this file one at a time: the 200-client burst
+/// saturates the host's cores, and the connection-latency test must not
+/// time a ping that waited behind it for a core.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Reads an example scenario from the repo's `examples/scenarios/`.
 fn spec_text(name: &str) -> String {
@@ -52,6 +64,7 @@ fn client_for(addr: &str, retry_seed: u64) -> Client {
 fn two_hundred_concurrent_submissions_with_injected_faults() {
     const SUBMISSIONS: usize = 200;
     const SEEDS: u64 = 3; // 2 specs x 3 seeds = 6 distinct cache keys
+    let _serial = serial();
 
     let server = Server::start(ServeConfig {
         addr: "127.0.0.1:0".to_string(),
@@ -169,6 +182,7 @@ fn sharded_submission_shares_the_sequential_cache_line() {
     // §3.7): the server normalizes it out of the cache key, so a
     // `shards = 4` submission is a cache *hit* against the sequential
     // run of the same spec — and byte-identical to it.
+    let _serial = serial();
     let server = Server::start(ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 2,
@@ -192,4 +206,64 @@ fn sharded_submission_shares_the_sequential_cache_line() {
     assert!(warm.cached, "sharded spec missed the sequential cache line");
     assert_eq!(warm.json, cold.json);
     server.shutdown();
+}
+
+#[test]
+fn sequential_connections_are_accepted_without_a_poll_delay() {
+    const PINGS: u32 = 100;
+    let _serial = serial();
+    let server = Server::start(ServeConfig::default()).expect("bind ephemeral port");
+    let client = client_for(&server.addr().to_string(), 0);
+    // The fastest of three rounds, so that a spell of load from other
+    // processes on the host does not decide the verdict.
+    let took = (0..3)
+        .map(|_| {
+            let start = Instant::now();
+            for i in 0..PINGS {
+                client
+                    .ping()
+                    .unwrap_or_else(|e| panic!("ping {i} failed: {e}"));
+            }
+            start.elapsed()
+        })
+        .min()
+        .expect("three rounds");
+    server.shutdown();
+    // Each ping opens its own connection. An acceptor that slept between
+    // polls made every one wait out part of a sleep (about 2 ms each);
+    // a blocking accept answers them in a small fraction of that.
+    assert!(
+        took < Duration::from_millis(100),
+        "{PINGS} sequential pings took {took:?} in the fastest of three rounds"
+    );
+}
+
+#[test]
+fn server_on_an_unspecified_address_shuts_down_and_refuses_pings() {
+    let _serial = serial();
+    let server = Server::start(ServeConfig {
+        addr: "0.0.0.0:0".to_string(),
+        workers: 1,
+        ..ServeConfig::default()
+    })
+    .expect("bind ephemeral port on 0.0.0.0");
+    assert!(server.addr().ip().is_unspecified());
+    let loopback = format!("127.0.0.1:{}", server.addr().port());
+    client_for(&loopback, 0)
+        .ping()
+        .expect("ping over loopback before shutdown");
+    // The drain must reach the acceptor through loopback, or shutdown
+    // would block in joining it.
+    let final_stats = parse(&server.shutdown()).expect("final stats snapshot parses");
+    assert_eq!(stat(&final_stats, "draining"), 1);
+    assert_eq!(stat(&final_stats, "workers_live"), 0);
+    assert_eq!(
+        stat(&final_stats, "connections"),
+        1,
+        "the drain's wake connection is not a client connection"
+    );
+    assert!(
+        client_for(&loopback, 0).ping().is_err(),
+        "server still accepting connections after shutdown"
+    );
 }
