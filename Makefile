@@ -49,13 +49,16 @@ quick-report:
 	$(CARGO) run --release -p rperf-bench --bin report -- --quick --jobs $(shell nproc)
 
 # CI smoke: report on the reduced (--quick) point set, single job for
-# determinism, then the two dispatch-layer microbench races (per-event
-# vs batched link delivery; AoS vs SoA buffer scans at 8/36/64 ports).
+# determinism, then the dispatch-layer microbench races (per-event vs
+# batched link delivery; AoS vs SoA buffer scans at 8/36/64 ports) and
+# the set-up layer's numbers (route planning and fabric build for fat
+# trees of 16, 128 and 1024 hosts).
 # Fails if any packet handle leaks; BENCH_report.json is uploaded as a
 # workflow artifact.
 bench-smoke:
 	$(CARGO) run --release -p rperf-bench --bin report -- --quick --jobs 1
 	$(CARGO) bench -p rperf-fabric --bench link_delivery
+	$(CARGO) bench -p rperf-fabric --bench fabric_build
 	$(CARGO) bench -p rperf-switch --bench soa_scan
 
 # Re-blesses the perf baseline: discards BENCH_baseline.json and
@@ -90,8 +93,9 @@ perf-gate:
 
 # CI smoke: run the beyond-paper example scenarios end-to-end from their
 # spec files and check the emitted JSON parses, then assert the typed
-# exit codes: missing file -> 3 (I/O), syntax error -> 2 (spec parse)
-# with a line-numbered diagnostic on stderr.
+# exit codes: missing file -> 3 (I/O), syntax error or a fat tree too
+# wide for 255-port switches -> 2 (spec parse) with a line-numbered
+# diagnostic on stderr.
 scenario-smoke:
 	$(CARGO) run --release -p rperf-cli -- scenario examples/scenarios/chain_gaming.scn --json | python3 -m json.tool > /dev/null
 	$(CARGO) run --release -p rperf-cli -- scenario examples/scenarios/incast_8.scn --json | python3 -m json.tool > /dev/null
@@ -99,6 +103,9 @@ scenario-smoke:
 	printf 'name = "x"\nbogus_key = 1\n' > /tmp/rperf_smoke_bad.scn
 	$(CARGO) run --release -q -p rperf-cli -- scenario /tmp/rperf_smoke_bad.scn 2>/tmp/rperf_smoke_bad.err; test $$? -eq 2
 	grep -q 'line 2' /tmp/rperf_smoke_bad.err
+	printf 'name = "wide"\n[topology]\nkind = "fattree"\nk = 300\ntiers = 2\n' > /tmp/rperf_smoke_wide.scn
+	$(CARGO) run --release -q -p rperf-cli -- scenario /tmp/rperf_smoke_wide.scn 2>/tmp/rperf_smoke_wide.err; test $$? -eq 2
+	grep -q 'line 4' /tmp/rperf_smoke_wide.err
 
 # Sharded-execution smoke, three gates:
 #  1. the golden-figure differential suite (every paper figure at

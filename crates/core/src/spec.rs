@@ -299,15 +299,25 @@ impl ScenarioSpec {
         self
     }
 
-    /// Checks the spec is executable: at least one role, every node and
-    /// every target/peer inside the topology, no node claimed twice, and
-    /// no self-targeting flow.
+    /// Checks the spec is executable: a constructible fat tree, no more
+    /// hosts than unicast LIDs, at least one role, every node and every
+    /// target/peer inside the topology, no node claimed twice, and no
+    /// self-targeting flow.
     ///
     /// # Errors
     ///
     /// Returns a human-readable description of the first violation.
     pub fn validate(&self) -> Result<(), String> {
+        if let Topology::FatTree(ft) = &self.topology {
+            ft.validate()?;
+        }
         let hosts = self.topology.hosts();
+        if hosts > rperf_subnet::MAX_HOSTS {
+            return Err(format!(
+                "the topology has {hosts} hosts, more than the {} unicast LIDs",
+                rperf_subnet::MAX_HOSTS
+            ));
+        }
         if self.roles.is_empty() {
             return Err("a scenario needs at least one role".into());
         }
@@ -329,9 +339,6 @@ impl ScenarioSpec {
                 hosts,
                 self.topology.switches()
             ));
-        }
-        if let Topology::FatTree(ft) = &self.topology {
-            ft.validate()?;
         }
         let mut claimed = vec![false; hosts];
         for r in &self.roles {
@@ -564,9 +571,9 @@ fn parse_topology(section: &Section) -> Result<Topology, SpecError> {
                 // Blame the line of the offending key (falling back to the
                 // section header for defaulted keys).
                 let blame = |key: &str| section.get(key).map(|(l, _)| l).unwrap_or(header);
-                let line = if msg.contains("tiers") {
+                let line = if msg.starts_with("fattree tiers") {
                     blame("tiers")
-                } else if msg.contains("oversubscription") {
+                } else if msg.starts_with("fattree oversubscription") {
                     blame("oversubscription")
                 } else {
                     blame("k")
@@ -1088,6 +1095,32 @@ kind = "sink"
 
         let e = ScenarioSpec::parse("[topology]\nkind = \"fattree\"").unwrap_err();
         assert!(e.msg.contains('k'), "missing k is reported: {e}");
+
+        // Fabrics the port numbers or the unicast LIDs cannot address
+        // blame `k`, even when the message names another key.
+        let e =
+            ScenarioSpec::parse("[topology]\nkind = \"fattree\"\ntiers = 2\nk = 300").unwrap_err();
+        assert_eq!(e.line, 4, "{e}");
+        assert!(e.msg.contains("more than 255 ports"), "{e}");
+        let e =
+            ScenarioSpec::parse("[topology]\nkind = \"fattree\"\nk = 64\ntiers = 3").unwrap_err();
+        assert_eq!(e.line, 3, "{e}");
+        assert!(e.msg.contains("unicast LIDs"), "{e}");
+    }
+
+    #[test]
+    fn oversized_fabrics_fail_validation() {
+        let ft = FatTreeParams::new(300, 2, 1);
+        let spec = ScenarioSpec::new("wide", Topology::FatTree(ft)).with_role(0, Role::Sink);
+        assert!(spec.validate().unwrap_err().contains("255 ports"));
+        // Checked before the host count, whose formula would overflow.
+        let ft = FatTreeParams::new(1 << 40, 3, 1);
+        let spec = ScenarioSpec::new("huge", Topology::FatTree(ft)).with_role(0, Role::Sink);
+        assert!(spec.validate().is_err());
+        // A custom graph is held to the unicast LID range too.
+        let topo = TopologySpec::single_switch(rperf_subnet::MAX_HOSTS + 1);
+        let spec = ScenarioSpec::new("flat", Topology::Spec(topo)).with_role(0, Role::Sink);
+        assert!(spec.validate().unwrap_err().contains("unicast LIDs"));
     }
 
     #[test]

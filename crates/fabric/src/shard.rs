@@ -43,7 +43,7 @@ use rperf_switch::{Switch, SwitchAction};
 use rperf_verbs::{RecvWr, SendWr, VerbsError};
 
 use crate::topology::{Endpoint, Fabric};
-use crate::world::{App, FabricEvent};
+use crate::world::{App, FabricEvent, QUEUE_CAPACITY};
 
 /// Bits of the ordering key holding the source device id.
 const DEV_BITS: u32 = 12;
@@ -898,7 +898,7 @@ impl ShardedSim {
                     shard: s as u32,
                     topo: Arc::clone(&topo),
                     grid: Arc::clone(&grid),
-                    q: EventQueue::with_capacity((node_ids.len() * 256).max(1024)),
+                    q: EventQueue::with_capacity(QUEUE_CAPACITY),
                     slab: PacketSlab::new(),
                     rnics: local_rnics,
                     clocks: local_clocks,

@@ -9,7 +9,7 @@ use rperf_model::{ClusterConfig, Lid, NodeId, PortId};
 use rperf_rnic::Rnic;
 use rperf_sim::SimRng;
 use rperf_subnet::{plan, FatTreeParams, TopologySpec};
-use rperf_switch::{CreditLedger, Switch};
+use rperf_switch::{CreditLedger, ForwardingTable, Switch};
 
 /// A topology selector covering every fabric shape the suite builds,
 /// unifying the dedicated constructors and the planned multi-switch path
@@ -274,19 +274,14 @@ impl FabricBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if the parameters fail [`FatTreeParams::validate`] or the
-    /// radix exceeds the `u8` port-number space.
+    /// Panics if the parameters fail [`FatTreeParams::validate`] (which
+    /// also bounds the radix by the `u8` port-number space).
     pub fn fattree(mut self, ft: &FatTreeParams) -> Fabric {
         let checked = ft.validate();
         assert!(
             checked.is_ok(),
             "invalid fat-tree parameters: {}",
             checked.unwrap_err()
-        );
-        assert!(
-            ft.radix() <= u8::MAX as usize,
-            "fat-tree radix {} exceeds 255 ports",
-            ft.radix()
         );
         self.cfg.switch.ports = self.cfg.switch.ports.max(ft.radix() as u8);
         self.from_spec(&ft.spec())
@@ -378,11 +373,9 @@ impl FabricBuilder {
         let mut switch_peer: Vec<Vec<Option<Endpoint>>> = vec![vec![None; ports]; spec.switches()];
         let mut rnic_peer = Vec::with_capacity(spec.hosts());
 
-        // Program forwarding tables.
-        for (sw_idx, table) in subnet.routes.iter().enumerate() {
-            for &(lid, port) in table {
-                switches[sw_idx].set_route(lid, port);
-            }
+        // Program forwarding tables: host `i` has LID `i + 1`.
+        for (switch, table) in switches.iter_mut().zip(&subnet.routes) {
+            switch.set_forwarding(ForwardingTable::dense(table));
         }
         // Wire hosts.
         for (host, &(sw, port)) in subnet.host_ports.iter().enumerate() {

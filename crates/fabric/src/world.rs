@@ -15,6 +15,11 @@ use rperf_verbs::{Cqe, RecvWr, SendWr, VerbsError};
 use crate::topology::{Endpoint, Fabric};
 use crate::trace::{TraceEvent, Tracer};
 
+/// Initial capacity of an engine's event queue. It sizes only the timer
+/// wheel's ready lane, which holds one 4 ns bucket and grows on demand;
+/// a whole queue peaks at about a thousand events on converged runs.
+pub(crate) const QUEUE_CAPACITY: usize = 1024;
+
 /// An event flowing through the assembled fabric.
 ///
 /// Packet events carry [`PacketRef`] handles into the fabric's
@@ -669,10 +674,7 @@ impl Sim {
                 switch_out: Vec::with_capacity(64),
                 batch: true,
             },
-            // Pre-size the heap: converged-traffic runs keep on the order
-            // of a few hundred events in flight per node, and one up-front
-            // allocation keeps regrowth out of the pop/push hot loop.
-            q: EventQueue::with_capacity((nodes * 256).max(1024)),
+            q: EventQueue::with_capacity(QUEUE_CAPACITY),
             started: false,
         }
     }

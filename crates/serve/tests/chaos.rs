@@ -211,6 +211,28 @@ fn exhausted_budget_is_a_typed_deadline() {
     assert_eq!(stat(&stats, "results_ok"), 0);
 }
 
+/// A fat tree too wide for 255-port switches is a typed spec error, not
+/// a worker panic, and no worker ever sees it.
+#[test]
+fn oversized_fat_tree_is_a_typed_parse_error() {
+    let server = Server::start(ServeConfig::default()).expect("bind");
+    let addr = server.addr().to_string();
+    let text = "name = \"wide\"\n[topology]\nkind = \"fattree\"\nk = 300\ntiers = 2\n\n\
+                [[role]]\nnode = 0\nkind = \"sink\"\n";
+
+    match one_shot_client(&addr).submit(text, 1) {
+        Err(ClientError::Server { code, message }) => {
+            assert_eq!(code, ErrorCode::ParseError, "{message}");
+            assert!(message.contains("255 ports"), "{message}");
+        }
+        other => panic!("expected a typed PARSE_ERROR, got {other:?}"),
+    }
+
+    let stats = parse(&server.shutdown()).expect("final stats parse");
+    assert_eq!(stat(&stats, "parse_errors"), 1);
+    assert_eq!(stat(&stats, "worker_panics"), 0);
+}
+
 /// Cache cold-vs-hit byte identity: the served response equals a local
 /// `rperf::execute` of the same (spec, seed) byte-for-byte, and the cached
 /// replay equals the cold response.

@@ -33,6 +33,13 @@ pub enum SubnetError {
     },
     /// The topology has no hosts to route between.
     NoHosts,
+    /// The topology has more hosts than there are unicast LIDs.
+    TooManyHosts {
+        /// Hosts in the topology.
+        hosts: usize,
+        /// The most hosts a subnet can address.
+        max: usize,
+    },
 }
 
 impl fmt::Display for SubnetError {
@@ -56,6 +63,10 @@ impl fmt::Display for SubnetError {
                 write!(f, "switch {switch} is unreachable from switch 0")
             }
             SubnetError::NoHosts => write!(f, "topology has no hosts"),
+            SubnetError::TooManyHosts { hosts, max } => write!(
+                f,
+                "topology has {hosts} hosts but unicast LIDs address at most {max}"
+            ),
         }
     }
 }

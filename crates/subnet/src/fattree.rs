@@ -22,6 +22,7 @@
 //! parameters: generating the same `FatTreeParams` twice yields
 //! structurally identical specs (and therefore byte-identical plans).
 
+use crate::planner::MAX_HOSTS;
 use crate::spec::TopologySpec;
 
 /// Parameters of a Clos / fat-tree fabric.
@@ -67,8 +68,10 @@ impl FatTreeParams {
     /// # Errors
     ///
     /// Returns a human-readable description of the first violation:
-    /// odd or zero `k`, a tier count other than 2 or 3, or a zero
-    /// oversubscription ratio.
+    /// odd or zero `k`, a tier count other than 2 or 3, a zero
+    /// oversubscription ratio, a radix beyond the 255 ports a port
+    /// number addresses, or more hosts than unicast LIDs
+    /// ([`MAX_HOSTS`]).
     pub fn validate(&self) -> Result<(), String> {
         if self.k == 0 || !self.k.is_multiple_of(2) {
             return Err(format!(
@@ -81,6 +84,21 @@ impl FatTreeParams {
         }
         if self.oversubscription == 0 {
             return Err("fattree oversubscription must be at least 1".into());
+        }
+        // The radix is at least `k` and at least `o`, so bounding both
+        // first keeps the shape formulas from overflowing.
+        let max_ports = u8::MAX as usize;
+        if self.k > max_ports || self.oversubscription > max_ports || self.radix() > max_ports {
+            return Err(format!(
+                "fattree k = {}, oversubscription = {} needs switches of more than {max_ports} ports",
+                self.k, self.oversubscription
+            ));
+        }
+        if self.hosts() > MAX_HOSTS {
+            return Err(format!(
+                "fattree has {} hosts, more than the {MAX_HOSTS} unicast LIDs",
+                self.hosts()
+            ));
         }
         Ok(())
     }
@@ -271,6 +289,39 @@ mod tests {
             .validate()
             .unwrap_err()
             .contains("oversubscription"));
+    }
+
+    #[test]
+    fn radix_is_bounded_by_the_port_number_space() {
+        // k = 300 leaf-spine: 300-port spines.
+        assert!(FatTreeParams::new(300, 2, 1)
+            .validate()
+            .unwrap_err()
+            .contains("more than 255 ports"));
+        // A huge oversubscription on a small k, and sizes whose shape
+        // formulas would overflow, are rejected the same way.
+        assert!(FatTreeParams::new(4, 2, 200).validate().is_err());
+        assert!(FatTreeParams::new(1 << 40, 3, 1).validate().is_err());
+        assert!(FatTreeParams::new(4, 3, usize::MAX).validate().is_err());
+        // The largest leaf-spine whose spines fit 255 ports is fine.
+        let widest = FatTreeParams::new(254, 2, 1);
+        assert_eq!(widest.radix(), 254);
+        assert!(widest.validate().is_ok());
+    }
+
+    #[test]
+    fn hosts_are_bounded_by_the_unicast_lids() {
+        // k = 64, 3 tiers: 65,536 hosts on 64-port switches.
+        let big = FatTreeParams::new(64, 3, 1);
+        assert!(big.radix() <= 255);
+        assert!(big
+            .validate()
+            .unwrap_err()
+            .contains("65536 hosts, more than the 49151 unicast LIDs"));
+        // k = 56: 43,904 hosts fit.
+        let fits = FatTreeParams::new(56, 3, 1);
+        assert_eq!(fits.hosts(), 43_904);
+        assert!(fits.validate().is_ok());
     }
 
     #[test]

@@ -13,9 +13,11 @@
 //!   producing plain [`TopologySpec`] graphs.
 //! * [`plan`] — validates the spec against the switch port budget,
 //!   assigns LIDs and ports, and computes shortest-path forwarding
-//!   entries (BFS over the switch graph; equal-cost paths are resolved
-//!   per destination LID, deterministically and hash-free).
-//! * [`SubnetPlan`] — the programmable result the fabric builder consumes.
+//!   entries (one BFS per switch that hosts endpoints; equal-cost paths
+//!   are resolved per destination LID, deterministically and
+//!   hash-free).
+//! * [`SubnetPlan`] — the programmable result the fabric builder
+//!   consumes: one forwarding table per switch, dense by host.
 //!
 //! # Examples
 //!
@@ -39,5 +41,5 @@ mod spec;
 
 pub use error::SubnetError;
 pub use fattree::FatTreeParams;
-pub use planner::{plan, SubnetPlan};
+pub use planner::{plan, SubnetPlan, MAX_HOSTS};
 pub use spec::TopologySpec;

@@ -7,6 +7,10 @@ use rperf_model::{Lid, PortId};
 use crate::error::SubnetError;
 use crate::spec::TopologySpec;
 
+/// The most hosts a subnet can address: IB unicast LIDs run from 1 to
+/// `0xBFFF` (LID 0 is reserved; `0xC000` and up are multicast).
+pub const MAX_HOSTS: usize = 0xBFFF;
+
 /// The programmable outcome of subnet planning.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SubnetPlan {
@@ -18,20 +22,31 @@ pub struct SubnetPlan {
     /// Trunk cables: `((switch_a, port_a), (switch_b, port_b))`, in the
     /// order of [`TopologySpec::trunks`].
     pub trunk_ports: Vec<((usize, PortId), (usize, PortId))>,
-    /// Forwarding entries per switch: for every host LID, the egress port.
-    pub routes: Vec<Vec<(Lid, PortId)>>,
-    /// Hop count (number of switches traversed) between every host pair,
-    /// indexed `[src][dst]`.
-    pub hops: Vec<Vec<u32>>,
+    /// Forwarding tables, dense by host: `routes[sw][host]` is the egress
+    /// port switch `sw` uses for `lids[host]`.
+    pub routes: Vec<Vec<PortId>>,
+    /// Trunk distances toward each switch that hosts endpoints:
+    /// `dist_to[dst][sw]` is the number of trunks from `sw` to `dst`
+    /// (empty for switches without hosts).
+    dist_to: Vec<Vec<u32>>,
 }
 
 impl SubnetPlan {
     /// The egress port switch `sw` uses for `lid` (for diagnostics).
     pub fn route_of(&self, sw: usize, lid: Lid) -> Option<PortId> {
-        self.routes[sw]
-            .iter()
-            .find(|&&(l, _)| l == lid)
-            .map(|&(_, p)| p)
+        let host = lid.index().checked_sub(1)?;
+        self.routes[sw].get(host).copied()
+    }
+
+    /// Hop count (number of switches traversed) from host `a` to host
+    /// `b`: 0 from a host to itself, 1 between hosts on one switch.
+    pub fn hops(&self, a: usize, b: usize) -> u32 {
+        let (sw_a, sw_b) = (self.host_ports[a].0, self.host_ports[b].0);
+        if a == b {
+            0
+        } else {
+            self.dist_to[sw_b][sw_a] + 1
+        }
     }
 }
 
@@ -52,19 +67,30 @@ impl SubnetPlan {
 /// topology with unique shortest paths gets exactly the single
 /// candidate the BFS tree would have picked.
 ///
+/// Only switches that host endpoints are forwarding destinations, so
+/// the cost is one BFS per such switch plus one write per forwarding
+/// entry: O(D·(S + T) + S·H) for D destination switches, S switches,
+/// T trunks and H hosts.
+///
 /// # Errors
 ///
-/// See [`SubnetError`] — port budget, dangling references, self-trunks,
-/// disconnected fabrics and empty topologies are rejected.
+/// See [`SubnetError`] — more hosts than unicast LIDs, port budget,
+/// dangling references, self-trunks, disconnected fabrics and empty
+/// topologies are rejected.
 pub fn plan(spec: &TopologySpec, ports_per_switch: u8) -> Result<SubnetPlan, SubnetError> {
     let n_sw = spec.switches();
-    if spec.hosts() == 0 {
+    let hosts = spec.hosts();
+    if hosts == 0 {
         return Err(SubnetError::NoHosts);
     }
-    for &a in spec.host_attachments() {
-        if a >= n_sw {
-            return Err(SubnetError::UnknownSwitch { switch: a });
-        }
+    if hosts > MAX_HOSTS {
+        return Err(SubnetError::TooManyHosts {
+            hosts,
+            max: MAX_HOSTS,
+        });
+    }
+    if let Some(&switch) = spec.host_attachments().iter().find(|&&a| a >= n_sw) {
+        return Err(SubnetError::UnknownSwitch { switch });
     }
     for &(a, b) in spec.trunks() {
         if a == b {
@@ -74,114 +100,85 @@ pub fn plan(spec: &TopologySpec, ports_per_switch: u8) -> Result<SubnetPlan, Sub
             return Err(SubnetError::UnknownSwitch { switch: a.max(b) });
         }
     }
-    for sw in 0..n_sw {
-        let needed = spec.ports_needed(sw);
-        if needed > ports_per_switch as usize {
-            return Err(SubnetError::PortBudgetExceeded {
-                switch: sw,
-                needed,
-                available: ports_per_switch as usize,
-            });
-        }
+
+    // Port allocation: hosts first (host order), then trunks (trunk
+    // order). `used[sw]` counts switch `sw`'s ports; numbers past the
+    // budget are rejected below, before any is used.
+    let mut used = vec![0usize; n_sw];
+    let mut next_port = |sw: usize| {
+        used[sw] += 1;
+        PortId::new((used[sw] - 1) as u8)
+    };
+    let host_ports: Vec<(usize, PortId)> = spec
+        .host_attachments()
+        .iter()
+        .map(|&sw| (sw, next_port(sw)))
+        .collect();
+    let trunk_ports: Vec<_> = spec
+        .trunks()
+        .iter()
+        .map(|&(a, b)| ((a, next_port(a)), (b, next_port(b))))
+        .collect();
+    let available = ports_per_switch as usize;
+    if let Some(switch) = used.iter().position(|&n| n > available) {
+        return Err(SubnetError::PortBudgetExceeded {
+            switch,
+            needed: used[switch],
+            available,
+        });
     }
 
-    // Port allocation: hosts first (host order), then trunks (trunk order).
-    let mut next_port = vec![0u8; n_sw];
-    let mut host_ports = Vec::with_capacity(spec.hosts());
-    let mut lids = Vec::with_capacity(spec.hosts());
-    for (i, &sw) in spec.host_attachments().iter().enumerate() {
-        let port = PortId::new(next_port[sw]);
-        next_port[sw] += 1;
-        host_ports.push((sw, port));
-        lids.push(Lid::new(i as u16 + 1));
+    let lids: Vec<Lid> = (1..=hosts as u16).map(Lid::new).collect();
+    let mut hosts_on: Vec<Vec<usize>> = vec![Vec::new(); n_sw];
+    for (host, &(sw, _)) in host_ports.iter().enumerate() {
+        hosts_on[sw].push(host);
     }
-    let mut trunk_ports = Vec::with_capacity(spec.trunks().len());
-    // Adjacency: neighbour switch → the local port reaching it.
+    // Adjacency: neighbour switch → the local port reaching it, sorted
+    // by (neighbour, port) so that equal-cost candidates are listed
+    // independently of trunk declaration order.
     let mut adjacency: Vec<Vec<(usize, PortId)>> = vec![Vec::new(); n_sw];
-    for &(a, b) in spec.trunks() {
-        let pa = PortId::new(next_port[a]);
-        next_port[a] += 1;
-        let pb = PortId::new(next_port[b]);
-        next_port[b] += 1;
-        trunk_ports.push(((a, pa), (b, pb)));
+    for &((a, pa), (b, pb)) in &trunk_ports {
         adjacency[a].push((b, pa));
         adjacency[b].push((a, pb));
     }
-
-    // Connectivity + distance computation via BFS from every switch.
-    let mut dist: Vec<Vec<u32>> = vec![vec![u32::MAX; n_sw]; n_sw];
-    for (start, dist) in dist.iter_mut().enumerate() {
-        let mut queue = VecDeque::new();
-        dist[start] = 0;
-        queue.push_back(start);
-        while let Some(sw) = queue.pop_front() {
-            for &(n, _port) in &adjacency[sw] {
-                if dist[n] == u32::MAX {
-                    dist[n] = dist[sw] + 1;
-                    queue.push_back(n);
-                }
-            }
-        }
-    }
-    if n_sw > 1 {
-        if let Some(sw) = (1..n_sw).find(|&sw| dist[0][sw] == u32::MAX) {
-            return Err(SubnetError::Disconnected { switch: sw });
-        }
-    }
-
-    // Equal-cost candidate egress ports per (switch, destination switch):
-    // every local port whose neighbour is exactly one hop closer, sorted
-    // by (neighbour, port) so selection is independent of trunk
-    // declaration order. Only switches that actually host endpoints are
-    // forwarding destinations.
-    let mut sorted_adj = adjacency;
-    for neigh in &mut sorted_adj {
+    for neigh in &mut adjacency {
         neigh.sort_by_key(|&(n, p)| (n, p.raw()));
     }
-    let mut is_dest = vec![false; n_sw];
-    for &(sw, _) in &host_ports {
-        is_dest[sw] = true;
+
+    if let Some(switch) = distances(&adjacency, 0).iter().position(|&d| d == u32::MAX) {
+        return Err(SubnetError::Disconnected { switch });
     }
-    // candidates[sw * n_sw + dst]: empty unless dst hosts endpoints.
-    let mut candidates: Vec<Vec<PortId>> = vec![Vec::new(); n_sw * n_sw];
-    for sw in 0..n_sw {
-        for dst in 0..n_sw {
-            if sw == dst || !is_dest[dst] {
+
+    // Forwarding tables, one destination switch at a time: its own
+    // hosts leave by their ports; every other switch sends them to the
+    // LID-selected port among those whose neighbour is one hop closer.
+    let mut routes = vec![vec![PortId::new(0); hosts]; n_sw];
+    let mut dist_to = vec![Vec::new(); n_sw];
+    let mut toward = Vec::new();
+    for (dst, dst_hosts) in hosts_on.iter().enumerate() {
+        if dst_hosts.is_empty() {
+            continue;
+        }
+        let dist = distances(&adjacency, dst);
+        for (sw, table) in routes.iter_mut().enumerate() {
+            if sw == dst {
+                for &h in dst_hosts {
+                    table[h] = host_ports[h].1;
+                }
                 continue;
             }
-            let toward = &mut candidates[sw * n_sw + dst];
-            for &(n, p) in &sorted_adj[sw] {
-                if dist[n][dst] != u32::MAX && dist[n][dst] + 1 == dist[sw][dst] {
-                    toward.push(p);
-                }
+            toward.clear();
+            toward.extend(
+                adjacency[sw]
+                    .iter()
+                    .filter(|&&(n, _)| dist[n] + 1 == dist[sw])
+                    .map(|&(_, p)| p),
+            );
+            for &h in dst_hosts {
+                table[h] = toward[lids[h].index() % toward.len()];
             }
         }
-    }
-
-    // Forwarding tables: local hosts → their port; remote hosts → the
-    // LID-selected equal-cost next hop toward their switch.
-    let mut routes: Vec<Vec<(Lid, PortId)>> = vec![Vec::new(); n_sw];
-    for (host, &(attached, port)) in host_ports.iter().enumerate() {
-        let lid = lids[host];
-        for (sw, table) in routes.iter_mut().enumerate() {
-            if sw == attached {
-                table.push((lid, port));
-            } else {
-                let toward = &candidates[sw * n_sw + attached];
-                debug_assert!(!toward.is_empty(), "connectivity verified above");
-                let hop = toward[lid.index() % toward.len()];
-                table.push((lid, hop));
-            }
-        }
-    }
-
-    // Host-pair hop counts: switches on the path (1 for same switch).
-    let hosts = spec.hosts();
-    let mut hops = vec![vec![0u32; hosts]; hosts];
-    for (a, &(sw_a, _)) in host_ports.iter().enumerate() {
-        for (b, &(sw_b, _)) in host_ports.iter().enumerate() {
-            hops[a][b] = if a == b { 0 } else { dist[sw_a][sw_b] + 1 };
-        }
+        dist_to[dst] = dist;
     }
 
     Ok(SubnetPlan {
@@ -189,8 +186,25 @@ pub fn plan(spec: &TopologySpec, ports_per_switch: u8) -> Result<SubnetPlan, Sub
         host_ports,
         trunk_ports,
         routes,
-        hops,
+        dist_to,
     })
+}
+
+/// Trunk distances from `from` to every switch (`u32::MAX` where
+/// unreachable), by BFS.
+fn distances(adjacency: &[Vec<(usize, PortId)>], from: usize) -> Vec<u32> {
+    let mut dist = vec![u32::MAX; adjacency.len()];
+    dist[from] = 0;
+    let mut queue = VecDeque::from([from]);
+    while let Some(sw) = queue.pop_front() {
+        for &(n, _) in &adjacency[sw] {
+            if dist[n] == u32::MAX {
+                dist[n] = dist[sw] + 1;
+                queue.push_back(n);
+            }
+        }
+    }
+    dist
 }
 
 #[cfg(test)]
@@ -210,8 +224,8 @@ mod tests {
         for (i, &lid) in plan.lids.iter().enumerate() {
             assert_eq!(plan.route_of(0, lid), Some(PortId::new(i as u8)));
         }
-        assert_eq!(plan.hops[0][1], 1);
-        assert_eq!(plan.hops[0][0], 0);
+        assert_eq!(plan.hops(0, 1), 1);
+        assert_eq!(plan.hops(0, 0), 0);
     }
 
     #[test]
@@ -229,8 +243,8 @@ mod tests {
         // Host 3 (switch 1): switch 0 routes over its trunk port.
         let lid3 = plan.lids[3];
         assert_eq!(plan.route_of(0, lid3), Some(PortId::new(3)));
-        assert_eq!(plan.hops[0][3], 2);
-        assert_eq!(plan.hops[0][1], 1);
+        assert_eq!(plan.hops(0, 3), 2);
+        assert_eq!(plan.hops(0, 1), 1);
     }
 
     #[test]
@@ -241,15 +255,15 @@ mod tests {
         let toward = plan.route_of(0, last).unwrap();
         // Switch 0 has 1 host (port 0) and 1 trunk (port 1).
         assert_eq!(toward, PortId::new(1));
-        assert_eq!(plan.hops[0][1], 4);
+        assert_eq!(plan.hops(0, 1), 4);
     }
 
     #[test]
     fn star_routes_through_the_core() {
         let plan = plan(&TopologySpec::star(3, 2), 12).unwrap();
         // Host 0 on leaf 1, host 2 on leaf 2: 3 switches on the path.
-        assert_eq!(plan.hops[0][2], 3);
-        assert_eq!(plan.hops[0][1], 1, "same leaf");
+        assert_eq!(plan.hops(0, 2), 3);
+        assert_eq!(plan.hops(0, 1), 1, "same leaf");
     }
 
     #[test]
@@ -265,8 +279,8 @@ mod tests {
         assert_eq!(plan.route_of(0, Lid::new(4)), Some(PortId::new(2)));
         // Spines route every LID straight down to its leaf.
         assert_eq!(plan.route_of(4, Lid::new(1)), Some(PortId::new(0)));
-        assert_eq!(plan.hops[0][2], 3, "cross-leaf pairs traverse a spine");
-        assert_eq!(plan.hops[0][1], 1, "same-leaf pairs stay local");
+        assert_eq!(plan.hops(0, 2), 3, "cross-leaf pairs traverse a spine");
+        assert_eq!(plan.hops(0, 1), 1, "same-leaf pairs stay local");
         // Replanning is byte-identical.
         assert_eq!(plan, plan_fn(&spec));
     }
@@ -305,6 +319,19 @@ mod tests {
         assert_eq!(
             plan(&TopologySpec::single_switch(0), 12).unwrap_err(),
             SubnetError::NoHosts
+        );
+    }
+
+    #[test]
+    fn more_hosts_than_unicast_lids_rejected() {
+        // Checked before the port budget, so the LIDs never wrap.
+        let spec = TopologySpec::single_switch(MAX_HOSTS + 1);
+        assert_eq!(
+            plan(&spec, 12).unwrap_err(),
+            SubnetError::TooManyHosts {
+                hosts: 0xC000,
+                max: 0xBFFF
+            }
         );
     }
 

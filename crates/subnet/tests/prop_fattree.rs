@@ -81,7 +81,7 @@ proptest! {
                     continue;
                 }
                 let hops = walk(&plan, &spec, src, dst);
-                prop_assert_eq!(hops, plan.hops[src][dst], "recorded hop count");
+                prop_assert_eq!(hops, plan.hops(src, dst), "recorded hop count");
                 prop_assert!(hops <= max_hops, "{} hops on a {}-tier tree", hops, ft.tiers);
             }
         }

@@ -86,11 +86,11 @@ proptest! {
         };
         let n = plan.lids.len();
         for a in 0..n {
-            prop_assert_eq!(plan.hops[a][a], 0);
+            prop_assert_eq!(plan.hops(a, a), 0);
             for b in 0..n {
-                prop_assert_eq!(plan.hops[a][b], plan.hops[b][a]);
+                prop_assert_eq!(plan.hops(a, b), plan.hops(b, a));
                 if a != b {
-                    prop_assert!(plan.hops[a][b] >= 1);
+                    prop_assert!(plan.hops(a, b) >= 1);
                 }
             }
         }

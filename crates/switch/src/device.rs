@@ -157,6 +157,12 @@ impl Switch {
         self.fwd.set(lid, port);
     }
 
+    /// Replaces the whole forwarding table (a subnet manager programming
+    /// every LID at once).
+    pub fn set_forwarding(&mut self, table: ForwardingTable) {
+        self.fwd = table;
+    }
+
     /// The programmed forwarding table (read-only; debug dumps).
     pub fn forwarding(&self) -> &ForwardingTable {
         &self.fwd

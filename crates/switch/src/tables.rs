@@ -35,6 +35,30 @@ impl ForwardingTable {
         Self::default()
     }
 
+    /// A table routing the contiguous LIDs a subnet manager assigns from
+    /// 1: `ports[i]` is the egress port for LID `i + 1`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use rperf_model::{Lid, PortId};
+    /// use rperf_switch::ForwardingTable;
+    ///
+    /// let t = ForwardingTable::dense(&[PortId::new(4), PortId::new(0)]);
+    /// assert_eq!(t.route(Lid::new(2)), Some(PortId::new(0)));
+    /// assert_eq!(t.route(Lid::new(0)), None);
+    /// assert_eq!(t.len(), 2);
+    /// ```
+    pub fn dense(ports: &[PortId]) -> Self {
+        let mut slots = Vec::with_capacity(ports.len() + 1);
+        slots.push(None);
+        slots.extend(ports.iter().copied().map(Some));
+        ForwardingTable {
+            slots,
+            programmed: ports.len(),
+        }
+    }
+
     /// Programs (or reprograms) the egress port for a destination LID.
     pub fn set(&mut self, lid: Lid, port: PortId) {
         let idx = lid.raw() as usize;
@@ -103,6 +127,20 @@ mod tests {
         assert_eq!(t.len(), 4);
         assert_eq!(t.route(Lid::new(2)), Some(PortId::new(2)));
         assert!(!t.is_empty());
+    }
+
+    #[test]
+    fn dense_matches_per_lid_programming() {
+        let ports: Vec<PortId> = [3u8, 0, 3, 1].map(PortId::new).to_vec();
+        let dense = ForwardingTable::dense(&ports);
+        let set: ForwardingTable = ports
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| (Lid::new(i as u16 + 1), p))
+            .collect();
+        assert!(dense.entries().eq(set.entries()));
+        assert_eq!(dense.len(), set.len());
+        assert!(ForwardingTable::dense(&[]).is_empty());
     }
 
     #[test]
