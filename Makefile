@@ -49,8 +49,8 @@ quick-report:
 	$(CARGO) run --release -p rperf-bench --bin report -- --quick --jobs $(shell nproc)
 
 # CI smoke: report on the reduced (--quick) point set, single job for
-# determinism, then the dispatch-layer microbench races (per-event vs
-# batched link delivery; AoS vs SoA buffer scans at 8/36/64 ports) and
+# determinism, then the dispatch-layer microbenches (link delivery
+# through one domain; AoS vs SoA buffer scans at 8/36/64 ports) and
 # the set-up layer's numbers (route planning and fabric build for fat
 # trees of 16, 128 and 1024 hosts).
 # Fails if any packet handle leaks; BENCH_report.json is uploaded as a
@@ -111,7 +111,8 @@ scenario-smoke:
 #  1. the golden-figure differential suite (every paper figure at
 #     --shards 2 and 4, byte-compared against the shards=1 goldens) —
 #     release profile because the sparse sweeps pay barrier costs per
-#     nanosecond window (the tests are #[ignore]d in the dev suite);
+#     nanosecond window (the 2-shard half also runs in `make test`; the
+#     oversubscribing 4-shard half is #[ignore]d there);
 #  2. the large fanout_30 scenario plus both example scenarios must be
 #     byte-identical between --shards 1 and --shards 4;
 #  3. on hosts with >= 4 CPUs the sharded fanout_30 run must beat the

@@ -3,7 +3,8 @@
 //! cost of growing an unsized queue vs. pre-sizing it, and a head-to-head
 //! of the timer wheel against the retired `BinaryHeap` implementation
 //! (kept as [`rperf_sim::reference::HeapEventQueue`]) across queue depths
-//! and delay distributions.
+//! and delay distributions. Every event gets its own key from a running
+//! counter, the way the fabric's emission keys grow with simulated time.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rperf_sim::reference::HeapEventQueue;
@@ -30,7 +31,11 @@ fn bench_fill_then_drain(c: &mut Criterion) {
             let mut rng = Lcg(1);
             for i in 0..(1u64 << 16) {
                 // Increasing base plus jitter: past-scheduling is a panic.
-                q.schedule(SimTime::from_ns(i * 8 + rng.next() % 4096), i);
+                q.schedule(
+                    SimTime::from_ns(i * 8 + rng.next() % 4096),
+                    u128::from(i),
+                    i,
+                );
             }
             let mut sum = 0u64;
             while let Some((_, e)) = q.pop() {
@@ -49,14 +54,15 @@ fn bench_steady_state_churn(c: &mut Criterion) {
             let mut q = EventQueue::with_capacity(1024);
             let mut rng = Lcg(7);
             for i in 0..1024u64 {
-                q.schedule(SimTime::from_ns(rng.next() % 10_000), i);
+                q.schedule(SimTime::from_ns(rng.next() % 10_000), u128::from(i), i);
             }
             let mut sum = 0u64;
-            for _ in 0..100_000u64 {
+            for key in 1024..101_024u128 {
                 let (now, e) = q.pop().expect("resident set never drains");
                 sum = sum.wrapping_add(e);
                 q.schedule(
                     now + rperf_sim::SimDuration::from_ns(1 + rng.next() % 1000),
+                    key,
                     e,
                 );
             }
@@ -70,7 +76,7 @@ fn bench_presize_vs_grow(c: &mut Criterion) {
         b.iter(|| {
             let mut q = EventQueue::with_capacity(1 << 16);
             for i in 0..(1u64 << 16) {
-                q.schedule(SimTime::from_ns(i), i);
+                q.schedule(SimTime::from_ns(i), u128::from(i), i);
             }
             black_box(q.len())
         });
@@ -79,7 +85,7 @@ fn bench_presize_vs_grow(c: &mut Criterion) {
         b.iter(|| {
             let mut q = EventQueue::new();
             for i in 0..(1u64 << 16) {
-                q.schedule(SimTime::from_ns(i), i);
+                q.schedule(SimTime::from_ns(i), u128::from(i), i);
             }
             black_box(q.len())
         });
@@ -128,13 +134,13 @@ macro_rules! churn {
         let mut q = $queue;
         let mut rng = Lcg($seed);
         for i in 0..$depth as u64 {
-            q.schedule(SimTime::from_ns(rng.next() % 10_000), i);
+            q.schedule(SimTime::from_ns(rng.next() % 10_000), u128::from(i), i);
         }
         let mut sum = 0u64;
-        for _ in 0..$iters as u64 {
+        for key in 0..$iters as u128 {
             let (now, e) = q.pop().expect("resident set never drains");
             sum = sum.wrapping_add(e);
-            q.schedule(now + $mix.delay(&mut rng), e);
+            q.schedule(now + $mix.delay(&mut rng), $depth as u128 + key, e);
         }
         black_box(sum)
     }};

@@ -294,9 +294,9 @@ fn bless_baseline_json(stats: &[FigStat], existing: Option<&Baseline>) -> String
 
 /// Serializes the per-shard execution counters accumulated over the whole
 /// report run (events handled, wall-clock nanoseconds blocked at window
-/// barriers, mailbox messages exchanged). Empty unless the run was
-/// sharded (`--shards N`, N > 1): the sequential engine never records
-/// shard rows.
+/// barriers, mailbox messages exchanged), one row per shard index that
+/// ran (`--shards N` gives rows 0..N; a one-domain run has only row 0,
+/// with no barrier wait worth the name and no mailbox traffic).
 #[cfg(feature = "sim-prof")]
 fn prof_shard_rows() -> Vec<String> {
     rperf_fabric::prof::shard_snapshot()

@@ -149,7 +149,7 @@ pub fn mean(xs: &[f64]) -> f64 {
 /// `effort.jobs` worker threads, then reduces each point's per-seed
 /// results with `merge(param, results)` **in parameter order**.
 ///
-/// Every simulation is an independent deterministic `World`, and results
+/// Every simulation is an independent deterministic `Sim`, and results
 /// are collected keyed by job index, so the returned `Vec` is
 /// bit-identical for any worker count — series, Markdown tables, and JSON
 /// artifacts built from it do not change when `--jobs` does. The per-seed

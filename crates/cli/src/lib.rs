@@ -116,7 +116,7 @@ pub enum Command {
         /// Emit the outcome as deterministic JSON instead of text.
         json: bool,
         /// Worker domains for sharded execution; `None` keeps whatever
-        /// the spec file says (default 1, the sequential engine).
+        /// the spec file says (default 1, one domain).
         /// Results are identical either way — this is a wall-clock knob.
         shards: Option<usize>,
         /// Print the per-switch forwarding tables the subnet planner
@@ -1178,7 +1178,7 @@ mod tests {
         })
         .unwrap();
         assert!(json.starts_with("{\"scenario\":\"probe\""), "{json}");
-        // Sharded execution is byte-identical to the sequential engine.
+        // Sharded execution is byte-identical to one domain.
         let sharded = run(&Command::Scenario {
             file,
             seed: 1,

@@ -9,7 +9,7 @@
 //! scenario files — goes through this function, so there is exactly one
 //! place that turns a traffic matrix into applications.
 
-use rperf_fabric::{FabricBuilder, ShardedSim, Sim};
+use rperf_fabric::{FabricBuilder, Sim};
 use rperf_model::ClusterConfig;
 use rperf_sim::{RunOutcome, SimDuration, SimTime};
 use rperf_stats::{json, LatencySummary};
@@ -234,62 +234,8 @@ fn build_app(spec: &ScenarioSpec, r: &RoleSpec, seed: u64) -> Box<dyn rperf_fabr
     }
 }
 
-/// The execution engine behind one scenario run: the sequential
-/// single-queue engine at `shards = 1`, the conservative-lookahead
-/// sharded engine ([`ShardedSim`], DESIGN.md §3) otherwise. The two
-/// produce identical results by construction — the differential suite
-/// in `tests/sharded_differential.rs` holds them to byte-identity on
-/// every golden figure — so the choice is purely a wall-clock knob.
-enum Engine {
-    Seq(Box<Sim>),
-    Sharded(ShardedSim),
-}
-
-impl Engine {
-    fn add_app(&mut self, node: usize, app: Box<dyn rperf_fabric::App>) {
-        match self {
-            Engine::Seq(sim) => sim.add_app(node, app),
-            Engine::Sharded(sim) => sim.add_app(node, app),
-        }
-    }
-
-    fn start(&mut self) {
-        match self {
-            Engine::Seq(sim) => sim.start(),
-            Engine::Sharded(sim) => sim.start(),
-        }
-    }
-
-    fn run_until_budgeted(
-        &mut self,
-        t: SimTime,
-        max_events: u64,
-        check_every: u64,
-        cancelled: &mut dyn FnMut() -> bool,
-    ) -> RunOutcome {
-        match self {
-            Engine::Seq(sim) => sim.run_until_budgeted(t, max_events, check_every, cancelled),
-            Engine::Sharded(sim) => sim.run_until_budgeted(t, max_events, check_every, cancelled),
-        }
-    }
-
-    fn events_processed(&self) -> u64 {
-        match self {
-            Engine::Seq(sim) => sim.events_processed(),
-            Engine::Sharded(sim) => sim.events_processed(),
-        }
-    }
-
-    fn app_as<T: rperf_fabric::App + 'static>(&self, node: usize) -> &T {
-        match self {
-            Engine::Seq(sim) => sim.app_as(node),
-            Engine::Sharded(sim) => sim.app_as(node),
-        }
-    }
-}
-
 /// Reads the report of one role back out of the finished simulation.
-fn collect(sim: &Engine, r: &RoleSpec, end: SimTime) -> RoleReport {
+fn collect(sim: &Sim, r: &RoleSpec, end: SimTime) -> RoleReport {
     match &r.role {
         Role::RPerf { .. } => RoleReport::RPerf(sim.app_as::<RPerf>(r.node).report()),
         Role::Lsg { .. } => RoleReport::Latency(LatencySummary::from_histogram(
@@ -471,12 +417,9 @@ pub fn execute_budgeted_with_config(
             builder = builder.with_rnic_override(r.node, hot);
         }
     }
-    let fabric = builder.build(&spec.topology);
-    let mut sim = if spec.shards > 1 {
-        Engine::Sharded(ShardedSim::new(fabric, spec.shards))
-    } else {
-        Engine::Seq(Box::new(Sim::new(fabric)))
-    };
+    // One engine for every shard count: `shards` changes only how the
+    // fabric is partitioned, never the event order (DESIGN.md §3.7).
+    let mut sim = Sim::sharded(builder.build(&spec.topology), spec.shards);
     for r in &spec.roles {
         sim.add_app(r.node, build_app(spec, r, seed));
     }
@@ -605,7 +548,8 @@ mod tests {
         )
         .expect_err("1000 events cannot finish a 550 us scenario");
         match err {
-            ExecInterrupt::EventBudget { events } => assert!(events <= 1000, "events {events}"),
+            // One shard: the budget is exact.
+            ExecInterrupt::EventBudget { events } => assert_eq!(events, 1000),
             other => panic!("expected EventBudget, got {other:?}"),
         }
     }
@@ -624,9 +568,11 @@ mod tests {
         };
         let err = execute_budgeted(&probe_spec(), 5, budget).expect_err("hook fires");
         match err {
-            ExecInterrupt::Cancelled { events } => assert!(events <= 128, "events {events}"),
+            // Polled before each chunk of 64: two chunks ran.
+            ExecInterrupt::Cancelled { events } => assert_eq!(events, 128),
             other => panic!("expected Cancelled, got {other:?}"),
         }
+        assert_eq!(polls, 3);
     }
 
     #[test]

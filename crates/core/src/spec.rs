@@ -229,7 +229,7 @@ pub struct ScenarioSpec {
     pub topology: Topology,
     /// The traffic matrix.
     pub roles: Vec<RoleSpec>,
-    /// Worker domains for sharded execution (1 = the sequential engine).
+    /// Worker domains for sharded execution (1 = one domain, no threads).
     ///
     /// Results are identical for every value — sharding is a wall-clock
     /// optimization, not a model change (see DESIGN.md §3) — so this knob
@@ -1022,7 +1022,7 @@ kind = "sink"
     #[test]
     fn shards_knob_parses_validates_and_roundtrips() {
         let spec = ScenarioSpec::parse(GAMING).unwrap();
-        assert_eq!(spec.shards, 1, "shards defaults to the sequential engine");
+        assert_eq!(spec.shards, 1, "shards defaults to one domain");
         assert!(
             !spec.to_text().contains("shards"),
             "the default must stay out of the canonical text (cache keys)"

@@ -1,19 +1,15 @@
-//! Per-event vs batched link delivery through the full fabric.
+//! Link delivery through the full fabric: the dispatch layer's number.
 //!
-//! The same converged-traffic workload (8 senders incast to one sink
-//! through a single switch — the regime of Figs. 11-12) is run twice:
-//! once with the run loop popping one event per `World::handle` call
-//! (`run_until_budgeted` with an unreachable budget, the budgeted path
-//! keeps batching off), and once with batched same-timestamp delivery
-//! (`run_until`, the default). Both produce bit-identical results; the
-//! difference is pure dispatch overhead.
+//! A converged-traffic workload (8 senders incast to one sink through a
+//! single switch — the regime of Figs. 11-12) runs to quiescence on one
+//! domain, so the time is the run loop, keyed scheduling, dispatch and
+//! the device handlers together.
 
 use std::any::Any;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rperf_fabric::{App, Ctx, Fabric, Sim};
 use rperf_model::{ClusterConfig, QpNum, Transport, Verb};
-use rperf_sim::SimTime;
 use rperf_verbs::{Cqe, CqeOpcode, RecvWr, SendWr, WrId};
 
 const SENDERS: usize = 8;
@@ -93,7 +89,7 @@ fn build_sim() -> Sim {
     sim
 }
 
-fn run_batched() -> u64 {
+fn run_incast() -> u64 {
     let mut sim = build_sim();
     sim.start();
     sim.run_to_quiescence();
@@ -102,27 +98,9 @@ fn run_batched() -> u64 {
     sim.events_processed()
 }
 
-fn run_per_event() -> u64 {
-    let mut sim = build_sim();
-    sim.start();
-    // The budgeted path counts events at the run loop, so batching stays
-    // off; the horizon/budget are set beyond the workload so it runs to
-    // completion like the batched variant.
-    let mut never = || false;
-    sim.run_until_budgeted(SimTime::from_us(10_000_000), u64::MAX, u64::MAX, &mut never);
-    let recvs = sim.app_as::<Sink>(SENDERS).recvs;
-    assert_eq!(recvs, SENDERS as u64 * MESSAGES);
-    sim.events_processed()
-}
-
 fn bench_delivery(c: &mut Criterion) {
-    // Identical event streams, or the comparison is meaningless.
-    assert_eq!(run_batched(), run_per_event());
-    c.bench_function("link_delivery/per_event_incast8", |b| {
-        b.iter(|| black_box(run_per_event()))
-    });
-    c.bench_function("link_delivery/batched_incast8", |b| {
-        b.iter(|| black_box(run_batched()))
+    c.bench_function("link_delivery/incast8", |b| {
+        b.iter(|| black_box(run_incast()))
     });
 }
 

@@ -36,9 +36,7 @@ mod topology;
 mod trace;
 mod world;
 
-pub use shard::{partition_devices, ShardExecStats, ShardedSim};
+pub use shard::{partition_devices, Ctx, Sim};
 pub use topology::{Endpoint, Fabric, FabricBuilder, Topology};
 pub use trace::{TraceEvent, TraceRecord, Tracer};
-pub use world::{
-    events_processed_total, packets_leaked_total, slab_high_water_total, App, Ctx, FabricEvent, Sim,
-};
+pub use world::{events_processed_total, packets_leaked_total, slab_high_water_total, App};

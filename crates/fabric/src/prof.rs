@@ -35,7 +35,7 @@ static COUNTS: [AtomicU64; KINDS] = [ZERO; KINDS];
 static NANOS: [AtomicU64; KINDS] = [ZERO; KINDS];
 
 /// Maps an event to its counter slot (hot kinds first, matching the
-/// dispatch arm order in `WorldState::handle_one`).
+/// dispatch arm order in `Domain::handle_one`).
 #[inline]
 pub(crate) fn kind_of(event: &FabricEvent) -> usize {
     match event {

@@ -3,7 +3,6 @@
 use std::sync::Arc;
 
 use rperf_host::TscClock;
-use rperf_model::arena::PacketSlab;
 use rperf_model::config::RnicConfig;
 use rperf_model::{ClusterConfig, Lid, NodeId, PortId};
 use rperf_rnic::Rnic;
@@ -84,8 +83,9 @@ pub enum Endpoint {
 ///
 /// The cluster configuration is held in an [`Arc`] shared with every
 /// device (nodes and switches reference the same allocation rather than
-/// each owning a clone). All in-flight packets live in the fabric's
-/// [`PacketSlab`]; devices exchange copyable handles.
+/// each owning a clone). A fabric does not run on its own: [`crate::Sim`]
+/// takes it apart into domains, each with the packet slab its devices
+/// exchange handles into.
 ///
 /// Use the constructors ([`Fabric::direct_pair`], [`Fabric::single_switch`],
 /// [`Fabric::two_switch`]) or [`FabricBuilder`] for per-node overrides.
@@ -95,8 +95,6 @@ pub struct Fabric {
     pub(crate) rnics: Vec<Rnic>,
     pub(crate) clocks: Vec<TscClock>,
     pub(crate) switches: Vec<Switch>,
-    /// Every in-flight packet in the fabric.
-    pub(crate) slab: PacketSlab,
     /// Peer of each RNIC's single port.
     pub(crate) rnic_peer: Vec<Endpoint>,
     /// Peer of each switch port (`None` = unconnected).
@@ -151,11 +149,6 @@ impl Fabric {
         &self.cfg
     }
 
-    /// The packet arena holding every in-flight packet.
-    pub fn slab(&self) -> &PacketSlab {
-        &self.slab
-    }
-
     /// The LID of a node.
     pub fn lid_of(&self, node: usize) -> Lid {
         self.rnics[node].lid()
@@ -169,11 +162,6 @@ impl Fabric {
     /// The RNIC of a node.
     pub fn rnic(&self, node: usize) -> &Rnic {
         &self.rnics[node]
-    }
-
-    /// Mutable access to the RNIC of a node.
-    pub fn rnic_mut(&mut self, node: usize) -> &mut Rnic {
-        &mut self.rnics[node]
     }
 
     /// The switches.
@@ -301,7 +289,6 @@ impl FabricBuilder {
             rnics,
             clocks,
             switches: Vec::new(),
-            slab: PacketSlab::new(),
             rnic_peer: vec![Endpoint::Rnic(1), Endpoint::Rnic(0)],
             switch_peer: Vec::new(),
         }
@@ -337,7 +324,6 @@ impl FabricBuilder {
             rnics,
             clocks,
             switches: vec![sw],
-            slab: PacketSlab::new(),
             switch_peer: vec![switch_ports],
         }
     }
@@ -397,7 +383,6 @@ impl FabricBuilder {
             rnics,
             clocks,
             switches,
-            slab: PacketSlab::new(),
             rnic_peer,
             switch_peer,
         }
@@ -466,7 +451,6 @@ impl FabricBuilder {
             rnics,
             clocks,
             switches: vec![sw0, sw1],
-            slab: PacketSlab::new(),
             rnic_peer,
             switch_peer: vec![ports0, ports1],
         }

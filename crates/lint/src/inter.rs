@@ -68,17 +68,40 @@ fn mk_diag(
     }
 }
 
+/// What the interprocedural pass found.
+#[derive(Debug, Default)]
+pub struct InterReport {
+    /// Rule violations, unsorted and unfiltered.
+    pub diagnostics: Vec<Diagnostic>,
+    /// One note per `entries` pattern that names no function in the
+    /// analyzed files: a rule whose entry matches nothing silently proves
+    /// nothing, so these fail the run like stale `[[allow]]` entries.
+    pub unmatched_entries: Vec<String>,
+}
+
 /// Runs every enabled interprocedural rule over the workspace graph.
 /// `files` must span the whole analysis scope (the workspace, or a
-/// fixture's files); diagnostics come back unsorted and unfiltered.
-pub fn run_inter(files: &[SourceFile], cfg: &Config) -> Vec<Diagnostic> {
+/// fixture's files).
+pub fn run_inter(files: &[SourceFile], cfg: &Config) -> InterReport {
     let needs_graph = ["I1", "I2", "I3", "I4"]
         .iter()
         .any(|id| cfg.rule(id).is_some());
     if !needs_graph {
-        return Vec::new();
+        return InterReport::default();
     }
     let g = Graph::build(files, &cfg.off_features);
+    let unmatched_entries = cfg
+        .rules
+        .iter()
+        .flat_map(|r| r.entries.iter().map(move |pat| (r, pat)))
+        .filter(|(_, pat)| g.match_entries(std::slice::from_ref(pat)).is_empty())
+        .map(|(r, pat)| {
+            format!(
+                "lint.toml: {} entry `{pat}` matches no function — fix or delete it",
+                r.id
+            )
+        })
+        .collect();
     let mut out = Vec::new();
     if let Some(rule) = cfg.rule("I1") {
         i1_taint_reachability(files, &g, rule, &mut out);
@@ -92,7 +115,10 @@ pub fn run_inter(files: &[SourceFile], cfg: &Config) -> Vec<Diagnostic> {
     if let Some(rule) = cfg.rule("I4") {
         i4_contract_propagation(files, &g, rule, &mut out);
     }
-    out
+    InterReport {
+        diagnostics: out,
+        unmatched_entries,
+    }
 }
 
 /// True when the node's defining crate is in the rule's scope.
@@ -260,6 +286,10 @@ mod tests {
     }
 
     fn run(srcs: &[(&str, &str)], r: RuleCfg) -> Vec<Diagnostic> {
+        run_report(srcs, r).diagnostics
+    }
+
+    fn run_report(srcs: &[(&str, &str)], r: RuleCfg) -> InterReport {
         let files: Vec<SourceFile> = srcs
             .iter()
             .enumerate()
@@ -316,6 +346,23 @@ mod tests {
         let diags = run(&[("fixture", src)], rule("I3", &["run_window"]));
         assert_eq!(diags.len(), 1, "one per (static, file): {diags:#?}");
         assert!(diags[0].msg.contains("shared atomic `HITS"));
+    }
+
+    #[test]
+    fn entry_patterns_that_match_nothing_are_reported() {
+        let src = "pub struct Domain;\nimpl Domain { pub fn handle_one(&self) {} }";
+        let report = run_report(
+            &[("fixture", src)],
+            rule(
+                "I2",
+                &["fixture::Domain::handle_one", "fixture::Gone::handle_one"],
+            ),
+        );
+        assert!(report.diagnostics.is_empty(), "{:#?}", report.diagnostics);
+        assert_eq!(
+            report.unmatched_entries,
+            ["lint.toml: I2 entry `fixture::Gone::handle_one` matches no function — fix or delete it"]
+        );
     }
 
     #[test]

@@ -53,6 +53,19 @@ pub struct LintReport {
     /// Human-readable notes for `[[allow]]` entries that matched nothing
     /// — stale entries should be deleted, not accumulated.
     pub unused_allows: Vec<String>,
+    /// Human-readable notes for rule `entries` patterns that name no
+    /// function: the rule would silently check nothing from them.
+    pub unmatched_entries: Vec<String>,
+}
+
+impl LintReport {
+    /// True when there is nothing to report: no diagnostics, no stale
+    /// allow entries and no unmatched entry patterns.
+    pub fn is_clean(&self) -> bool {
+        self.diagnostics.is_empty()
+            && self.unused_allows.is_empty()
+            && self.unmatched_entries.is_empty()
+    }
 }
 
 /// One file the walker found.
@@ -169,7 +182,7 @@ pub fn lint_files(files: &[SourceFile], cfg: &Config) -> Vec<Diagnostic> {
     for file in files {
         out.extend(rules::run_rules(file, cfg));
     }
-    out.extend(inter::run_inter(files, cfg));
+    out.extend(inter::run_inter(files, cfg).diagnostics);
     out.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
     out
 }
@@ -258,7 +271,8 @@ pub fn lint_workspace(root: &Path, cfg: &Config, jobs: usize) -> io::Result<Lint
         raw.extend(diags);
         source_files.push(sf);
     }
-    raw.extend(inter::run_inter(&source_files, cfg));
+    let inter = inter::run_inter(&source_files, cfg);
+    raw.extend(inter.diagnostics);
     let mut diagnostics = apply_allows(raw, cfg, &mut used);
     diagnostics.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
     let unused_allows = cfg
@@ -277,14 +291,15 @@ pub fn lint_workspace(root: &Path, cfg: &Config, jobs: usize) -> io::Result<Lint
         diagnostics,
         files_checked,
         unused_allows,
+        unmatched_entries: inter.unmatched_entries,
     })
 }
 
 /// Renders a [`LintReport`] as deterministic JSON (the `--format json`
 /// output and the `LINT_report.json` CI artifact): an object with
 /// `files_checked`, a `diagnostics` array of
-/// `{path, line, col, rule, msg, line_text, hint}`, and the
-/// `stale_allows` strings.
+/// `{path, line, col, rule, msg, line_text, hint}`, the `stale_allows`
+/// strings and the `unmatched_entries` strings.
 pub fn report_json(report: &LintReport) -> String {
     use rperf_stats::json;
     json::object([
@@ -306,6 +321,10 @@ pub fn report_json(report: &LintReport) -> String {
         (
             "stale_allows",
             json::array(report.unused_allows.iter().map(|s| json::string(s))),
+        ),
+        (
+            "unmatched_entries",
+            json::array(report.unmatched_entries.iter().map(|s| json::string(s))),
         ),
     ])
 }

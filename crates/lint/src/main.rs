@@ -14,7 +14,8 @@
 //!   CI artifact the problem matcher and the report step consume).
 //!
 //! Exit codes: 0 clean, 1 violations found *or stale `[[allow]]`
-//! entries* (the allowlist must not rot), 2 usage/config/I-O error.
+//! entries* (the allowlist must not rot) *or rule `entries` patterns
+//! that match no function*, 2 usage/config/I-O error.
 
 #![forbid(unsafe_code)]
 
@@ -105,7 +106,7 @@ fn main() -> ExitCode {
     }
     if json {
         println!("{}", report_json(&report));
-        return if report.diagnostics.is_empty() && report.unused_allows.is_empty() {
+        return if report.is_clean() {
             ExitCode::SUCCESS
         } else {
             ExitCode::from(1)
@@ -114,10 +115,10 @@ fn main() -> ExitCode {
     for d in &report.diagnostics {
         print!("{}", d.render());
     }
-    for w in &report.unused_allows {
+    for w in report.unused_allows.iter().chain(&report.unmatched_entries) {
         eprintln!("rperf-lint: error: {w}");
     }
-    if report.diagnostics.is_empty() && report.unused_allows.is_empty() {
+    if report.is_clean() {
         println!(
             "lint-invariants: clean ({} files, {} rules, {} allow entries)",
             report.files_checked,
@@ -130,11 +131,13 @@ fn main() -> ExitCode {
         let mut files: Vec<&str> = report.diagnostics.iter().map(|d| d.path.as_str()).collect();
         files.dedup();
         println!(
-            "lint-invariants: {} violation(s) in {} of {} files, {} stale allow(s)",
+            "lint-invariants: {} violation(s) in {} of {} files, {} stale allow(s), \
+             {} unmatched entry pattern(s)",
             report.diagnostics.len(),
             files.len(),
             report.files_checked,
-            report.unused_allows.len()
+            report.unused_allows.len(),
+            report.unmatched_entries.len()
         );
         ExitCode::from(1)
     }

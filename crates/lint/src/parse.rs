@@ -399,10 +399,16 @@ impl Parser<'_> {
                 }
                 "struct" | "enum" | "union" | "type" | "const" => {
                     // Skip to the item terminator: `;` or a brace block.
+                    // Past a `=`, a `<` is an operator (`1 << BITS`), not
+                    // a generics list to balance.
                     self.pos += 1;
+                    let mut in_expr = false;
                     while self.pos < end {
                         let Some(t) = self.tok(self.pos) else { break };
-                        if t.is_punct('<') {
+                        if t.is_punct('=') {
+                            in_expr = true;
+                        }
+                        if t.is_punct('<') && !in_expr {
                             self.pos = self.skip_angles(self.pos, end);
                             continue;
                         }
@@ -918,6 +924,16 @@ trait App {
         assert_eq!(t.fns.len(), 2);
         assert!(t.fns[0].body.is_some());
         assert_eq!(t.fns[1].name, "cmp");
+    }
+
+    #[test]
+    fn shifts_in_const_items_do_not_swallow_later_items() {
+        let t = tree(
+            "const BITS: u32 = 12;\nconst MAX: u64 = (1 << BITS) - 1;\n\
+             const CAP: Vec<u8> = Vec::new();\nfn after() -> u64 { MAX }",
+        );
+        let names: Vec<&str> = t.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["after"]);
     }
 
     #[test]

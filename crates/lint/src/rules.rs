@@ -50,7 +50,7 @@ pub fn default_hint(id: &str) -> &'static str {
         "D10" => "shard worker domains may exchange state only through rperf_sim::shard::Mailbox envelopes, which the window scheduler merges in (time, seq) order; ad-hoc shared-mutable sync is a side channel the deterministic merge never sees",
         "I1" => "the call chain in the message shows how a result path reaches ambient input; thread the value through explicit arguments, or break the edge (the diagnostic points at the source, not the entry)",
         "I2" => "a panic anywhere in the reachable set aborts the whole sweep; return a typed error along the chain, or demote the check to debug_assert! (pruned from release reachability)",
-        "I3" => "shard workers must not touch process-global state; move it into the shard's WorldState, or — for monotonic telemetry counters only — add an [[allow]] naming the atomic with a justification",
+        "I3" => "shard workers must not touch process-global state; move it into the shard's Domain, or — for monotonic telemetry counters only — add an [[allow]] naming the atomic with a justification",
         "I4" => "callers inherit the (time, seq) ordering obligation of the API they call; copy the contract sentence into this fn's doc comment so the obligation stays visible at every layer",
         _ => "see DESIGN.md §5",
     }
@@ -71,7 +71,7 @@ pub fn explain(id: &str) -> Option<&'static str> {
         "D9" => "D9 — finite socket timeouts.\n\nA blocking read with no timeout lets one stalled peer wedge a serve\nworker forever. set_read_timeout(Some(..)) right after accept/connect;\nset_read_timeout(None) is flagged at the call site.",
         "D10" => "D10 — no shard side channels.\n\nCross-shard state travels only through rperf_sim::shard::Mailbox\nenvelopes, merged in (time, seq) order at window boundaries. Mutex/\nRwLock/RefCell/Cell/mpsc in shard-executed crates are side channels\nthe deterministic merge never sees. I3 adds reachability: statics\ntouched by code the shard windows can call.",
         "I1" => "I1 — taint reachability (interprocedural).\n\nSources: thread_rng()/rand::, Instant/SystemTime, env::var*/vars, and\nset_read_timeout(None)/set_write_timeout(None). The analyzer builds a\nconservative workspace call graph (see DESIGN.md §5.1), BFS-reaches\nfrom the configured `entries` (figure generators, executors, sweep\nrunners), and flags every source inside the reachable set — however\nmany helper crates deep. The message carries the shortest call chain\nthe graph knows from an entry to the offending function. Fix by\nthreading the value through arguments; exempt with a justified\n[[allow]] pinned to the site.",
-        "I2" => "I2 — panic reachability (interprocedural).\n\nFlags panic!/todo!/unimplemented! and .unwrap()/.expect() in any\nfunction reachable from the hot-loop entries (`entries` in lint.toml:\nWorldState::handle_one, run/run_budgeted, shard window bodies).\nPruning: #[cfg(test)] items are not graph nodes, debug_assert! bodies\nare skipped (they vanish in release builds), and code gated by an\n`off_features` feature is invisible. Unlike D5's per-crate blanket,\nan unreachable panic in the same crate is fine. Method-name call edges\nover-approximate: a panic in a same-named method of an unrelated type\ncan be flagged — silence that with a justified [[allow]].",
+        "I2" => "I2 — panic reachability (interprocedural).\n\nFlags panic!/todo!/unimplemented! and .unwrap()/.expect() in any\nfunction reachable from the hot-loop entries (`entries` in lint.toml:\nrun_sharded, Domain::handle_one, shard window bodies; a pattern\nthat matches no function fails the run).\nPruning: #[cfg(test)] items are not graph nodes, debug_assert! bodies\nare skipped (they vanish in release builds), and code gated by an\n`off_features` feature is invisible. Unlike D5's per-crate blanket,\nan unreachable panic in the same crate is fine. Method-name call edges\nover-approximate: a panic in a same-named method of an unrelated type\ncan be flagged — silence that with a justified [[allow]].",
         "I3" => "I3 — shard purity (interprocedural).\n\nShard worker windows replay deterministically only if shard-executed\ncode touches no process-global state. The analyzer reaches from the\nshard window entries and flags every `static` referenced by reachable\ncode, one diagnostic per (static, file). The only sanctioned\nexception is monotonic telemetry (Atomic* counters folded after the\nrun) — exempt those via [[allow]] entries naming the counter, so each\nexemption carries a justification.",
         "I4" => "I4 — ordering-contract propagation (interprocedural).\n\nA pub fn that (exactly) calls a contract-documented function of the\nevent-API crate (`api_crate`, default `sim`) must itself carry a doc\ncomment stating the ordering contract (any of: 'order', 'FIFO',\n'(time, seq)', 'deterministic', case-insensitive). This closes D7's\none-crate scope: the obligation follows the call graph outward.\nName-level method edges are deliberately excluded — they would demand\nordering docs from every Vec::push caller.",
         _ => return None,

@@ -107,6 +107,11 @@ fn workspace_is_lint_clean() {
         "stale [[allow]] entries in lint.toml:\n{}",
         report.unused_allows.join("\n")
     );
+    assert!(
+        report.unmatched_entries.is_empty(),
+        "entry patterns in lint.toml that match no function:\n{}",
+        report.unmatched_entries.join("\n")
+    );
 }
 
 /// The parallel scan must be byte-identical at any thread count — the

@@ -503,9 +503,9 @@ fn handle_submit(stream: &mut TcpStream, shared: &Arc<Shared>, payload: &[u8]) -
 
     // Canonical text, not client bytes: formatting differences share a
     // cache line. The `shards` knob is normalized away too — it selects
-    // an execution engine, not a scenario, and sharded outcomes are
-    // byte-identical to sequential ones (DESIGN.md §3.7) — so a sharded
-    // submission is served from a sequential run's cache entry and vice
+    // a partitioning, not a scenario, and sharded outcomes are
+    // byte-identical to one-shard ones (DESIGN.md §3.7) — so a sharded
+    // submission is served from a one-shard run's cache entry and vice
     // versa.
     let canonical = spec.clone().with_shards(1).to_text();
     let key = cache_key(&canonical, seed, CODE_VERSION);

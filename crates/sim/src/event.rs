@@ -1,4 +1,4 @@
-//! A stable timestamped event queue backed by a hierarchical timer wheel.
+//! A keyed timestamped event queue backed by a hierarchical timer wheel.
 //!
 //! See [`EventQueue`] for the public contract and the module-level notes on
 //! `DESIGN.md` §"Event scheduler" for the full determinism argument. The
@@ -50,12 +50,16 @@ const fn above_mask(slot: u32) -> u64 {
     }
 }
 
-/// A priority queue of `(SimTime, E)` pairs that pops events in
-/// non-decreasing time order.
+/// A priority queue of `(SimTime, key, E)` triples that pops events in
+/// non-decreasing `(time, key)` order.
 ///
-/// Events scheduled for the same instant pop in the order they were
-/// scheduled (FIFO tie-breaking via a monotonically increasing sequence
-/// number), which keeps multi-component simulations deterministic.
+/// The caller supplies every event's ordering key: events scheduled for
+/// the same instant pop in ascending key order, whatever order they were
+/// scheduled in. That is the one ordering contract, and it is what keeps
+/// simulations deterministic — the fabric derives each key from the
+/// simulated history alone, so pop order does not depend on how events
+/// reached the queue. Events that share both time and key pop in an
+/// unspecified order; callers that care give each one its own key.
 ///
 /// The queue also tracks the timestamp of the last popped event as the
 /// current simulation time ([`EventQueue::now`]); scheduling in the past is
@@ -64,25 +68,25 @@ const fn above_mask(slot: u32) -> u64 {
 /// # Implementation
 ///
 /// Internally this is a hierarchical timer wheel (calendar queue) rather
-/// than a binary heap: time is quantised into 1024 ps ticks, the next ~64
+/// than a binary heap: time is quantised into 4096 ps ticks, the next ~64
 /// ticks live in level-0 buckets, and exponentially coarser levels hold the
 /// far future, cascading down as the wheel rotates. Events landing behind
 /// the wheel cursor (it advances to the next *occupied* bucket, which can
 /// overshoot a sparse queue's near future) are absorbed by a small overflow
 /// min-heap, so scheduling and popping are O(1) amortised in steady state
-/// with an O(log n) worst case, and the ordering contract — including FIFO
-/// within a timestamp — is bit-identical to the reference heap (enforced by
-/// a property test against [`crate::reference::HeapEventQueue`]).
+/// with an O(log n) worst case, and the `(time, key)` order is
+/// bit-identical to the reference heap (enforced by a property test
+/// against [`crate::reference::HeapEventQueue`]).
 ///
 /// # Examples
 ///
 /// ```
-/// use rperf_sim::{EventQueue, SimDuration, SimTime};
+/// use rperf_sim::{EventQueue, SimTime};
 ///
 /// let mut q = EventQueue::new();
-/// q.schedule_in(SimDuration::from_ns(10), "late");
-/// q.schedule_in(SimDuration::from_ns(1), "early");
-/// q.schedule_in(SimDuration::from_ns(1), "early-second");
+/// q.schedule(SimTime::from_ns(10), 0, "late");
+/// q.schedule(SimTime::from_ns(1), 2, "early-second");
+/// q.schedule(SimTime::from_ns(1), 1, "early");
 ///
 /// assert_eq!(q.pop().unwrap().1, "early");
 /// assert_eq!(q.pop().unwrap().1, "early-second");
@@ -92,7 +96,7 @@ const fn above_mask(slot: u32) -> u64 {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// The current bucket's events, sorted by `(at, seq)` — every event
+    /// The current bucket's events, sorted by `(at, key)` — every event
     /// still in the wheel has a strictly later tick, hence a strictly later
     /// timestamp. Invariant: `ready` or `early` is non-empty whenever
     /// `len > 0`, so [`EventQueue::peek_time`] never has to touch the wheel.
@@ -117,7 +121,6 @@ pub struct EventQueue<E> {
     /// hold (or held) events; `tick(now) <= cur_tick` at all times.
     cur_tick: u64,
     len: usize,
-    seq: u64,
     now: SimTime,
     popped: u64,
 }
@@ -141,13 +144,13 @@ impl<E> Level<E> {
 #[derive(Debug)]
 struct Entry<E> {
     at: SimTime,
-    seq: u64,
+    key: u128,
     event: E,
 }
 
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.at == other.at && self.key == other.key
     }
 }
 
@@ -162,11 +165,11 @@ impl<E> PartialOrd for Entry<E> {
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // `early` is a max-heap; reverse so the earliest (and, within a
-        // timestamp, the lowest-sequence) entry is the maximum.
+        // timestamp, the lowest-key) entry is the maximum.
         other
             .at
             .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
+            .then_with(|| other.key.cmp(&self.key))
     }
 }
 
@@ -189,7 +192,6 @@ impl<E> EventQueue<E> {
             levels: (0..LEVELS).map(|_| Level::new()).collect(),
             cur_tick: 0,
             len: 0,
-            seq: 0,
             now: SimTime::ZERO,
             popped: 0,
         }
@@ -229,34 +231,38 @@ impl<E> EventQueue<E> {
         self.popped
     }
 
-    /// Schedules `event` at absolute time `at`.
+    /// Schedules `event` at absolute time `at` under the ordering `key`.
+    ///
+    /// Ordering contract: the queue pops in non-decreasing `(at, key)`
+    /// order, so events at the same instant pop in ascending key order
+    /// regardless of insertion order — the property the fabric relies on
+    /// to make pop order independent of how events were partitioned
+    /// across shards (DESIGN.md §3.7). Events with equal `at` and `key`
+    /// pop in an unspecified order.
     ///
     /// # Panics
     ///
     /// In debug builds, panics if `at` is earlier than [`EventQueue::now`]
     /// (scheduling into the past indicates a device-model bug).
     #[inline]
-    pub fn schedule(&mut self, at: SimTime, event: E) {
+    pub fn schedule(&mut self, at: SimTime, key: u128, event: E) {
         debug_assert!(
             at >= self.now,
             "event scheduled in the past: {at:?} < now {:?}",
             self.now
         );
-        let seq = self.seq;
-        self.seq += 1;
         self.len += 1;
-        let entry = Entry { at, seq, event };
+        let entry = Entry { at, key, event };
         let tick = tick_of(at);
         if tick <= self.cur_tick {
             // The wheel has already rotated past this tick (every event
             // still in the wheel is strictly later), so the entry stays in
-            // front of it. Common case — `schedule_now` and same-bucket
-            // follow-ups arriving in time order — appends to the sorted
-            // lane (the fresh entry's sequence number is globally maximal,
-            // so `at >= back.at` keeps the lane sorted with correct FIFO
-            // ties); anything earlier goes to the overflow heap.
+            // front of it. The common case — follow-ups arriving in
+            // `(at, key)` order — appends to the sorted lane; anything that
+            // would break the lane's sort goes to the overflow heap, which
+            // tolerates any order.
             match self.ready.back() {
-                Some(back) if entry.at < back.at => self.early.push(entry),
+                Some(back) if (entry.at, entry.key) < (back.at, back.key) => self.early.push(entry),
                 _ => self.ready.push_back(entry),
             }
         } else if self.ready.is_empty() && self.early.is_empty() {
@@ -276,120 +282,14 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Schedules `event` at absolute time `at` under a caller-supplied
-    /// ordering key instead of the internal sequence counter.
-    ///
-    /// Ordering contract: the queue pops in non-decreasing `(at, key)`
-    /// order, so keyed events at the same instant pop in ascending key
-    /// order regardless of insertion order — the property the sharded
-    /// engine relies on to make pop order independent of how events were
-    /// partitioned across shards (DESIGN.md §3, sharded execution). Keys
-    /// must be unique per timestamp; a queue must be driven either
-    /// entirely through this method or entirely through the
-    /// sequence-numbered [`EventQueue::schedule`] family, never a mix
-    /// (the internal counter and caller keys share one ordering domain).
-    ///
-    /// # Panics
-    ///
-    /// In debug builds, panics if `at` is earlier than [`EventQueue::now`].
-    #[inline]
-    pub fn schedule_keyed(&mut self, at: SimTime, key: u64, event: E) {
-        debug_assert!(
-            at >= self.now,
-            "event scheduled in the past: {at:?} < now {:?}",
-            self.now
-        );
-        self.len += 1;
-        let entry = Entry {
-            at,
-            seq: key,
-            event,
-        };
-        let tick = tick_of(at);
-        if tick <= self.cur_tick {
-            // Unlike `schedule`, a keyed entry's key is NOT globally
-            // maximal, so a same-timestamp append can violate the ready
-            // lane's `(at, seq)` sort; such entries (and anything earlier)
-            // take the overflow heap, which tolerates any order.
-            match self.ready.back() {
-                Some(back) if (entry.at, entry.seq) < (back.at, back.seq) => self.early.push(entry),
-                _ => self.ready.push_back(entry),
-            }
-        } else if self.ready.is_empty() && self.early.is_empty() {
-            // Same sparse-queue cursor jump as `schedule`.
-            debug_assert_eq!(self.len, 1);
-            debug_assert_eq!(self.level_mask, 0);
-            self.cur_tick = tick;
-            self.ready.push_back(entry);
-        } else {
-            self.place_in_wheel(entry, tick);
-        }
-    }
-
-    /// Schedules every `(at, event)` pair yielded by `events`.
-    ///
-    /// Pop-order equivalent to calling [`EventQueue::schedule`] once per
-    /// pair in iteration order: the (time, seq) FIFO ordering contract is
-    /// identical, with sequence numbers assigned in iteration order. The
-    /// batch form skips the per-call empty-lane check and performs the
-    /// cursor advance at most once after the whole batch, instead of paying
-    /// redundant cursor work on each call.
-    ///
-    /// # Panics
-    ///
-    /// In debug builds, panics if any `at` is earlier than
-    /// [`EventQueue::now`].
-    pub fn schedule_batch<I>(&mut self, events: I)
-    where
-        I: IntoIterator<Item = (SimTime, E)>,
-    {
-        for (at, event) in events {
-            debug_assert!(
-                at >= self.now,
-                "event scheduled in the past: {at:?} < now {:?}",
-                self.now
-            );
-            let seq = self.seq;
-            self.seq += 1;
-            self.len += 1;
-            let entry = Entry { at, seq, event };
-            let tick = tick_of(at);
-            if tick <= self.cur_tick {
-                match self.ready.back() {
-                    Some(back) if entry.at < back.at => self.early.push(entry),
-                    _ => self.ready.push_back(entry),
-                }
-            } else {
-                self.place_in_wheel(entry, tick);
-            }
-        }
-        if self.ready.is_empty() && self.early.is_empty() && self.len > 0 {
-            // Restore the invariant "ready or early non-empty whenever
-            // len > 0" once for the whole batch.
-            self.advance();
-        }
-    }
-
-    /// Schedules `event` `delay` after the current time.
-    #[inline]
-    pub fn schedule_in(&mut self, delay: crate::SimDuration, event: E) {
-        self.schedule(self.now + delay, event);
-    }
-
-    /// Schedules `event` at the current time (processed after all events
-    /// already queued for this instant).
-    pub fn schedule_now(&mut self, event: E) {
-        self.schedule(self.now, event);
-    }
-
     /// Removes and returns the earliest event, advancing [`EventQueue::now`].
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         // The global minimum is at the lane front or the overflow-heap top
-        // (every wheel entry is strictly later than both); ties between the
-        // two resolve by sequence number, preserving FIFO-within-timestamp.
+        // (every wheel entry is strictly later than both); same-time ties
+        // between the two resolve by key.
         let from_early = match (self.ready.front(), self.early.peek()) {
-            (Some(r), Some(e)) => (e.at, e.seq) < (r.at, r.seq),
+            (Some(r), Some(e)) => (e.at, e.key) < (r.at, r.key),
             (None, Some(_)) => true,
             _ => false,
         };
@@ -412,21 +312,6 @@ impl<E> EventQueue<E> {
             self.advance();
         }
         Some((entry.at, entry.event))
-    }
-
-    /// Removes and returns the earliest event only if its timestamp is
-    /// exactly `at`; otherwise leaves the queue untouched.
-    ///
-    /// When it pops, the event is exactly the one [`EventQueue::pop`] would
-    /// have returned — same (time, seq) FIFO ordering contract — so a
-    /// `while let Some(e) = q.pop_if_at(now)` drain loop observes the same
-    /// event stream as guarding `pop` with [`EventQueue::peek_time`].
-    #[inline]
-    pub fn pop_if_at(&mut self, at: SimTime) -> Option<E> {
-        if self.peek_time()? != at {
-            return None;
-        }
-        self.pop().map(|(_, e)| e)
     }
 
     /// The timestamp of the next event without removing it.
@@ -472,7 +357,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Rotates the wheel forward to the next occupied bucket and refills the
-    /// ready lane with that bucket's entries, sorted by `(at, seq)`.
+    /// ready lane with that bucket's entries, sorted by `(at, key)`.
     /// Precondition: `ready` is empty. Postcondition: `ready` is non-empty
     /// iff any events remain.
     fn advance(&mut self) {
@@ -490,7 +375,7 @@ impl<E> EventQueue<E> {
                 }
                 self.cur_tick = (self.cur_tick & !SLOT_MASK) | s as u64;
                 let mut bucket = std::mem::take(&mut self.levels[0].slots[s]);
-                bucket.sort_unstable_by_key(|e| (e.at, e.seq));
+                bucket.sort_unstable_by_key(|e| (e.at, e.key));
                 self.ready.extend(bucket.drain(..));
                 self.levels[0].slots[s] = bucket; // hand the allocation back
                 return;
@@ -551,7 +436,7 @@ impl<E> EventQueue<E> {
             if !self.ready.is_empty() {
                 self.ready
                     .make_contiguous()
-                    .sort_unstable_by_key(|e| (e.at, e.seq));
+                    .sort_unstable_by_key(|e| (e.at, e.key));
                 return;
             }
         }
@@ -564,71 +449,57 @@ impl<E> Default for EventQueue<E> {
     }
 }
 
-impl<E> Extend<(SimTime, E)> for EventQueue<E> {
-    fn extend<I: IntoIterator<Item = (SimTime, E)>>(&mut self, iter: I) {
-        for (at, ev) in iter {
-            self.schedule(at, ev);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SimDuration;
 
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
-        q.schedule(SimTime::from_ns(30), 3);
-        q.schedule(SimTime::from_ns(10), 1);
-        q.schedule(SimTime::from_ns(20), 2);
+        q.schedule(SimTime::from_ns(30), 0, 3);
+        q.schedule(SimTime::from_ns(10), 0, 1);
+        q.schedule(SimTime::from_ns(20), 0, 2);
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec![1, 2, 3]);
     }
 
     #[test]
-    fn same_timestamp_is_fifo() {
+    fn same_timestamp_pops_in_key_order() {
         let mut q = EventQueue::new();
         let t = SimTime::from_ns(7);
-        for i in 0..100 {
-            q.schedule(t, i);
+        for i in 0..100u32 {
+            // Keys descend as events are scheduled: insertion order must
+            // not leak into pop order.
+            q.schedule(t, u128::from(1000 - i), i);
         }
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, (0..100).collect::<Vec<_>>());
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, (0..100).rev().collect::<Vec<_>>());
     }
 
     #[test]
     fn now_tracks_last_pop() {
         let mut q = EventQueue::new();
         assert_eq!(q.now(), SimTime::ZERO);
-        q.schedule(SimTime::from_ns(5), ());
+        q.schedule(SimTime::from_ns(5), 0, ());
         q.pop();
         assert_eq!(q.now(), SimTime::from_ns(5));
-    }
-
-    #[test]
-    fn schedule_in_is_relative_to_now() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_ns(5), "a");
-        q.pop();
-        q.schedule_in(SimDuration::from_ns(3), "b");
-        assert_eq!(q.pop(), Some((SimTime::from_ns(8), "b")));
     }
 
     #[test]
     #[should_panic(expected = "scheduled in the past")]
     fn scheduling_in_the_past_panics_in_debug() {
         let mut q = EventQueue::new();
-        q.schedule(SimTime::from_ns(10), ());
+        q.schedule(SimTime::from_ns(10), 0, ());
         q.pop();
-        q.schedule(SimTime::from_ns(5), ());
+        q.schedule(SimTime::from_ns(5), 0, ());
     }
 
     #[test]
-    fn extend_and_counters() {
+    fn len_and_popped_counters() {
         let mut q = EventQueue::new();
-        q.extend((0..5).map(|i| (SimTime::from_ns(i), i)));
+        for i in 0..5u64 {
+            q.schedule(SimTime::from_ns(i), 0, i);
+        }
         assert_eq!(q.len(), 5);
         while q.pop().is_some() {}
         assert_eq!(q.popped(), 5);
@@ -646,9 +517,9 @@ mod tests {
     #[test]
     fn clear_keeps_time() {
         let mut q = EventQueue::new();
-        q.schedule(SimTime::from_ns(1), ());
+        q.schedule(SimTime::from_ns(1), 0, ());
         q.pop();
-        q.schedule(SimTime::from_ns(9), ());
+        q.schedule(SimTime::from_ns(9), 0, ());
         q.clear();
         assert!(q.is_empty());
         assert_eq!(q.now(), SimTime::from_ns(1));
@@ -657,15 +528,15 @@ mod tests {
     #[test]
     fn clear_then_reschedule_pops_in_order() {
         let mut q = EventQueue::new();
-        q.schedule(SimTime::from_us(100), 0u32);
+        q.schedule(SimTime::from_us(100), 0, 0u32);
         q.pop();
-        q.schedule(SimTime::from_us(500), 1);
+        q.schedule(SimTime::from_us(500), 0, 1);
         q.clear();
         // The wheel cursor may sit ahead of `now` after clear(); scheduling
         // near `now` must still pop in time order.
-        q.schedule(SimTime::from_us(300), 2);
-        q.schedule(SimTime::from_us(200), 3);
-        q.schedule(SimTime::from_us(200), 4);
+        q.schedule(SimTime::from_us(300), 0, 2);
+        q.schedule(SimTime::from_us(200), 1, 3);
+        q.schedule(SimTime::from_us(200), 2, 4);
         assert_eq!(q.pop(), Some((SimTime::from_us(200), 3)));
         assert_eq!(q.pop(), Some((SimTime::from_us(200), 4)));
         assert_eq!(q.pop(), Some((SimTime::from_us(300), 2)));
@@ -687,7 +558,7 @@ mod tests {
             SimTime::from_ps(u64::MAX - 1),      // top of the range
         ];
         for (i, &t) in times.iter().enumerate() {
-            q.schedule(t, i);
+            q.schedule(t, 0, i);
         }
         let mut popped = Vec::new();
         let mut last = SimTime::ZERO;
@@ -700,49 +571,11 @@ mod tests {
     }
 
     #[test]
-    fn schedule_batch_matches_sequential_schedule() {
-        let times: Vec<u64> = vec![30, 10, 20, 10, 900_000, 10, 0, 77, 77];
-        let mut seq_q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            seq_q.schedule(SimTime::from_ns(t), i);
-        }
-        let mut batch_q = EventQueue::new();
-        batch_q.schedule_batch(
-            times
-                .iter()
-                .enumerate()
-                .map(|(i, &t)| (SimTime::from_ns(t), i)),
-        );
-        loop {
-            let (a, b) = (seq_q.pop(), batch_q.pop());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
-    fn schedule_batch_into_empty_queue_advances_once() {
-        let mut q = EventQueue::new();
-        q.schedule_batch([
-            (SimTime::from_us(5), "b"),
-            (SimTime::from_us(1), "a"),
-            (SimTime::from_us(5), "c"),
-        ]);
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.peek_time(), Some(SimTime::from_us(1)));
-        assert_eq!(q.pop().unwrap().1, "a");
-        assert_eq!(q.pop().unwrap().1, "b");
-        assert_eq!(q.pop().unwrap().1, "c");
-    }
-
-    #[test]
     fn keyed_schedule_pops_in_key_order_regardless_of_insertion() {
-        // Two insertion orders of the same (at, key) set must pop
+        // Three insertion orders of the same (at, key) set must pop
         // identically — the shard-count-invariance property.
         let evs = [
-            (SimTime::from_ns(5), 7u64, "c"),
+            (SimTime::from_ns(5), 7u128, "c"),
             (SimTime::from_ns(5), 3, "b"),
             (SimTime::from_ns(2), 9, "a"),
             (SimTime::from_ns(9), 1, "d"),
@@ -752,7 +585,7 @@ mod tests {
             let mut q = EventQueue::new();
             for &i in &perm {
                 let (at, key, ev) = evs[i];
-                q.schedule_keyed(at, key, ev);
+                q.schedule(at, key, ev);
             }
             orders.push(std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect());
         }
@@ -762,36 +595,32 @@ mod tests {
     }
 
     #[test]
+    fn keys_use_all_128_bits() {
+        // The fabric's keys put the emission time in the high 64 bits:
+        // a key that differs only there must still order.
+        let mut q = EventQueue::new();
+        let t = SimTime::from_ns(3);
+        q.schedule(t, 2 << 64, "late-emitted");
+        q.schedule(t, (1 << 64) | u128::from(u64::MAX), "early-emitted");
+        assert_eq!(q.pop().unwrap().1, "early-emitted");
+        assert_eq!(q.pop().unwrap().1, "late-emitted");
+    }
+
+    #[test]
     fn keyed_schedule_interleaves_with_pop_and_far_future() {
         let mut q = EventQueue::new();
-        q.schedule_keyed(SimTime::from_ns(10), 5, "a");
-        q.schedule_keyed(SimTime::from_us(10), 1, "e");
+        q.schedule(SimTime::from_ns(10), 5, "a");
+        q.schedule(SimTime::from_us(10), 1, "e");
         assert_eq!(q.pop().unwrap().1, "a");
-        // Same-timestamp keyed inserts arriving out of key order must
-        // still pop in key order (they route through the overflow heap).
-        q.schedule_keyed(SimTime::from_ns(500), 8, "c");
-        q.schedule_keyed(SimTime::from_ns(500), 2, "b");
-        q.schedule_keyed(SimTime::from_ns(700), 3, "d");
+        // Same-timestamp inserts arriving out of key order must still pop
+        // in key order (they route through the overflow heap).
+        q.schedule(SimTime::from_ns(500), 8, "c");
+        q.schedule(SimTime::from_ns(500), 2, "b");
+        q.schedule(SimTime::from_ns(700), 3, "d");
         assert_eq!(q.pop().unwrap().1, "b");
         assert_eq!(q.pop().unwrap().1, "c");
         assert_eq!(q.pop().unwrap().1, "d");
         assert_eq!(q.pop().unwrap().1, "e");
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn pop_if_at_only_pops_matching_time() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_ns(5), "a");
-        q.schedule(SimTime::from_ns(5), "b");
-        q.schedule(SimTime::from_ns(9), "c");
-        assert_eq!(q.pop_if_at(SimTime::from_ns(4)), None);
-        assert_eq!(q.pop().unwrap().1, "a");
-        // Same-timestamp follow-up drains FIFO; later event is left queued.
-        assert_eq!(q.pop_if_at(SimTime::from_ns(5)), Some("b"));
-        assert_eq!(q.pop_if_at(SimTime::from_ns(5)), None);
-        assert_eq!(q.pop_if_at(SimTime::from_ns(9)), Some("c"));
-        assert_eq!(q.pop_if_at(SimTime::from_ns(9)), None);
         assert!(q.is_empty());
     }
 
@@ -804,7 +633,7 @@ mod tests {
         let mut t = 0u64;
         for i in 0..60u64 {
             t += 1 + (i * i * 977) % 5_000_000;
-            q.schedule(SimTime::from_ns(t), i);
+            q.schedule(SimTime::from_ns(t), 0, i);
             assert_eq!(q.pop(), Some((SimTime::from_ns(t), i)));
             assert!(q.is_empty());
         }
@@ -814,12 +643,12 @@ mod tests {
     #[test]
     fn interleaved_pop_and_schedule_keeps_order() {
         let mut q = EventQueue::new();
-        q.schedule(SimTime::from_ns(10), "a");
-        q.schedule(SimTime::from_us(10), "d");
+        q.schedule(SimTime::from_ns(10), 0, "a");
+        q.schedule(SimTime::from_us(10), 0, "d");
         assert_eq!(q.pop().unwrap().1, "a");
         // Scheduling between now and the far event must come out first.
-        q.schedule(SimTime::from_ns(500), "b");
-        q.schedule(SimTime::from_us(1), "c");
+        q.schedule(SimTime::from_ns(500), 0, "b");
+        q.schedule(SimTime::from_us(1), 0, "c");
         assert_eq!(q.pop().unwrap().1, "b");
         assert_eq!(q.pop().unwrap().1, "c");
         assert_eq!(q.pop().unwrap().1, "d");

@@ -7,15 +7,18 @@
 //!   single byte serializes in ~143 ps, so nanosecond resolution would alias
 //!   serialization boundaries; picoseconds in a `u64` still cover ~213 days
 //!   of simulated time.
-//! * [`EventQueue`] — a stable priority queue of timestamped events.
-//!   Same-timestamp events pop in insertion order, which makes whole-system
-//!   runs bit-for-bit reproducible.
+//! * [`EventQueue`] — a priority queue of timestamped, keyed events.
+//!   Same-timestamp events pop in the order of caller-supplied keys, not
+//!   insertion order, which makes whole-system runs bit-for-bit
+//!   reproducible however their events were delivered.
 //! * [`SimRng`] — a small, fully deterministic PRNG (`xoshiro256**` seeded
 //!   through SplitMix64) with the handful of distributions the device models
 //!   need. Reproducibility is a core requirement for a measurement tool, so
 //!   the suite does not depend on external RNG crates whose streams may
 //!   change between versions.
-//! * [`World`] / [`run`] — a minimal driver loop with stop conditions.
+//! * [`run_sharded`] — the driver loop: one or more [`ShardedWorld`]
+//!   shards advanced in conservative-lookahead windows under an event
+//!   budget and a cancellation hook (a single shard is the `N = 1` case).
 //!
 //! # Examples
 //!
@@ -23,8 +26,8 @@
 //! use rperf_sim::{EventQueue, SimDuration, SimTime};
 //!
 //! let mut q: EventQueue<&str> = EventQueue::new();
-//! q.schedule(SimTime::ZERO + SimDuration::from_ns(5), "b");
-//! q.schedule(SimTime::ZERO + SimDuration::from_ns(2), "a");
+//! q.schedule(SimTime::ZERO + SimDuration::from_ns(5), 0, "b");
+//! q.schedule(SimTime::ZERO + SimDuration::from_ns(2), 0, "a");
 //! assert_eq!(q.pop(), Some((SimTime::from_ns(2), "a")));
 //! assert_eq!(q.pop(), Some((SimTime::from_ns(5), "b")));
 //! ```
@@ -35,12 +38,12 @@
 mod event;
 pub mod reference;
 mod rng;
-mod run;
 pub mod shard;
 mod time;
 
 pub use event::EventQueue;
 pub use rng::SimRng;
-pub use run::{run, run_budgeted, RunOutcome, StopCondition, World};
-pub use shard::{run_sharded, Lookahead, Mailbox, ShardRunStats, ShardedWorld, SpinBarrier};
+pub use shard::{
+    run_sharded, Lookahead, Mailbox, RunOutcome, ShardRunStats, ShardedWorld, SpinBarrier,
+};
 pub use time::{SimDuration, SimTime};

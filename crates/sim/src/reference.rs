@@ -3,22 +3,22 @@
 //! [`HeapEventQueue`] is the original `BinaryHeap`-backed event queue that
 //! [`crate::EventQueue`] (now a hierarchical timer wheel) replaced. It is the
 //! ordering oracle: the property test in `tests/prop_event_queue.rs` replays
-//! arbitrary interleaved schedule/pop sequences through both queues and
-//! requires identical `(time, order)` output, and the `event_queue` bench in
-//! `rperf-bench` measures the wheel against it at several depths and delay
-//! mixes.
+//! arbitrary interleaved keyed schedule/pop sequences through both queues
+//! and requires identical `(time, event)` output, and the `event_queue`
+//! bench in `rperf-bench` measures the wheel against it at several depths
+//! and delay mixes.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-/// The original `BinaryHeap`-backed stable event queue.
+/// The original `BinaryHeap`-backed event queue.
 ///
-/// Pops events in non-decreasing time order with FIFO tie-breaking at equal
-/// timestamps, exactly like [`crate::EventQueue`], but every push/pop pays an
-/// O(log n) sift. Kept only as a differential-testing oracle and benchmark
-/// baseline; simulations should use [`crate::EventQueue`].
+/// Pops events in non-decreasing `(time, key)` order, exactly like
+/// [`crate::EventQueue`], but every push/pop pays an O(log n) sift. Kept
+/// only as a differential-testing oracle and benchmark baseline;
+/// simulations should use [`crate::EventQueue`].
 ///
 /// # Examples
 ///
@@ -27,15 +27,14 @@ use crate::time::SimTime;
 /// use rperf_sim::SimTime;
 ///
 /// let mut q = HeapEventQueue::new();
-/// q.schedule(SimTime::from_ns(5), "b");
-/// q.schedule(SimTime::from_ns(2), "a");
+/// q.schedule(SimTime::from_ns(5), 0, "b");
+/// q.schedule(SimTime::from_ns(2), 0, "a");
 /// assert_eq!(q.pop(), Some((SimTime::from_ns(2), "a")));
 /// assert_eq!(q.pop(), Some((SimTime::from_ns(5), "b")));
 /// ```
 #[derive(Debug)]
 pub struct HeapEventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
-    seq: u64,
     now: SimTime,
     popped: u64,
 }
@@ -43,13 +42,13 @@ pub struct HeapEventQueue<E> {
 #[derive(Debug)]
 struct Entry<E> {
     at: SimTime,
-    seq: u64,
+    key: u128,
     event: E,
 }
 
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.at == other.at && self.key == other.key
     }
 }
 
@@ -64,11 +63,11 @@ impl<E> PartialOrd for Entry<E> {
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; reverse so the earliest (and, within a
-        // timestamp, the lowest-sequence) entry is the maximum.
+        // timestamp, the lowest-key) entry is the maximum.
         other
             .at
             .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
+            .then_with(|| other.key.cmp(&self.key))
     }
 }
 
@@ -77,7 +76,6 @@ impl<E> HeapEventQueue<E> {
     pub fn new() -> Self {
         HeapEventQueue {
             heap: BinaryHeap::new(),
-            seq: 0,
             now: SimTime::ZERO,
             popped: 0,
         }
@@ -87,7 +85,6 @@ impl<E> HeapEventQueue<E> {
     pub fn with_capacity(capacity: usize) -> Self {
         HeapEventQueue {
             heap: BinaryHeap::with_capacity(capacity),
-            seq: 0,
             now: SimTime::ZERO,
             popped: 0,
         }
@@ -116,28 +113,22 @@ impl<E> HeapEventQueue<E> {
         self.popped
     }
 
-    /// Schedules `event` at absolute time `at`.
+    /// Schedules `event` at absolute time `at` under the ordering `key`:
+    /// events at one instant pop in ascending key order (equal keys in an
+    /// unspecified order), the contract of [`crate::EventQueue::schedule`].
     ///
     /// # Panics
     ///
     /// In debug builds, panics if `at` is earlier than
     /// [`HeapEventQueue::now`].
     #[inline]
-    pub fn schedule(&mut self, at: SimTime, event: E) {
+    pub fn schedule(&mut self, at: SimTime, key: u128, event: E) {
         debug_assert!(
             at >= self.now,
             "event scheduled in the past: {at:?} < now {:?}",
             self.now
         );
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Entry { at, seq, event });
-    }
-
-    /// Schedules `event` `delay` after the current time.
-    #[inline]
-    pub fn schedule_in(&mut self, delay: crate::SimDuration, event: E) {
-        self.schedule(self.now + delay, event);
+        self.heap.push(Entry { at, key, event });
     }
 
     /// Removes and returns the earliest event, advancing
@@ -168,12 +159,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn oracle_pops_in_time_order_with_fifo_ties() {
+    fn oracle_pops_in_time_then_key_order() {
         let mut q = HeapEventQueue::new();
-        q.schedule(SimTime::from_ns(5), 2);
-        q.schedule(SimTime::from_ns(1), 0);
-        q.schedule(SimTime::from_ns(5), 3);
-        q.schedule(SimTime::from_ns(2), 1);
+        q.schedule(SimTime::from_ns(5), 9, 3);
+        q.schedule(SimTime::from_ns(1), 0, 0);
+        q.schedule(SimTime::from_ns(5), 4, 2);
+        q.schedule(SimTime::from_ns(2), 0, 1);
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec![0, 1, 2, 3]);
         assert_eq!(q.popped(), 4);

@@ -1,7 +1,7 @@
 //! Conservative-lookahead parallel execution primitives.
 //!
 //! One simulation is partitioned into *shards* — disjoint sets of devices,
-//! each owning a private [`EventQueue`] — that advance in lock-step
+//! each owning a private [`crate::EventQueue`] — that advance in lock-step
 //! *windows*. The protocol (DESIGN.md §3, "Sharded execution") relies on a
 //! single physical fact: every cross-shard event is delayed by at least
 //! the wire's propagation time, the [`Lookahead`]. A shard processing
@@ -12,8 +12,9 @@
 //!
 //! Determinism does not come from the schedule (threads interleave
 //! arbitrarily) but from ordering: every event carries a key assigned by
-//! its *source* device (`(device, emission counter)` packed into a `u64`),
-//! queues pop in `(time, key)` order ([`EventQueue::schedule_keyed`]), and
+//! its *source* device (`(emission time, device, emission counter)`
+//! packed into a `u128`), queues pop in `(time, key)` order
+//! ([`crate::EventQueue::schedule`]), and
 //! mailboxes are drained whole at window boundaries. A device's observed
 //! event stream is then a pure function of the scenario, not of the
 //! shard count or thread timing.
@@ -22,13 +23,28 @@
 //! yield fallback so oversubscribed hosts make progress), a [`Mailbox`]
 //! grid of per-edge `Mutex<Vec<_>>` cells, and [`run_sharded`], the
 //! window scheduler driving `N − 1` scoped worker threads plus the
-//! caller's thread as shard 0.
+//! caller's thread as shard 0. It is the only run loop: a one-shard
+//! simulation is the `N = 1` case, with an unbounded lookahead and
+//! windows cut only by the event budget's polling cadence.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::run::RunOutcome;
 use crate::time::{SimDuration, SimTime};
+
+/// Why [`run_sharded`] stopped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RunOutcome {
+    /// Every event queue drained.
+    QueueDrained,
+    /// The time horizon was reached; events at the horizon are left
+    /// unprocessed.
+    HorizonReached,
+    /// The event budget was exhausted.
+    BudgetExhausted,
+    /// The cancellation hook asked the run to stop.
+    Cancelled,
+}
 
 /// The guaranteed lower bound on cross-shard event delay.
 ///
@@ -199,7 +215,7 @@ impl<M> Mailbox<M> {
 /// [`Mailbox`] (lint rule D10). All methods are called with the window
 /// protocol's ordering guarantees: `drain_inbound` and `next_time` run
 /// between barriers (no peer is mutating mailboxes addressed here), and
-/// `run_window(end)` may process every local event with `t < end`.
+/// `run_window(end, cap)` may process every local event with `t < end`.
 pub trait ShardedWorld: Send {
     /// Drains this shard's pending mailbox messages into the local queue.
     /// Called once per window, before the global minimum is agreed on.
@@ -209,10 +225,10 @@ pub trait ShardedWorld: Send {
     /// when the shard is idle.
     fn next_time(&mut self) -> Option<SimTime>;
 
-    /// Processes every local event strictly before `end` in `(time, key)`
-    /// order, posting cross-shard emissions to the mailbox. Returns the
-    /// number of events processed.
-    fn run_window(&mut self, end: SimTime) -> u64;
+    /// Processes local events strictly before `end` in `(time, key)`
+    /// order, at most `cap` of them, posting cross-shard emissions to the
+    /// mailbox. Returns the number of events processed.
+    fn run_window(&mut self, end: SimTime, cap: u64) -> u64;
 }
 
 /// Per-shard execution counters reported by [`run_sharded`].
@@ -268,7 +284,13 @@ struct WindowSync {
     events: Vec<AtomicU64>,
     /// Leader-published window start or stop verdict.
     verdict: AtomicU64,
+    /// Leader-published per-shard event cap for the window.
+    cap: AtomicU64,
 }
+
+/// The leader's budget policy for the next window: a stop reason, or the
+/// per-shard event cap (`Ok`) given the events run so far.
+type Policy<'a> = &'a mut dyn FnMut(u64) -> Result<u64, RunOutcome>;
 
 /// One worker's traversal of the window protocol. `leader` is `Some`
 /// for shard 0, carrying the budget/cancellation policy closure.
@@ -278,7 +300,7 @@ fn shard_loop<W: ShardedWorld>(
     sync: &WindowSync,
     lookahead: Lookahead,
     horizon: SimTime,
-    mut leader: Option<&mut dyn FnMut(u64) -> Option<RunOutcome>>,
+    mut leader: Option<Policy<'_>>,
 ) -> ShardRunStats {
     let mut stats = ShardRunStats::default();
     loop {
@@ -305,14 +327,14 @@ fn shard_loop<W: ShardedWorld>(
                 .min()
                 .unwrap_or(T_NONE);
             let total: u64 = sync.events.iter().map(|e| e.load(Ordering::Acquire)).sum();
-            let verdict = if let Some(out) = policy(total) {
-                encode_stop(out)
-            } else if global_min == T_NONE {
-                encode_stop(RunOutcome::QueueDrained)
-            } else if global_min >= horizon.as_ps() {
-                encode_stop(RunOutcome::HorizonReached)
-            } else {
-                global_min
+            let verdict = match policy(total) {
+                Err(out) => encode_stop(out),
+                Ok(_) if global_min == T_NONE => encode_stop(RunOutcome::QueueDrained),
+                Ok(_) if global_min >= horizon.as_ps() => encode_stop(RunOutcome::HorizonReached),
+                Ok(cap) => {
+                    sync.cap.store(cap, Ordering::Release);
+                    global_min
+                }
             };
             sync.verdict.store(verdict, Ordering::Release);
         }
@@ -320,13 +342,12 @@ fn shard_loop<W: ShardedWorld>(
 
         // Phase 3: everyone acts on the verdict.
         let verdict = sync.verdict.load(Ordering::Acquire);
-        if let Some(outcome) = decode_stop(verdict) {
-            let _ = outcome;
+        if decode_stop(verdict).is_some() {
             return stats;
         }
         let start = SimTime::from_ps(verdict);
         let end = lookahead.window_end(start, horizon);
-        stats.events += world.run_window(end);
+        stats.events += world.run_window(end, sync.cap.load(Ordering::Acquire));
         stats.windows += 1;
     }
 }
@@ -354,11 +375,19 @@ fn barrier_wait(sync: &WindowSync, stats: &mut ShardRunStats) {
 /// events pop per shard in `(time, key)` order within windows of
 /// `lookahead` width, which for source-assigned keys makes results
 /// independent of the shard count and of thread scheduling; see the
-/// module docs. `cancelled` is polled once per window on the calling
-/// thread; `max_events` is enforced at window granularity (the run stops
-/// at the first window boundary where the running total has reached it,
-/// so slightly more than `max_events` events may execute — exact-count
-/// reproducibility of interrupted runs is a sequential-engine property).
+/// module docs.
+///
+/// Every window is also capped at `min(check_every, events left in the
+/// budget)` events per shard (`check_every` is clamped to at least 1).
+/// `cancelled` is polled on the calling thread before every window, and
+/// the run stops with [`RunOutcome::BudgetExhausted`] at the first window
+/// boundary where the running total has reached `max_events`. On one
+/// shard the budget is therefore exact and the hook is polled every
+/// `check_every` events; on `N` shards up to `N − 1` further capped
+/// windows' worth of events may run past the budget. Capping does not
+/// change results: an uninterrupted run pops the same events in the
+/// same order for any `check_every`, and an interrupted one resumes
+/// seamlessly on the next call.
 ///
 /// Returns the stop reason plus per-shard [`ShardRunStats`] (index =
 /// shard).
@@ -367,6 +396,7 @@ pub fn run_sharded<W: ShardedWorld>(
     lookahead: Lookahead,
     horizon: SimTime,
     max_events: u64,
+    check_every: u64,
     cancelled: &mut dyn FnMut() -> bool,
 ) -> (RunOutcome, Vec<ShardRunStats>) {
     let shards = worlds.len();
@@ -376,14 +406,16 @@ pub fn run_sharded<W: ShardedWorld>(
         mins: (0..shards).map(|_| AtomicU64::new(T_NONE)).collect(),
         events: (0..shards).map(|_| AtomicU64::new(0)).collect(),
         verdict: AtomicU64::new(T_NONE),
+        cap: AtomicU64::new(0),
     };
-    let mut policy = |total: u64| -> Option<RunOutcome> {
+    let check_every = check_every.max(1);
+    let mut policy = |total: u64| -> Result<u64, RunOutcome> {
         if cancelled() {
-            Some(RunOutcome::Cancelled)
+            Err(RunOutcome::Cancelled)
         } else if total >= max_events {
-            Some(RunOutcome::BudgetExhausted)
+            Err(RunOutcome::BudgetExhausted)
         } else {
-            None
+            Ok(check_every.min(max_events - total))
         }
     };
 
@@ -491,8 +523,8 @@ mod tests {
         id: usize,
         shards: usize,
         q: EventQueue<u64>,
-        grid: std::sync::Arc<Mailbox<(u64, u64, u64)>>, // (at_ps, key, hops)
-        inbox: Vec<(u64, u64, u64)>,
+        grid: std::sync::Arc<Mailbox<(u64, u128, u64)>>, // (at_ps, key, hops)
+        inbox: Vec<(u64, u128, u64)>,
         delay: SimDuration,
         seen: Vec<u64>,
         ctr: u64,
@@ -503,7 +535,7 @@ mod tests {
             let mut inbox = std::mem::take(&mut self.inbox);
             self.grid.drain_into(self.id, &mut inbox);
             for (at_ps, key, hops) in inbox.drain(..) {
-                self.q.schedule_keyed(SimTime::from_ps(at_ps), key, hops);
+                self.q.schedule(SimTime::from_ps(at_ps), key, hops);
             }
             self.inbox = inbox;
         }
@@ -512,21 +544,21 @@ mod tests {
             self.q.peek_time()
         }
 
-        fn run_window(&mut self, end: SimTime) -> u64 {
+        fn run_window(&mut self, end: SimTime, cap: u64) -> u64 {
             let mut n = 0;
-            while self.q.peek_time().is_some_and(|t| t < end) {
+            while n < cap && self.q.peek_time().is_some_and(|t| t < end) {
                 let Some((now, hops)) = self.q.pop() else {
                     break;
                 };
                 n += 1;
                 self.seen.push(hops);
                 if hops > 0 {
-                    let key = ((self.id as u64) << 40) | self.ctr;
+                    let key = ((self.id as u128) << 64) | u128::from(self.ctr);
                     self.ctr += 1;
                     let at = now + self.delay;
                     let dst = (self.id + 1) % self.shards;
                     if dst == self.id {
-                        self.q.schedule_keyed(at, key, hops - 1);
+                        self.q.schedule(at, key, hops - 1);
                     } else {
                         self.grid.post(self.id, dst, (at.as_ps(), key, hops - 1));
                     }
@@ -552,15 +584,13 @@ mod tests {
             })
             .collect();
         // The token starts on shard 0 at t = 1 ns.
-        worlds[0]
-            .q
-            .schedule_keyed(SimTime::from_ns(1), u64::MAX, hops);
+        worlds[0].q.schedule(SimTime::from_ns(1), u128::MAX, hops);
         let la = if shards > 1 {
             Lookahead::bounded(delay)
         } else {
             Lookahead::unbounded()
         };
-        let (out, stats) = run_sharded(&mut worlds, la, horizon, u64::MAX, &mut || false);
+        let (out, stats) = run_sharded(&mut worlds, la, horizon, u64::MAX, 64, &mut || false);
         let total: u64 = stats.iter().map(|s| s.events).sum();
         let seen_total: usize = worlds.iter().map(|w| w.seen.len()).sum();
         assert_eq!(total as usize, seen_total);
@@ -603,14 +633,13 @@ mod tests {
             seen: Vec::new(),
             ctr: 0,
         }];
-        worlds[0]
-            .q
-            .schedule_keyed(SimTime::from_ns(1), 0, 1_000_000);
+        worlds[0].q.schedule(SimTime::from_ns(1), 0, 1_000_000);
         let (out, _) = run_sharded(
             &mut worlds,
             Lookahead::unbounded(),
             SimTime::from_us(100),
             10,
+            4,
             &mut || false,
         );
         assert_eq!(out, RunOutcome::BudgetExhausted);
@@ -620,8 +649,134 @@ mod tests {
             Lookahead::unbounded(),
             SimTime::from_us(100),
             u64::MAX,
+            4,
             &mut || true,
         );
         assert_eq!(out, RunOutcome::Cancelled);
+    }
+
+    /// A one-shard world ticking every 10 ns from t = 0: the run-loop
+    /// contract at `N = 1`.
+    struct Ticker {
+        q: EventQueue<u32>,
+        ticks: Vec<SimTime>,
+    }
+
+    impl Ticker {
+        fn new() -> Self {
+            let mut q = EventQueue::new();
+            q.schedule(SimTime::ZERO, 0, 0);
+            Ticker {
+                q,
+                ticks: Vec::new(),
+            }
+        }
+
+        fn run(
+            &mut self,
+            horizon: SimTime,
+            max_events: u64,
+            check_every: u64,
+            cancelled: &mut dyn FnMut() -> bool,
+        ) -> RunOutcome {
+            let (out, stats) = run_sharded(
+                std::slice::from_mut(self),
+                Lookahead::unbounded(),
+                horizon,
+                max_events,
+                check_every,
+                cancelled,
+            );
+            assert_eq!(stats.len(), 1);
+            out
+        }
+    }
+
+    impl ShardedWorld for Ticker {
+        fn drain_inbound(&mut self) {}
+
+        fn next_time(&mut self) -> Option<SimTime> {
+            self.q.peek_time()
+        }
+
+        fn run_window(&mut self, end: SimTime, cap: u64) -> u64 {
+            let mut n = 0;
+            while n < cap && self.q.peek_time().is_some_and(|t| t < end) {
+                let Some((now, ev)) = self.q.pop() else { break };
+                n += 1;
+                self.ticks.push(now);
+                self.q
+                    .schedule(now + SimDuration::from_ns(10), u128::from(ev) + 1, ev + 1);
+            }
+            n
+        }
+    }
+
+    #[test]
+    fn one_shard_horizon_is_exclusive_and_resumable() {
+        let mut w = Ticker::new();
+        let out = w.run(SimTime::from_ns(35), u64::MAX, 3, &mut || false);
+        assert_eq!(out, RunOutcome::HorizonReached);
+        assert_eq!(w.ticks.len(), 4); // t = 0, 10, 20, 30
+
+        // An event exactly at the horizon is left for the next call.
+        let out = w.run(SimTime::from_ns(50), u64::MAX, 1024, &mut || false);
+        assert_eq!(out, RunOutcome::HorizonReached);
+        assert_eq!(w.ticks.last(), Some(&SimTime::from_ns(40)));
+
+        // Resuming to a later horizon continues seamlessly.
+        w.run(SimTime::from_ns(55), u64::MAX, 1024, &mut || false);
+        assert_eq!(w.ticks.len(), 6); // + t = 50
+        let expected: Vec<SimTime> = (0..6).map(|i| SimTime::from_ns(10 * i)).collect();
+        assert_eq!(w.ticks, expected);
+    }
+
+    #[test]
+    fn one_shard_event_budget_is_exact() {
+        let mut w = Ticker::new();
+        let out = w.run(SimTime::from_ns(1_000_000_000), 100, 8, &mut || false);
+        assert_eq!(out, RunOutcome::BudgetExhausted);
+        assert_eq!(w.ticks.len(), 100);
+        // The budget is per call: the next call picks up where it stopped.
+        let out = w.run(SimTime::from_ns(1_000_000_000), 7, 1024, &mut || false);
+        assert_eq!(out, RunOutcome::BudgetExhausted);
+        assert_eq!(w.ticks.len(), 107);
+        assert_eq!(w.ticks.last(), Some(&SimTime::from_ns(1060)));
+    }
+
+    #[test]
+    fn one_shard_cancellation_stops_between_chunks() {
+        let mut w = Ticker::new();
+        let mut checks = 0u64;
+        let out = w.run(SimTime::from_ns(1_000_000_000), u64::MAX, 7, &mut || {
+            checks += 1;
+            checks > 3
+        });
+        assert_eq!(out, RunOutcome::Cancelled);
+        assert_eq!(w.ticks.len(), 21); // three full chunks of 7
+        assert_eq!(checks, 4);
+    }
+
+    #[test]
+    fn one_shard_chunking_does_not_change_results() {
+        let horizon = SimTime::from_ns(995);
+        let mut whole = Ticker::new();
+        let mut chunked = Ticker::new();
+        let a = whole.run(horizon, u64::MAX, u64::MAX, &mut || false);
+        let b = chunked.run(horizon, u64::MAX, 3, &mut || false);
+        assert_eq!(
+            (a, b),
+            (RunOutcome::HorizonReached, RunOutcome::HorizonReached)
+        );
+        assert_eq!(whole.ticks, chunked.ticks);
+    }
+
+    #[test]
+    fn empty_world_drains_immediately() {
+        let mut w = Ticker::new();
+        w.q.clear();
+        let out = w.run(SimTime::from_ns(100), u64::MAX, 8, &mut || false);
+        assert_eq!(out, RunOutcome::QueueDrained);
+        assert!(w.ticks.is_empty());
     }
 }

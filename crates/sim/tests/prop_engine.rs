@@ -4,24 +4,27 @@ use proptest::prelude::*;
 use rperf_sim::{EventQueue, SimDuration, SimRng, SimTime};
 
 proptest! {
-    /// Pops are globally sorted by time, and stable (FIFO) within a time.
+    /// Pops are globally sorted by time, and by key within a time.
     #[test]
-    fn pops_sorted_and_stable(times in prop::collection::vec(0u64..1_000, 1..200)) {
+    fn pops_sorted_by_time_then_key(
+        events in prop::collection::vec((0u64..1_000, 0u64..8), 1..200),
+    ) {
         let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(SimTime::from_ps(t), (t, i));
+        for (i, &(t, rank)) in events.iter().enumerate() {
+            let key = (u128::from(rank) << 64) | i as u128;
+            q.schedule(SimTime::from_ps(t), key, (t, key));
         }
-        let mut last: Option<(u64, usize)> = None;
-        while let Some((at, (t, i))) = q.pop() {
+        let mut last: Option<(u64, u128)> = None;
+        let mut popped = 0;
+        while let Some((at, (t, key))) = q.pop() {
             prop_assert_eq!(at, SimTime::from_ps(t));
-            if let Some((lt, li)) = last {
-                prop_assert!(t >= lt, "time order violated");
-                if t == lt {
-                    prop_assert!(i > li, "FIFO tie-break violated");
-                }
+            if let Some(prev) = last {
+                prop_assert!((t, key) > prev, "(time, key) order violated");
             }
-            last = Some((t, i));
+            last = Some((t, key));
+            popped += 1;
         }
+        prop_assert_eq!(popped, events.len());
     }
 
     /// Counting invariant: everything scheduled is popped exactly once.
@@ -29,7 +32,7 @@ proptest! {
     fn conservation_of_events(times in prop::collection::vec(0u64..10_000, 0..300)) {
         let mut q = EventQueue::new();
         for &t in &times {
-            q.schedule(SimTime::from_ps(t), ());
+            q.schedule(SimTime::from_ps(t), 0, ());
         }
         let mut popped = 0;
         while q.pop().is_some() {

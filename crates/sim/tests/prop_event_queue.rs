@@ -1,23 +1,33 @@
 //! Differential property tests: the timer-wheel [`EventQueue`] must be
 //! observationally identical to the [`HeapEventQueue`] reference oracle for
-//! arbitrary interleaved schedule/pop sequences.
+//! arbitrary interleaved keyed schedule/pop sequences, including
+//! same-instant events that arrive out of key order.
 
 use proptest::prelude::*;
 use rperf_sim::reference::HeapEventQueue;
 use rperf_sim::{EventQueue, SimTime};
 
+/// The ordering key of the `id`-th scheduled event. `rank` in the high
+/// half sets its place among events at the same instant — ranks repeat
+/// and arrive in any order, as the fabric's emission keys do when events
+/// reach a queue from several sources — and `id` in the low half keeps
+/// every key unique.
+fn key(rank: u8, id: u64) -> u128 {
+    (u128::from(rank) << 64) | u128::from(id)
+}
+
 /// Replays one interleaved op sequence through both queues and asserts every
 /// observable (pop results, peek, now, len, popped counter) matches.
 ///
-/// `ops` encodes the interleaving: each element is a delay in picoseconds to
-/// schedule relative to the queue's `now` when even-ish, or a pop when the
-/// low bits say so. Delays are always non-negative, so the past-scheduling
-/// debug assertion never fires here (that behaviour has its own test below).
-fn run_differential(ops: &[(bool, u64)]) -> Result<(), TestCaseError> {
+/// Each op is `(is_pop, delay, rank)`: a pop, or a schedule `delay`
+/// picoseconds after the queue's `now` under rank `rank`. Delays are
+/// always non-negative, so the past-scheduling debug assertion never fires
+/// here (that behaviour has its own test below).
+fn run_differential(ops: &[(bool, u64, u8)]) -> Result<(), TestCaseError> {
     let mut wheel: EventQueue<u64> = EventQueue::new();
     let mut heap: HeapEventQueue<u64> = HeapEventQueue::new();
     let mut next_id = 0u64;
-    for &(is_pop, delay) in ops {
+    for &(is_pop, delay, rank) in ops {
         if is_pop {
             let w = wheel.pop();
             let h = heap.pop();
@@ -26,8 +36,8 @@ fn run_differential(ops: &[(bool, u64)]) -> Result<(), TestCaseError> {
             // Schedule relative to the wheel's own `now` (the heap's `now`
             // is identical — asserted below — so both see the same instant).
             let at = SimTime::from_ps(wheel.now().as_ps().saturating_add(delay));
-            wheel.schedule(at, next_id);
-            heap.schedule(at, next_id);
+            wheel.schedule(at, key(rank, next_id), next_id);
+            heap.schedule(at, key(rank, next_id), next_id);
             next_id += 1;
         }
         prop_assert_eq!(wheel.now(), heap.now(), "now mismatch");
@@ -47,53 +57,29 @@ fn run_differential(ops: &[(bool, u64)]) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// Replays an op sequence that also exercises the batch-schedule and
-/// conditional-pop paths. Each op is `(kind, delay, burst)`:
+/// Replays an op sequence heavy on same-timestamp bursts. Each op is
+/// `(kind, delay, burst)`:
 ///
-/// - `kind % 3 == 0` — conditional pop: assert [`EventQueue::pop_if_at`] is
-///   a no-op for a mismatched timestamp, then pop via the matching one and
-///   compare against the oracle's unconditional pop.
-/// - `kind % 3 == 1` — single `schedule`, as in [`run_differential`].
+/// - `kind % 3 == 0` — pop, compared against the oracle's pop.
+/// - `kind % 3 == 1` — single schedule, as in [`run_differential`].
 /// - `kind % 3 == 2` — adversarial same-timestamp burst: `burst % 17 + 1`
-///   events at one instant through `schedule_batch`, mirrored on the oracle
-///   as individual schedules. FIFO within the burst must survive.
-fn run_differential_batched(ops: &[(u8, u64, u64)]) -> Result<(), TestCaseError> {
+///   back-to-back schedules at one instant with descending ranks, so every
+///   event after the first arrives below its predecessor's key.
+fn run_differential_bursts(ops: &[(u8, u64, u64)]) -> Result<(), TestCaseError> {
     let mut wheel: EventQueue<u64> = EventQueue::new();
     let mut heap: HeapEventQueue<u64> = HeapEventQueue::new();
     let mut next_id = 0u64;
     for &(kind, delay, burst) in ops {
-        match kind % 3 {
-            0 => {
-                if let Some(t) = heap.peek_time() {
-                    let wrong = SimTime::from_ps(t.as_ps().wrapping_add(1));
-                    prop_assert_eq!(
-                        wheel.pop_if_at(wrong),
-                        None,
-                        "pop_if_at popped on a mismatched time"
-                    );
-                    let w = wheel.pop_if_at(t);
-                    let h = heap.pop().map(|(_, e)| e);
-                    prop_assert_eq!(w, h, "pop_if_at mismatch");
-                } else {
-                    prop_assert_eq!(wheel.pop_if_at(SimTime::from_ps(delay)), None);
-                    prop_assert_eq!(wheel.pop(), heap.pop(), "empty pop mismatch");
-                }
-            }
-            1 => {
-                let at = SimTime::from_ps(wheel.now().as_ps().saturating_add(delay));
-                wheel.schedule(at, next_id);
-                heap.schedule(at, next_id);
+        if kind % 3 == 0 {
+            prop_assert_eq!(wheel.pop(), heap.pop(), "pop mismatch");
+        } else {
+            let at = SimTime::from_ps(wheel.now().as_ps().saturating_add(delay));
+            let n = if kind % 3 == 1 { 1 } else { burst % 17 + 1 };
+            for j in 0..n {
+                let rank = (n - j) as u8;
+                wheel.schedule(at, key(rank, next_id), next_id);
+                heap.schedule(at, key(rank, next_id), next_id);
                 next_id += 1;
-            }
-            _ => {
-                let at = SimTime::from_ps(wheel.now().as_ps().saturating_add(delay));
-                let n = burst % 17 + 1;
-                let base = next_id;
-                wheel.schedule_batch((0..n).map(|j| (at, base + j)));
-                for j in 0..n {
-                    heap.schedule(at, base + j);
-                }
-                next_id += n;
             }
         }
         prop_assert_eq!(wheel.now(), heap.now(), "now mismatch");
@@ -115,7 +101,7 @@ proptest! {
     /// Near-horizon mix: delays within a few wheel buckets, heavy on ties.
     #[test]
     fn wheel_matches_heap_near(ops in prop::collection::vec(
-        (any::<bool>(), 0u64..5_000), 1..400))
+        (any::<bool>(), 0u64..5_000, 0u8..4), 1..400))
     {
         run_differential(&ops)?;
     }
@@ -124,7 +110,7 @@ proptest! {
     /// exercising bucket redistribution on rotation.
     #[test]
     fn wheel_matches_heap_far(ops in prop::collection::vec(
-        (any::<bool>(), 0u64..18_000_000_000), 1..200))
+        (any::<bool>(), 0u64..18_000_000_000, 0u8..4), 1..200))
     {
         run_differential(&ops)?;
     }
@@ -133,36 +119,36 @@ proptest! {
     /// occasional huge jumps, the pattern real device models produce.
     #[test]
     fn wheel_matches_heap_bimodal(ops in prop::collection::vec(
-        (any::<bool>(), prop::collection::vec(0u64..2, 1..2)), 1..300),
+        (any::<bool>(), prop::collection::vec(0u64..2, 1..2), 0u8..4), 1..300),
         far in 1_000_000u64..1_000_000_000_000)
     {
-        let shaped: Vec<(bool, u64)> = ops
+        let shaped: Vec<(bool, u64, u8)> = ops
             .iter()
             .enumerate()
-            .map(|(i, (is_pop, small))| {
+            .map(|(i, (is_pop, small, rank))| {
                 let delay = if i % 7 == 3 { far } else { small[0] * 800 };
-                (*is_pop, delay)
+                (*is_pop, delay, *rank)
             })
             .collect();
         run_differential(&shaped)?;
     }
 
-    /// Batch-schedule and conditional-pop paths, near horizon: heavy on
-    /// same-timestamp bursts landing in the ready lane and overflow heap.
+    /// Same-timestamp bursts, near horizon: heavy on ties landing in the
+    /// ready lane and overflow heap.
     #[test]
-    fn wheel_matches_heap_batched_near(ops in prop::collection::vec(
+    fn wheel_matches_heap_bursts_near(ops in prop::collection::vec(
         (0u8..6, 0u64..5_000, 0u64..40), 1..300))
     {
-        run_differential_batched(&ops)?;
+        run_differential_bursts(&ops)?;
     }
 
-    /// Batch-schedule and conditional-pop paths, far horizon: bursts hash
-    /// into deep wheel levels and cascade back down on rotation.
+    /// Same-timestamp bursts, far horizon: bursts hash into deep wheel
+    /// levels and cascade back down on rotation.
     #[test]
-    fn wheel_matches_heap_batched_far(ops in prop::collection::vec(
+    fn wheel_matches_heap_bursts_far(ops in prop::collection::vec(
         (0u8..6, 0u64..18_000_000_000, 0u64..40), 1..150))
     {
-        run_differential_batched(&ops)?;
+        run_differential_bursts(&ops)?;
     }
 
     /// Empty-window skips: every round drains the queue to empty, then the
@@ -178,9 +164,10 @@ proptest! {
         let mut next_id = 0u64;
         for &(burst, jump) in &rounds {
             let at = SimTime::from_ps(wheel.now().as_ps().saturating_add(jump));
-            wheel.schedule_batch((0..burst).map(|j| (at, next_id + j)));
             for j in 0..burst {
-                heap.schedule(at, next_id + j);
+                let rank = (burst - j) as u8;
+                wheel.schedule(at, key(rank, next_id + j), next_id + j);
+                heap.schedule(at, key(rank, next_id + j), next_id + j);
             }
             next_id += burst;
             for _ in 0..burst {
@@ -197,9 +184,9 @@ proptest! {
 #[should_panic(expected = "scheduled in the past")]
 fn wheel_panics_on_past_schedule_like_heap() {
     let mut q: EventQueue<()> = EventQueue::new();
-    q.schedule(SimTime::from_ns(10), ());
+    q.schedule(SimTime::from_ns(10), 0, ());
     q.pop();
-    q.schedule(SimTime::from_ns(5), ());
+    q.schedule(SimTime::from_ns(5), 0, ());
 }
 
 /// And so does the oracle itself (documents that both sides enforce it).
@@ -207,7 +194,7 @@ fn wheel_panics_on_past_schedule_like_heap() {
 #[should_panic(expected = "scheduled in the past")]
 fn heap_panics_on_past_schedule() {
     let mut q: HeapEventQueue<()> = HeapEventQueue::new();
-    q.schedule(SimTime::from_ns(10), ());
+    q.schedule(SimTime::from_ns(10), 0, ());
     q.pop();
-    q.schedule(SimTime::from_ns(5), ());
+    q.schedule(SimTime::from_ns(5), 0, ());
 }

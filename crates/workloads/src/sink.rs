@@ -114,6 +114,6 @@ mod tests {
         let sink = sim.app_as::<Sink>(1);
         assert!(sink.recvs() > 1000);
         // No auto-filled receives: the sink kept up.
-        assert_eq!(sim.fabric().rnic(1).stats().recv_autofills, 0);
+        assert_eq!(sim.rnic(1).stats().recv_autofills, 0);
     }
 }

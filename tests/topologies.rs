@@ -92,9 +92,9 @@ fn deep_chain_delivers_bulk_traffic_without_loss() {
         gbps > 50.0,
         "bulk goodput across 4 switches {gbps:.1} Gbps too low"
     );
-    assert_eq!(sim.fabric().rnic(1).stats().recv_autofills, 0);
+    assert_eq!(sim.rnic(1).stats().recv_autofills, 0);
     // Every switch forwarded every packet exactly once (no loss, no dup).
-    let fwd0 = sim.fabric().switch(0).stats().forwarded_packets;
-    let fwd3 = sim.fabric().switch(3).stats().forwarded_packets;
+    let fwd0 = sim.switch(0).stats().forwarded_packets;
+    let fwd3 = sim.switch(3).stats().forwarded_packets;
     assert_eq!(fwd0, fwd3, "hop counts must agree along the chain");
 }
