@@ -14,7 +14,7 @@ lint:
 	$(CARGO) clippy --workspace --all-targets -- -D warnings
 
 # Workspace invariant linter (rperf-lint, DESIGN.md §5): token rules
-# D1-D10 plus the interprocedural rules I1-I4 over the workspace call
+# D1-D4, D6-D10 plus the interprocedural rules I1-I4 over the workspace call
 # graph, configured by the checked-in lint.toml. --ci additionally
 # writes LINT_report.json (machine-readable diagnostics) for the CI
 # artifact next to BENCH_report.json.

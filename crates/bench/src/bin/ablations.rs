@@ -2,21 +2,31 @@
 //!
 //! Each ablation switches one modelled mechanism off (or sweeps it) and
 //! shows which published observation disappears — evidence that the model
-//! attributes effects to the right causes.
+//! attributes effects to the right causes. Ablations 1–3 run the paper's
+//! spec tables on a mutated hardware configuration; ablation 4 sweeps one
+//! node's WQE-engine speed, which the scenario IR does not express, so it
+//! builds its fabric by hand.
 //!
 //! Usage: `cargo run --release -p rperf-bench --bin ablations [--quick]`
 
 #![forbid(unsafe_code)]
 
-use rperf::scenario::{converged, one_to_one_rperf, QosMode, RunSpec};
+use rperf::scenario::{converged_outcome, specs};
+use rperf::{execute_with_config, QosMode, ScenarioOutcome, ScenarioSpec};
 use rperf_bench::Effort;
 use rperf_model::ClusterConfig;
 use rperf_sim::SimDuration;
 
-fn spec(effort: &Effort, cfg: ClusterConfig, base_ms: f64, seed: u64) -> RunSpec {
-    RunSpec::new(cfg)
-        .with_seed(seed)
-        .with_duration(effort.window(base_ms))
+/// Runs `table` on `cfg` with seed 1, over a `base_ms` window scaled by
+/// the effort.
+fn run(effort: &Effort, table: ScenarioSpec, cfg: ClusterConfig, base_ms: f64) -> ScenarioOutcome {
+    execute_with_config(&table.with_duration(effort.window(base_ms)), cfg, 1)
+}
+
+/// `n_bsgs` shared-SL 4096 B BSGs into one destination, with or
+/// without the LSG.
+fn shared(n_bsgs: usize, with_lsg: bool) -> ScenarioSpec {
+    specs::converged(n_bsgs, 4096, 1, with_lsg, QosMode::SharedSl)
 }
 
 fn main() {
@@ -30,13 +40,17 @@ fn main() {
         let with = ClusterConfig::hardware();
         let mut without = ClusterConfig::hardware();
         without.switch.jitter = None;
-        let r_with = one_to_one_rperf(&spec(&effort, with, 8.0, 1), true, 64);
-        let r_without = one_to_one_rperf(&spec(&effort, without, 8.0, 1), true, 64);
+        let rtt = |cfg| {
+            run(&effort, specs::one_to_one_rperf(true, 64), cfg, 8.0)
+                .rperf(0)
+                .expect("rperf on node 0")
+                .summary
+        };
+        let (s_with, s_without) = (rtt(with), rtt(without));
         println!("## Switch µarch jitter (zero-load tail)\n");
         println!("| jitter | p50 (ns) | p99.9 (ns) | tail − median |");
         println!("|---|---|---|---|");
-        for (name, r) in [("on", &r_with), ("off", &r_without)] {
-            let s = &r.summary;
+        for (name, s) in [("on", &s_with), ("off", &s_without)] {
             println!(
                 "| {name} | {:.0} | {:.0} | {:.0} |",
                 s.p50_ns(),
@@ -57,22 +71,8 @@ fn main() {
         for scan_ns in [0u64, 10, 20] {
             let mut cfg = ClusterConfig::hardware();
             cfg.switch.arb_scan_per_port = SimDuration::from_ns(scan_ns);
-            let one = converged(
-                &spec(&effort, cfg.clone(), 20.0, 1),
-                1,
-                4096,
-                1,
-                false,
-                QosMode::SharedSl,
-            );
-            let five = converged(
-                &spec(&effort, cfg, 20.0, 1),
-                5,
-                4096,
-                1,
-                false,
-                QosMode::SharedSl,
-            );
+            let one = converged_outcome(&run(&effort, shared(1, false), cfg.clone(), 20.0));
+            let five = converged_outcome(&run(&effort, shared(5, false), cfg, 20.0));
             println!(
                 "| {scan_ns} ns | {:.1} | {:.1} | {:.1} |",
                 one.total_gbps,
@@ -93,14 +93,7 @@ fn main() {
             let mut cfg = ClusterConfig::hardware();
             cfg.switch.input_buffer_bytes = kib * 1024;
             let rate = cfg.link.data_rate();
-            let out = converged(
-                &spec(&effort, cfg, 30.0, 1),
-                5,
-                4096,
-                1,
-                true,
-                QosMode::SharedSl,
-            );
+            let out = converged_outcome(&run(&effort, shared(5, true), cfg, 30.0));
             let w = rperf_model::analytic::fcfs_waiting_time(5, kib * 1024, rate);
             println!(
                 "| {kib} KiB | {:.1} | {:.1} |",

@@ -6,21 +6,49 @@
 //! paper's switch offers only FCFS and RR; `SchedPolicy::FairShare`
 //! implements the sketched policy as byte-deficit fairness across ingress
 //! ports. This binary reruns Figs. 10 and 11 with all three policies.
+//! Every experiment is a spec table run on the OMNeT profile.
 //!
 //! Usage: `cargo run --release -p rperf-bench --bin extensions [--quick]`
 
 #![forbid(unsafe_code)]
 
-use rperf::scenario::{chain_latency, converged, multihop, QosMode, RunSpec};
+use rperf::scenario::{converged_outcome, specs};
+use rperf::{execute, DeviceProfile, QosMode, Role, ScenarioOutcome, ScenarioSpec, SlSpec};
 use rperf_bench::Effort;
+use rperf_fabric::Topology;
 use rperf_model::config::SchedPolicy;
-use rperf_model::ClusterConfig;
 
 const POLICIES: [(&str, SchedPolicy); 3] = [
     ("FCFS", SchedPolicy::Fcfs),
     ("RR", SchedPolicy::RoundRobin),
     ("FairShare", SchedPolicy::FairShare),
 ];
+
+/// Runs `table` on the OMNeT profile with `seed`, over a `base_ms`
+/// window scaled by the effort.
+fn run(effort: &Effort, table: ScenarioSpec, base_ms: f64, seed: u64) -> ScenarioOutcome {
+    let spec = table
+        .with_profile(DeviceProfile::OmnetSimulator)
+        .with_duration(effort.window(base_ms));
+    execute(&spec, seed)
+}
+
+/// Asymmetric bulk demand on one switch: two 4096 B flows (nodes 0, 1)
+/// and one 512 B flow batched by 8 (node 2) into node 3.
+fn asymmetric_bulk() -> ScenarioSpec {
+    let bsg = |payload, batch| Role::Bsg {
+        target: 3,
+        payload,
+        window: 128,
+        batch,
+        sl: SlSpec::Auto,
+    };
+    ScenarioSpec::new("asymmetric-bulk", Topology::SingleSwitch { hosts: 4 })
+        .with_role(0, bsg(4096, 1))
+        .with_role(1, bsg(4096, 1))
+        .with_role(2, bsg(512, 8))
+        .with_role(3, Role::Sink)
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -35,10 +63,9 @@ fn main() {
         let mut row = format!("| {n} |");
         for (_, policy) in POLICIES {
             let p50 = effort.average(|seed| {
-                let spec = RunSpec::new(ClusterConfig::omnet_simulator().with_policy(policy))
-                    .with_seed(seed)
-                    .with_duration(effort.window(30.0));
-                converged(&spec, n, 4096, 1, true, QosMode::SharedSl)
+                let table =
+                    specs::converged(n, 4096, 1, true, QosMode::SharedSl).with_policy(policy);
+                converged_outcome(&run(&effort, table, 30.0, seed))
                     .lsg
                     .expect("LSG present")
                     .summary
@@ -62,10 +89,8 @@ fn main() {
         let mut p50_sum = 0.0;
         let mut p999_sum = 0.0;
         for &seed in &effort.seeds {
-            let spec = RunSpec::new(ClusterConfig::omnet_simulator())
-                .with_seed(seed)
-                .with_duration(effort.window(30.0));
-            let lsg = multihop(&spec, policy).lsg.expect("LSG present").summary;
+            let out = converged_outcome(&run(&effort, specs::multihop(policy), 30.0, seed));
+            let lsg = out.lsg.expect("LSG present").summary;
             p50_sum += lsg.p50_us();
             p999_sum += lsg.p999_us();
         }
@@ -87,36 +112,10 @@ fn main() {
     println!("| policy | 4096 B flow | 4096 B flow | 512 B flow |");
     println!("|---|---|---|---|");
     for (name, policy) in POLICIES {
-        let spec = RunSpec::new(ClusterConfig::omnet_simulator().with_policy(policy))
-            .with_seed(effort.seeds[0])
-            .with_duration(effort.window(30.0));
-        // Build manually: nodes 0,1 big flows; node 2 small flow; dest 3.
-        use rperf_fabric::{Fabric, Sim};
-        use rperf_sim::SimTime;
-        use rperf_workloads::{Bsg, BsgConfig, Sink};
-        let mut sim = Sim::new(Fabric::single_switch(spec.cfg.clone(), 4, spec.seed));
-        sim.add_app(
-            0,
-            Box::new(Bsg::new(BsgConfig::new(3, 4096).with_warmup(spec.warmup))),
-        );
-        sim.add_app(
-            1,
-            Box::new(Bsg::new(BsgConfig::new(3, 4096).with_warmup(spec.warmup))),
-        );
-        sim.add_app(
-            2,
-            Box::new(Bsg::new(
-                BsgConfig::new(3, 512)
-                    .with_batch(8)
-                    .with_warmup(spec.warmup),
-            )),
-        );
-        sim.add_app(3, Box::new(Sink::new()));
-        sim.start();
-        let end = SimTime::ZERO + spec.warmup + spec.duration;
-        sim.run_until(end);
+        let table = asymmetric_bulk().with_policy(policy);
+        let out = run(&effort, table, 30.0, effort.seeds[0]);
         let g: Vec<f64> = (0..3)
-            .map(|n| sim.app_as::<Bsg>(n).gbps_until(end.as_ps()))
+            .map(|n| out.gbps(n).expect("bsg on nodes 0-2"))
             .collect();
         println!("| {name} | {:.1} | {:.1} | {:.1} |", g[0], g[1], g[2]);
     }
@@ -130,18 +129,16 @@ fn main() {
     println!("| switches in path | zero-load p50 (µs) | p50 with 3 tail BSGs (µs) |");
     println!("|---|---|---|");
     for n_switches in 1..=4usize {
-        let quiet = effort.average(|seed| {
-            let spec = RunSpec::new(ClusterConfig::omnet_simulator())
-                .with_seed(seed)
-                .with_duration(effort.window(10.0));
-            chain_latency(&spec, n_switches, 0).summary.p50_us()
-        });
-        let loaded = effort.average(|seed| {
-            let spec = RunSpec::new(ClusterConfig::omnet_simulator())
-                .with_seed(seed)
-                .with_duration(effort.window(20.0));
-            chain_latency(&spec, n_switches, 3).summary.p50_us()
-        });
+        let chain_p50 = |bsgs_at_tail, base_ms, seed| {
+            let table = specs::chain_latency(n_switches, bsgs_at_tail);
+            run(&effort, table, base_ms, seed)
+                .rperf(0)
+                .expect("rperf on node 0")
+                .summary
+                .p50_us()
+        };
+        let quiet = effort.average(|seed| chain_p50(0, 10.0, seed));
+        let loaded = effort.average(|seed| chain_p50(3, 20.0, seed));
         println!("| {n_switches} | {quiet:.2} | {loaded:.2} |");
     }
     println!();

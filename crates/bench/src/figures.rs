@@ -10,8 +10,8 @@
 //! to a serial run for any worker count. All execution goes through the
 //! one generic [`execute`] path; nothing here hand-builds a fabric.
 
-use rperf::scenario::{converged_outcome, specs, QosMode};
-use rperf::{execute, DeviceProfile, ScenarioOutcome, ScenarioSpec};
+use rperf::scenario::{converged_outcome, specs};
+use rperf::{execute, DeviceProfile, QosMode, ScenarioOutcome, ScenarioSpec};
 use rperf_model::config::SchedPolicy;
 use rperf_stats::{Figure, Series};
 

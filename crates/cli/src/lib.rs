@@ -27,12 +27,9 @@
 
 use std::fmt;
 
-use rperf::scenario::{
-    chain_latency, converged, multihop, one_to_one_bandwidth, one_to_one_perftest,
-    one_to_one_qperf, one_to_one_rperf, QosMode, RunSpec,
-};
+use rperf::scenario::{converged_outcome, specs};
+use rperf::{DeviceProfile, QosMode, ScenarioOutcome, ScenarioSpec};
 use rperf_model::config::SchedPolicy;
-use rperf_model::ClusterConfig;
 use rperf_sim::SimDuration;
 
 /// Which measurement tool `lat` should model.
@@ -46,15 +43,6 @@ pub enum Tool {
     Qperf,
 }
 
-/// Which device profile to simulate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Profile {
-    /// The calibrated hardware testbed.
-    Hardware,
-    /// The paper's OMNeT simulator profile.
-    Omnet,
-}
-
 /// A fully parsed command.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
@@ -62,7 +50,7 @@ pub enum Command {
     Lat {
         /// Probe payload bytes.
         payload: u64,
-        /// Skip the switch (back-to-back cabling).
+        /// Skip the switch (back-to-back cabling); RPerf only.
         no_switch: bool,
         /// The tool model to run.
         tool: Tool,
@@ -91,10 +79,9 @@ pub enum Command {
         /// Common options.
         common: Common,
     },
-    /// The paper's two-switch multi-hop scenario.
+    /// The paper's two-switch multi-hop scenario, `--policy` on both
+    /// switches.
     Multihop {
-        /// Scheduling policy on both switches.
-        policy: SchedPolicy,
         /// Common options.
         common: Common,
     },
@@ -176,7 +163,7 @@ pub struct Common {
     /// Experiment seed.
     pub seed: u64,
     /// Device profile.
-    pub profile: Profile,
+    pub profile: DeviceProfile,
     /// Scheduling policy (where applicable).
     pub policy: SchedPolicy,
     /// Worker threads for sweeps (`--jobs`; 0 = available parallelism).
@@ -190,7 +177,7 @@ impl Default for Common {
         Common {
             duration_ms: 5.0,
             seed: 1,
-            profile: Profile::Hardware,
+            profile: DeviceProfile::Hardware,
             policy: SchedPolicy::Fcfs,
             jobs: 0,
         }
@@ -279,6 +266,7 @@ USAGE:
 
 COMMANDS:
     lat        one-to-one RTT          [--payload N] [--no-switch] [--tool rperf|perftest|qperf]
+                                       (--no-switch needs --tool rperf)
     bw         one-to-one goodput      [--payload N] [--no-switch]
     converged  many-to-one mix         [--bsgs N] [--payload N] [--batch N]
                                        [--qos shared|dedicated|gamed]
@@ -444,7 +432,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
     let mut payload: Option<u64> = None;
     let mut no_switch = false;
     let mut tool = Tool::RPerf;
-    let mut bsgs = 5usize;
+    let mut bsgs: Option<usize> = None;
     let mut batch = 1usize;
     let mut qos = QosMode::SharedSl;
     let mut switches = 2usize;
@@ -479,7 +467,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 i += 2;
             }
             "--bsgs" => {
-                bsgs = parse_u64(flag, value)? as usize;
+                bsgs = Some(parse_u64(flag, value)? as usize);
                 i += 2;
             }
             "--batch" => {
@@ -533,8 +521,8 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             }
             "--profile" => {
                 common.profile = match value.map(String::as_str) {
-                    Some("hw") | Some("hardware") => Profile::Hardware,
-                    Some("omnet") | Some("sim") => Profile::Omnet,
+                    Some("hw") | Some("hardware") => DeviceProfile::Hardware,
+                    Some("omnet") | Some("sim") => DeviceProfile::OmnetSimulator,
                     other => {
                         return Err(ParseError(format!(
                             "--profile: expected hw|omnet, got {other:?}"
@@ -560,9 +548,16 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
         }
     }
 
+    if cmd == "lat" && no_switch && tool != Tool::RPerf {
+        let model = format!("{tool:?}").to_lowercase();
+        return Err(ParseError(format!(
+            "--no-switch is not supported for the {model} model"
+        )));
+    }
     Ok(match cmd.as_str() {
         // Probe-style commands default to the paper's 64 B probes; bulk
-        // commands default to its 4096 B messages.
+        // commands default to its 4096 B messages. `converged` defaults
+        // to the paper's five BSGs, `chain` to an idle tail.
         "lat" => Command::Lat {
             payload: payload.unwrap_or(64),
             no_switch,
@@ -575,19 +570,16 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             common,
         },
         "converged" => Command::Converged {
-            bsgs,
+            bsgs: bsgs.unwrap_or(5),
             payload: payload.unwrap_or(4096),
             batch,
             qos,
             common,
         },
-        "multihop" => Command::Multihop {
-            policy: common.policy,
-            common,
-        },
+        "multihop" => Command::Multihop { common },
         "chain" => Command::Chain {
             switches,
-            bsgs: if bsgs == 5 { 0 } else { bsgs },
+            bsgs: bsgs.unwrap_or(0),
             common,
         },
         "sweep" => Command::Sweep {
@@ -601,15 +593,18 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
     })
 }
 
-fn spec_of(common: &Common) -> RunSpec {
-    let cfg = match common.profile {
-        Profile::Hardware => ClusterConfig::hardware(),
-        Profile::Omnet => ClusterConfig::omnet_simulator(),
-    }
-    .with_policy(common.policy);
-    RunSpec::new(cfg)
-        .with_seed(common.seed)
-        .with_duration(SimDuration::from_secs_f64(common.duration_ms * 1e-3))
+/// Runs a scenario table under the command's profile, policy and
+/// measurement window with `seed`. The spec is validated first, as
+/// `scenario` validates a file, so flags that describe an impossible
+/// setup end in `Runtime` (exit 4) rather than a panic.
+fn run_table(table: ScenarioSpec, common: &Common, seed: u64) -> Result<ScenarioOutcome, CliError> {
+    let spec = table
+        .with_profile(common.profile)
+        .with_policy(common.policy)
+        .with_duration(SimDuration::from_secs_f64(common.duration_ms * 1e-3));
+    spec.validate()
+        .map_err(|e| CliError::Runtime(format!("{}: {e}", spec.name)))?;
+    Ok(rperf::execute(&spec, seed))
 }
 
 /// Loads, validates and executes a scenario-spec file.
@@ -750,12 +745,14 @@ fn render_outcome(out: &rperf::ScenarioOutcome) -> String {
 ///
 /// # Errors
 ///
-/// Only the file- and network-backed commands can fail: `scenario`
-/// (unreadable file → `Io`, syntax error with line number → `Spec`,
-/// failed validation → `Runtime`), `submit` and `serve-stats` (the same
-/// classes, with transport failures as `Io`).
+/// `scenario` fails with `Io` on an unreadable file, `Spec` on a syntax
+/// error (with its line number) and `Runtime` on failed validation;
+/// `submit` and `serve-stats` use the same classes, with transport
+/// failures as `Io`. The table-driven commands fail with `Runtime` when
+/// their flags describe a spec that does not validate.
 pub fn run(cmd: &Command) -> Result<String, CliError> {
     match cmd {
+        Command::Help => Ok(USAGE.to_string()),
         Command::Scenario {
             file,
             seed,
@@ -771,93 +768,61 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
             timeout_ms,
         } => run_submit(file, *seed, addr, *attempts, *timeout_ms),
         Command::ServeStats { addr, shutdown } => run_serve_stats(addr, *shutdown),
-        other => Ok(execute(other)),
-    }
-}
-
-/// Executes a parsed command and returns the text to print (scenario
-/// failures are folded into the returned text; [`run`] keeps them as
-/// `Err` for exit codes).
-pub fn execute(cmd: &Command) -> String {
-    match cmd {
-        Command::Help => USAGE.to_string(),
-        Command::Scenario {
-            file,
-            seed,
-            json,
-            shards,
-            dump_routes,
-        } => run_scenario(file, *seed, *json, *shards, *dump_routes)
-            .unwrap_or_else(|e| format!("error: {e}")),
-        Command::Submit {
-            file,
-            seed,
-            addr,
-            attempts,
-            timeout_ms,
-        } => run_submit(file, *seed, addr, *attempts, *timeout_ms)
-            .unwrap_or_else(|e| format!("error: {e}")),
-        Command::ServeStats { addr, shutdown } => {
-            run_serve_stats(addr, *shutdown).unwrap_or_else(|e| format!("error: {e}"))
-        }
         Command::Lat {
             payload,
             no_switch,
             tool,
             common,
-        } => {
-            let spec = spec_of(common);
-            match tool {
-                Tool::RPerf => {
-                    let r = one_to_one_rperf(&spec, !no_switch, *payload);
-                    format!(
-                        "rperf  payload={payload}B  switch={}\n\
-                         iterations: {}\n\
-                         RTT p50 {:.3} us | p99 {:.3} us | p99.9 {:.3} us | max {:.3} us",
-                        !no_switch,
-                        r.iterations,
-                        r.summary.p50_us(),
-                        r.summary.p99_ps as f64 / 1e6,
-                        r.summary.p999_us(),
-                        r.summary.max_ps as f64 / 1e6,
-                    )
-                }
-                Tool::Perftest => {
-                    if *no_switch {
-                        return "--no-switch is not supported for the perftest model".into();
-                    }
-                    let s = one_to_one_perftest(&spec, *payload);
-                    format!(
-                        "perftest  payload={payload}B\n\
-                         RTT p50 {:.3} us | p99.9 {:.3} us  (includes end-point overheads)",
-                        s.p50_us(),
-                        s.p999_us(),
-                    )
-                }
-                Tool::Qperf => {
-                    if *no_switch {
-                        return "--no-switch is not supported for the qperf model".into();
-                    }
-                    let r = one_to_one_qperf(&spec, *payload);
-                    format!(
-                        "qperf  payload={payload}B\n\
-                         latency {:.2} us  (average only; the real tool reports no tail)",
-                        r.avg_us,
-                    )
-                }
+        } => Ok(match tool {
+            Tool::RPerf => {
+                let table = specs::one_to_one_rperf(!no_switch, *payload);
+                let out = run_table(table, common, common.seed)?;
+                let r = out.rperf(0).expect("rperf role on node 0");
+                format!(
+                    "rperf  payload={payload}B  switch={}\n\
+                     iterations: {}\n\
+                     RTT p50 {:.3} us | p99 {:.3} us | p99.9 {:.3} us | max {:.3} us",
+                    !no_switch,
+                    r.iterations,
+                    r.summary.p50_us(),
+                    r.summary.p99_ps as f64 / 1e6,
+                    r.summary.p999_us(),
+                    r.summary.max_ps as f64 / 1e6,
+                )
             }
-        }
+            Tool::Perftest => {
+                let out = run_table(specs::one_to_one_perftest(*payload), common, common.seed)?;
+                let s = out.latency(0).expect("perftest client on node 0");
+                format!(
+                    "perftest  payload={payload}B\n\
+                     RTT p50 {:.3} us | p99.9 {:.3} us  (includes end-point overheads)",
+                    s.p50_us(),
+                    s.p999_us(),
+                )
+            }
+            Tool::Qperf => {
+                let out = run_table(specs::one_to_one_qperf(*payload), common, common.seed)?;
+                let r = out.qperf(0).expect("qperf client on node 0");
+                format!(
+                    "qperf  payload={payload}B\n\
+                     latency {:.2} us  (average only; the real tool reports no tail)",
+                    r.avg_us,
+                )
+            }
+        }),
         Command::Bw {
             payload,
             no_switch,
             common,
         } => {
-            let spec = spec_of(common);
-            let gbps = one_to_one_bandwidth(&spec, !no_switch, *payload);
-            format!(
+            let table = specs::one_to_one_bandwidth(!no_switch, *payload);
+            let gbps = run_table(table, common, common.seed)?
+                .gbps(0)
+                .expect("bsg role on node 0");
+            Ok(format!(
                 "bw  payload={payload}B  switch={}\ngoodput {gbps:.2} Gbps",
                 !no_switch
-            )
+            ))
         }
         Command::Converged {
             bsgs,
@@ -866,13 +831,14 @@ pub fn execute(cmd: &Command) -> String {
             qos,
             common,
         } => {
-            let spec = spec_of(common);
+            // In a gamed run the pretend LSG is one of the `bsgs` senders.
             let honest = if *qos == QosMode::DedicatedSlWithPretend {
                 bsgs.saturating_sub(1)
             } else {
                 *bsgs
             };
-            let out = converged(&spec, honest, *payload, *batch, true, *qos);
+            let table = specs::converged(honest, *payload, *batch, true, *qos);
+            let out = converged_outcome(&run_table(table, common, common.seed)?);
             let lsg = out.lsg.expect("LSG attached");
             let mut text = format!(
                 "converged  bsgs={bsgs}  payload={payload}B  qos={qos:?}\n\
@@ -885,35 +851,35 @@ pub fn execute(cmd: &Command) -> String {
             if let Some(p) = out.pretend_gbps {
                 text.push_str(&format!("\npretend LSG goodput {p:.1} Gbps"));
             }
-            text
+            Ok(text)
         }
-        Command::Multihop { policy, common } => {
-            let spec = spec_of(common);
-            let out = multihop(&spec, *policy);
+        Command::Multihop { common } => {
+            let policy = common.policy;
+            let out = converged_outcome(&run_table(specs::multihop(policy), common, common.seed)?);
             let lsg = out.lsg.expect("LSG attached");
-            format!(
+            Ok(format!(
                 "multihop  policy={policy:?}\n\
                  LSG RTT p50 {:.2} us | p99.9 {:.2} us\n\
                  total bulk goodput {:.1} Gbps",
                 lsg.summary.p50_us(),
                 lsg.summary.p999_us(),
                 out.total_gbps,
-            )
+            ))
         }
         Command::Chain {
             switches,
             bsgs,
             common,
         } => {
-            let spec = spec_of(common);
-            let r = chain_latency(&spec, *switches, *bsgs);
-            format!(
+            let out = run_table(specs::chain_latency(*switches, *bsgs), common, common.seed)?;
+            let r = out.rperf(0).expect("rperf role on node 0");
+            Ok(format!(
                 "chain  switches={switches}  tail bsgs={bsgs}\n\
                  LSG RTT p50 {:.2} us | p99.9 {:.2} us over {} probes",
                 r.summary.p50_us(),
                 r.summary.p999_us(),
                 r.iterations,
-            )
+            ))
         }
         Command::Sweep {
             what,
@@ -928,17 +894,22 @@ pub fn execute(cmd: &Command) -> String {
                 .collect();
             let runner = rperf_runner::Sweep::new(common.effective_jobs());
             let per_pair = runner.run(pairs, |_, (payload, seed)| {
-                let spec = spec_of(&Common {
-                    seed,
-                    ..common.clone()
-                });
-                match what {
-                    SweepWhat::Lat => one_to_one_rperf(&spec, !no_switch, payload)
-                        .summary
-                        .p50_us(),
-                    SweepWhat::Bw => one_to_one_bandwidth(&spec, !no_switch, payload),
-                }
+                Ok(match what {
+                    SweepWhat::Lat => {
+                        let table = specs::one_to_one_rperf(!no_switch, payload);
+                        let out = run_table(table, common, seed)?;
+                        out.rperf(0).expect("rperf role on node 0").summary.p50_us()
+                    }
+                    SweepWhat::Bw => {
+                        let table = specs::one_to_one_bandwidth(!no_switch, payload);
+                        let out = run_table(table, common, seed)?;
+                        out.gbps(0).expect("bsg role on node 0")
+                    }
+                })
             });
+            let per_pair = per_pair
+                .into_iter()
+                .collect::<Result<Vec<f64>, CliError>>()?;
             let (label, unit) = match what {
                 SweepWhat::Lat => ("RTT p50", "us"),
                 SweepWhat::Bw => ("goodput", "Gbps"),
@@ -955,7 +926,7 @@ pub fn execute(cmd: &Command) -> String {
                 let avg = chunk.iter().sum::<f64>() / k as f64;
                 text.push_str(&format!("\n| {payload} | {avg:.3} |"));
             }
-            text
+            Ok(text)
         }
     }
 }
@@ -999,6 +970,20 @@ mod tests {
     }
 
     #[test]
+    fn chain_bsgs_flag_is_respected_even_at_5() {
+        // Regression: `--bsgs 5` equalled `converged`'s default and was
+        // silently replaced by the idle-tail default.
+        for (cmd, expected) in [("chain --bsgs 5", 5), ("chain", 0), ("converged", 5)] {
+            match parse(&args(cmd)).unwrap() {
+                Command::Chain { bsgs, .. } | Command::Converged { bsgs, .. } => {
+                    assert_eq!(bsgs, expected, "{cmd}")
+                }
+                other => panic!("wrong command {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn parses_all_flags() {
         let cmd = parse(&args(
             "converged --bsgs 4 --payload 2048 --batch 8 --qos gamed \
@@ -1019,7 +1004,7 @@ mod tests {
                 assert_eq!(qos, QosMode::DedicatedSlWithPretend);
                 assert_eq!(common.duration_ms, 2.0);
                 assert_eq!(common.seed, 9);
-                assert_eq!(common.profile, Profile::Omnet);
+                assert_eq!(common.profile, DeviceProfile::OmnetSimulator);
                 assert_eq!(common.policy, SchedPolicy::RoundRobin);
             }
             other => panic!("wrong command {other:?}"),
@@ -1040,20 +1025,20 @@ mod tests {
     fn empty_args_show_help() {
         assert_eq!(parse(&[]).unwrap(), Command::Help);
         assert_eq!(parse(&args("help")).unwrap(), Command::Help);
-        assert!(execute(&Command::Help).contains("USAGE"));
+        assert!(run(&Command::Help).unwrap().contains("USAGE"));
     }
 
     #[test]
     fn executes_a_quick_latency_run() {
         let cmd = parse(&args("lat --payload 64 --duration 1")).unwrap();
-        let out = execute(&cmd);
+        let out = run(&cmd).unwrap();
         assert!(out.contains("RTT p50"), "{out}");
     }
 
     #[test]
     fn executes_a_quick_bandwidth_run() {
         let cmd = parse(&args("bw --payload 4096 --duration 1 --no-switch")).unwrap();
-        let out = execute(&cmd);
+        let out = run(&cmd).unwrap();
         assert!(out.contains("goodput"), "{out}");
     }
 
@@ -1095,10 +1080,12 @@ mod tests {
 
     #[test]
     fn sweep_output_is_identical_for_any_job_count() {
-        let serial =
-            execute(&parse(&args("sweep --what bw --seeds 1 --duration 1 --jobs 1")).unwrap());
-        let parallel =
-            execute(&parse(&args("sweep --what bw --seeds 1 --duration 1 --jobs 4")).unwrap());
+        let sweep = |jobs: &str| {
+            let cmd = format!("sweep --what bw --seeds 1 --duration 1 --jobs {jobs}");
+            run(&parse(&args(&cmd)).unwrap()).unwrap()
+        };
+        let serial = sweep("1");
+        let parallel = sweep("4");
         // The job count is echoed in the header; everything below it must
         // match byte for byte.
         let body = |s: &str| s.split_once('\n').unwrap().1.to_string();
@@ -1108,8 +1095,32 @@ mod tests {
 
     #[test]
     fn perftest_refuses_no_switch() {
-        let cmd = parse(&args("lat --tool perftest --no-switch --duration 1")).unwrap();
-        assert!(execute(&cmd).contains("not supported"));
+        // A usage error (exit 1), not a refusal printed on stdout.
+        for tool in ["perftest", "qperf"] {
+            let cmd = format!("lat --tool {tool} --no-switch --duration 1");
+            let err = parse(&args(&cmd)).unwrap_err();
+            assert!(
+                err.0.contains(&format!("not supported for the {tool}")),
+                "{err}"
+            );
+        }
+        assert!(parse(&args("lat --tool rperf --no-switch")).is_ok());
+    }
+
+    #[test]
+    fn impossible_flags_are_typed_runtime_errors() {
+        // Specs that fail validation: more hosts than the 12-port switch
+        // has, a window past the simulated clock, an empty window.
+        for (cmd, expected) in [
+            ("converged --bsgs 100 --duration 1", "needs 102 ports"),
+            ("chain --bsgs 20 --duration 1", "needs 22 ports"),
+            ("lat --duration 1e30", "overflows the simulated clock"),
+            ("sweep --duration 0", "non-zero"),
+        ] {
+            let err = run(&parse(&args(cmd)).unwrap()).unwrap_err();
+            assert_eq!(err.exit_code(), 4, "{cmd}: {err}");
+            assert!(err.to_string().contains(expected), "{cmd}: {err}");
+        }
     }
 
     #[test]
@@ -1272,6 +1283,17 @@ mod tests {
         assert!(matches!(semantic, CliError::Runtime(_)), "{semantic:?}");
         assert_eq!(semantic.exit_code(), 4);
         assert!(semantic.to_string().contains("2 hosts"), "{semantic}");
+
+        // A window past the simulated clock: Runtime too, never a
+        // wrapped run that "ends" at the warm-up.
+        let endless = scratch_file(
+            "cli_endless.scn",
+            "duration_ms = 1e30\n[topology]\nkind = \"direct_pair\"\n\n\
+             [[role]]\nnode = 0\nkind = \"sink\"\n",
+        );
+        let overflow = run(&parse(&args(&format!("scenario {endless}"))).unwrap()).unwrap_err();
+        assert_eq!(overflow.exit_code(), 4, "{overflow}");
+        assert!(overflow.to_string().contains("overflows"), "{overflow}");
     }
 
     #[test]

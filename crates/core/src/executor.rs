@@ -338,11 +338,7 @@ impl std::fmt::Display for ExecInterrupt {
 /// Panics if the spec fails [`ScenarioSpec::validate`] — callers taking
 /// untrusted input (the CLI) validate first and report the error.
 pub fn execute(spec: &ScenarioSpec, seed: u64) -> ScenarioOutcome {
-    execute_with_config(
-        spec,
-        spec.profile.cluster_config().with_policy(spec.policy),
-        seed,
-    )
+    execute_with_config(spec, profile_config(spec), seed)
 }
 
 /// Runs a scenario under an [`ExecBudget`]; the profile/policy handling
@@ -360,17 +356,17 @@ pub fn execute_budgeted(
     seed: u64,
     budget: ExecBudget<'_>,
 ) -> Result<ScenarioOutcome, ExecInterrupt> {
-    execute_budgeted_with_config(
-        spec,
-        spec.profile.cluster_config().with_policy(spec.policy),
-        seed,
-        budget,
-    )
+    execute_budgeted_with_config(spec, profile_config(spec), seed, budget)
 }
 
-/// Runs a scenario against an explicit cluster configuration (ablations
-/// and extension studies mutate device parameters directly; the spec's
-/// `profile` and `policy` fields are ignored here).
+/// The configuration a spec's device profile and policy select.
+fn profile_config(spec: &ScenarioSpec) -> ClusterConfig {
+    spec.profile.cluster_config().with_policy(spec.policy)
+}
+
+/// Runs a scenario against an explicit cluster configuration (the
+/// ablations mutate device parameters directly; the spec's `profile` and
+/// `policy` fields are ignored here).
 ///
 /// The QoS mode still applies: a non-shared mode installs the dedicated
 /// SL1→VL1 tables on top of `cfg`, and every pretend-LSG node gets the
@@ -387,13 +383,13 @@ pub fn execute_with_config(spec: &ScenarioSpec, cfg: ClusterConfig, seed: u64) -
 }
 
 /// Runs a scenario against an explicit cluster configuration under an
-/// [`ExecBudget`]; see [`execute_with_config`] for the configuration
-/// semantics and [`execute_budgeted`] for the budget semantics.
+/// [`ExecBudget`]: the one body behind [`execute`], [`execute_budgeted`]
+/// and [`execute_with_config`].
 ///
 /// # Panics
 ///
 /// Panics if the spec fails [`ScenarioSpec::validate`].
-pub fn execute_budgeted_with_config(
+fn execute_budgeted_with_config(
     spec: &ScenarioSpec,
     cfg: ClusterConfig,
     seed: u64,
@@ -464,7 +460,7 @@ pub fn execute_budgeted_with_config(
 /// `--shards` — routing is computed by the deterministic subnet planner,
 /// never discovered at run time.
 pub fn dump_routes(spec: &ScenarioSpec, seed: u64) -> String {
-    let mut cfg = spec.profile.cluster_config().with_policy(spec.policy);
+    let mut cfg = profile_config(spec);
     if spec.qos != QosMode::SharedSl {
         cfg = cfg.with_dedicated_sl();
     }

@@ -29,8 +29,7 @@
 //! generic function turning a spec plus a seed into a
 //! [`executor::ScenarioOutcome`]. Specs also parse from a text format, so
 //! arbitrary experiments run from files without recompiling. The
-//! [`scenario`] module holds the paper's setups as spec tables plus thin
-//! wrappers keeping the historical function signatures.
+//! [`scenario`] module holds the paper's setups as spec tables.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,8 +42,8 @@ pub mod scenario;
 pub mod spec;
 
 pub use executor::{
-    dump_routes, execute, execute_budgeted, execute_budgeted_with_config, execute_with_config,
-    ExecBudget, ExecInterrupt, RoleReport, ScenarioOutcome,
+    dump_routes, execute, execute_budgeted, execute_with_config, ExecBudget, ExecInterrupt,
+    RoleReport, ScenarioOutcome,
 };
 pub use perftest::{PerftestClient, PerftestConfig, PingPongServer};
 pub use qperf::{QperfClient, QperfConfig, QperfReport};

@@ -1,73 +1,16 @@
 //! Every experimental setup in the paper's evaluation, as declarative
 //! scenario tables.
 //!
-//! Each setup is a [`ScenarioSpec`] built by the constant tables in
-//! [`specs`]; the wrappers in this module keep the historical function
-//! signatures (a [`RunSpec`] in, the figure's data points out) and route
-//! everything through the one generic executor
-//! ([`crate::executor::execute_with_config`]). The figure harness in
-//! `rperf-bench` sweeps parameters and averages over seeds (the paper
-//! averages three runs).
+//! Each setup is a [`ScenarioSpec`](crate::spec::ScenarioSpec) built by
+//! the constant tables in
+//! [`specs`]; callers pick the profile, policy, window and seed and run
+//! it through the one generic executor ([`crate::executor::execute`]).
+//! [`converged_outcome`] folds an outcome into the converged figures'
+//! shape. The figure harness in `rperf-bench` sweeps parameters and
+//! averages over seeds (the paper averages three runs).
 
-use rperf_model::config::SchedPolicy;
-use rperf_model::ClusterConfig;
-use rperf_sim::SimDuration;
-use rperf_stats::LatencySummary;
-
-use crate::executor::{execute_with_config, ScenarioOutcome};
-use crate::qperf::QperfReport;
+use crate::executor::ScenarioOutcome;
 use crate::rperf_app::RPerfReport;
-use crate::spec::ScenarioSpec;
-
-pub use crate::spec::QosMode;
-
-/// Shared run parameters.
-#[derive(Debug, Clone)]
-pub struct RunSpec {
-    /// Cluster configuration (device profile, policies, QoS tables).
-    pub cfg: ClusterConfig,
-    /// Warm-up horizon: samples and bandwidth before this are discarded.
-    pub warmup: SimDuration,
-    /// Measurement window after warm-up.
-    pub duration: SimDuration,
-    /// Experiment seed.
-    pub seed: u64,
-}
-
-impl RunSpec {
-    /// A spec with the given configuration and sensible defaults
-    /// (200 µs warm-up, 5 ms measurement).
-    pub fn new(cfg: ClusterConfig) -> Self {
-        RunSpec {
-            cfg,
-            warmup: SimDuration::from_us(200),
-            duration: SimDuration::from_ms(5),
-            seed: 1,
-        }
-    }
-
-    /// Sets the seed (builder style).
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the measurement window (builder style).
-    pub fn with_duration(mut self, duration: SimDuration) -> Self {
-        self.duration = duration;
-        self
-    }
-
-    /// Runs a scenario table under this run's configuration, window and
-    /// seed — the one execution path shared by every wrapper below.
-    fn run(&self, table: ScenarioSpec) -> ScenarioOutcome {
-        execute_with_config(
-            &table.with_window(self.warmup, self.duration),
-            self.cfg.clone(),
-            self.seed,
-        )
-    }
-}
 
 /// Outcome of a converged-traffic run.
 #[derive(Debug, Clone)]
@@ -391,116 +334,44 @@ pub mod specs {
     }
 }
 
-/// Fig. 4 data: the RTT measured by RPerf, one-to-one, with or without
-/// the switch.
-pub fn one_to_one_rperf(spec: &RunSpec, through_switch: bool, payload: u64) -> RPerfReport {
-    spec.run(specs::one_to_one_rperf(through_switch, payload))
-        .rperf(0)
-        .expect("rperf role on node 0")
-        .clone()
-}
-
-/// Fig. 5 data: one-to-one BSG goodput in Gbps, with or without the
-/// switch.
-pub fn one_to_one_bandwidth(spec: &RunSpec, through_switch: bool, payload: u64) -> f64 {
-    spec.run(specs::one_to_one_bandwidth(through_switch, payload))
-        .gbps(0)
-        .expect("bsg role on node 0")
-}
-
-/// Fig. 6 data (perftest side): end-to-end ping-pong RTT through the
-/// switch.
-pub fn one_to_one_perftest(spec: &RunSpec, payload: u64) -> LatencySummary {
-    *spec
-        .run(specs::one_to_one_perftest(payload))
-        .latency(0)
-        .expect("perftest client on node 0")
-}
-
-/// Fig. 6 data (qperf side): post-poll WRITE RTT through the switch.
-/// Returns what the tool reports (average only).
-pub fn one_to_one_qperf(spec: &RunSpec, payload: u64) -> QperfReport {
-    *spec
-        .run(specs::one_to_one_qperf(payload))
-        .qperf(0)
-        .expect("qperf client on node 0")
-}
-
-/// The converged many-to-one scenario of Sections VII and VIII (see
-/// [`specs::converged`] for the node layout).
-pub fn converged(
-    spec: &RunSpec,
-    n_bsgs: usize,
-    bsg_payload: u64,
-    bsg_batch: usize,
-    with_lsg: bool,
-    qos: QosMode,
-) -> ConvergedOutcome {
-    converged_outcome(&spec.run(specs::converged(
-        n_bsgs,
-        bsg_payload,
-        bsg_batch,
-        with_lsg,
-        qos,
-    )))
-}
-
-/// The multi-hop scenario of Fig. 11 (see [`specs::multihop`]).
-pub fn multihop(spec: &RunSpec, policy: SchedPolicy) -> ConvergedOutcome {
-    let out = execute_with_config(
-        &specs::multihop(policy).with_window(spec.warmup, spec.duration),
-        spec.cfg.clone().with_policy(policy),
-        spec.seed,
-    );
-    converged_outcome(&out)
-}
-
-/// Extension scenario: the LSG probes a destination across a *chain* of
-/// `n_switches` switches, with `bsgs_at_tail` bulk flows local to the
-/// destination switch (see [`specs::chain_latency`]).
-///
-/// With `bsgs_at_tail = 0` this measures how the zero-load RTT grows per
-/// hop (each switch adds its pipeline + arbitration latency twice per
-/// round trip); with bulk traffic it shows that congestion at the last
-/// hop dominates regardless of path length.
-pub fn chain_latency(spec: &RunSpec, n_switches: usize, bsgs_at_tail: usize) -> RPerfReport {
-    spec.run(specs::chain_latency(n_switches, bsgs_at_tail))
-        .rperf(0)
-        .expect("rperf role on node 0")
-        .clone()
-}
-
-/// Clos scale-out scenario: the victim's RPerf view at `hops` switch
-/// crossings of a 3-tier fat-tree under `n_bsgs` converging bulk flows
-/// (see [`specs::clos_victim`]).
-pub fn clos_victim(spec: &RunSpec, hops: u32, n_bsgs: usize) -> RPerfReport {
-    let table = specs::clos_victim(hops, n_bsgs);
-    let src = table
-        .roles
-        .iter()
-        .find(|r| matches!(r.role, crate::spec::Role::RPerf { .. }))
-        .expect("clos_victim always places an RPerf role")
-        .node;
-    spec.run(table)
-        .rperf(src)
-        .expect("rperf report on the victim node")
-        .clone()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::{execute, RoleReport};
+    use crate::spec::{DeviceProfile, QosMode, Role, ScenarioSpec};
+    use rperf_sim::SimDuration;
 
-    fn quick_spec(cfg: ClusterConfig) -> RunSpec {
-        RunSpec::new(cfg).with_duration(SimDuration::from_ms(2))
+    /// Runs `table` over a 2 ms window with seed 1.
+    fn quick(table: ScenarioSpec) -> ScenarioOutcome {
+        execute(&table.with_duration(SimDuration::from_ms(2)), 1)
+    }
+
+    fn converged(n_bsgs: usize, with_lsg: bool, qos: QosMode) -> ConvergedOutcome {
+        converged_outcome(&quick(specs::converged(n_bsgs, 4096, 1, with_lsg, qos)))
+    }
+
+    /// The node-0 probe's RPerf report across an OMNeT-profile chain.
+    fn chain(n_switches: usize, bsgs_at_tail: usize) -> RPerfReport {
+        let table = specs::chain_latency(n_switches, bsgs_at_tail)
+            .with_profile(DeviceProfile::OmnetSimulator);
+        quick(table).rperf(0).expect("rperf on node 0").clone()
+    }
+
+    /// The 5-hop victim's RPerf report (it probes from host 0, see
+    /// `clos_victim_places_roles_pod_aware`) from a 500 µs run, seed 3.
+    fn victim(n_bsgs: usize) -> RPerfReport {
+        let table = specs::clos_victim(5, n_bsgs).with_duration(SimDuration::from_us(500));
+        execute(&table, 3)
+            .rperf(0)
+            .expect("victim on host 0")
+            .clone()
     }
 
     #[test]
     fn converged_lsg_latency_grows_with_bsgs() {
-        let spec = quick_spec(ClusterConfig::hardware());
-        let zero = converged(&spec, 0, 4096, 1, true, QosMode::SharedSl);
-        let two = converged(&spec, 2, 4096, 1, true, QosMode::SharedSl);
-        let five = converged(&spec, 5, 4096, 1, true, QosMode::SharedSl);
+        let zero = converged(0, true, QosMode::SharedSl);
+        let two = converged(2, true, QosMode::SharedSl);
+        let five = converged(5, true, QosMode::SharedSl);
         let l0 = zero.lsg.unwrap().summary.p50_us();
         let l2 = two.lsg.unwrap().summary.p50_us();
         let l5 = five.lsg.unwrap().summary.p50_us();
@@ -514,8 +385,7 @@ mod tests {
 
     #[test]
     fn converged_bandwidth_is_shared_fairly() {
-        let spec = quick_spec(ClusterConfig::hardware());
-        let out = converged(&spec, 3, 4096, 1, false, QosMode::SharedSl);
+        let out = converged(3, false, QosMode::SharedSl);
         assert_eq!(out.per_bsg_gbps.len(), 3);
         let min = out.per_bsg_gbps.iter().cloned().fold(f64::MAX, f64::min);
         let max = out.per_bsg_gbps.iter().cloned().fold(0.0, f64::max);
@@ -529,9 +399,8 @@ mod tests {
 
     #[test]
     fn chain_latency_grows_per_hop() {
-        let spec = quick_spec(ClusterConfig::omnet_simulator());
-        let one = chain_latency(&spec, 1, 0).summary.p50_ns();
-        let three = chain_latency(&spec, 3, 0).summary.p50_ns();
+        let one = chain(1, 0).summary.p50_ns();
+        let three = chain(3, 0).summary.p50_ns();
         // Each extra switch adds its pipeline twice per RTT (~400 ns).
         let per_hop = (three - one) / 2.0;
         assert!(
@@ -542,9 +411,8 @@ mod tests {
 
     #[test]
     fn chain_congestion_dominates_path_length() {
-        let spec = quick_spec(ClusterConfig::omnet_simulator());
-        let short_loaded = chain_latency(&spec, 1, 3).summary.p50_us();
-        let long_loaded = chain_latency(&spec, 3, 3).summary.p50_us();
+        let short_loaded = chain(1, 3).summary.p50_us();
+        let long_loaded = chain(3, 3).summary.p50_us();
         // Both are dominated by the 3 tail BSGs' buffers, not the hops.
         assert!(short_loaded > 5.0);
         assert!(
@@ -555,9 +423,8 @@ mod tests {
 
     #[test]
     fn dedicated_sl_protects_the_lsg() {
-        let spec = quick_spec(ClusterConfig::hardware());
-        let shared = converged(&spec, 5, 4096, 1, true, QosMode::SharedSl);
-        let dedicated = converged(&spec, 5, 4096, 1, true, QosMode::DedicatedSl);
+        let shared = converged(5, true, QosMode::SharedSl);
+        let dedicated = converged(5, true, QosMode::DedicatedSl);
         let l_shared = shared.lsg.unwrap().summary.p50_us();
         let l_ded = dedicated.lsg.unwrap().summary.p50_us();
         assert!(
@@ -574,25 +441,6 @@ mod tests {
     }
 
     #[test]
-    fn wrappers_match_direct_execution() {
-        // The RunSpec wrappers and the raw executor must agree exactly.
-        let spec = RunSpec::new(ClusterConfig::hardware())
-            .with_duration(SimDuration::from_us(500))
-            .with_seed(11);
-        let wrapped = one_to_one_rperf(&spec, true, 256);
-        let direct = crate::executor::execute_with_config(
-            &specs::one_to_one_rperf(true, 256).with_window(spec.warmup, spec.duration),
-            spec.cfg.clone(),
-            spec.seed,
-        );
-        assert_eq!(
-            wrapped.summary.p999_ps,
-            direct.rperf(0).unwrap().summary.p999_ps
-        );
-        assert_eq!(wrapped.iterations, direct.rperf(0).unwrap().iterations);
-    }
-
-    #[test]
     fn clos_victim_places_roles_pod_aware() {
         // 1 hop: victim pair shares edge 0; 5 hops: crosses pods.
         for (hops, src, dst) in [(1, 0usize, 1usize), (3, 0, 2), (5, 0, 4)] {
@@ -603,17 +451,13 @@ mod tests {
             let rperf = table
                 .roles
                 .iter()
-                .find(
-                    |r| matches!(r.role, crate::spec::Role::RPerf { target, .. } if target == dst),
-                )
+                .find(|r| matches!(r.role, Role::RPerf { target, .. } if target == dst))
                 .unwrap_or_else(|| panic!("victim {src}->{dst} missing at {hops} hops"));
             assert_eq!(rperf.node, src);
             let bsgs = table
                 .roles
                 .iter()
-                .filter(
-                    |r| matches!(r.role, crate::spec::Role::Bsg { target, .. } if target == dst),
-                )
+                .filter(|r| matches!(r.role, Role::Bsg { target, .. } if target == dst))
                 .count();
             assert_eq!(bsgs, 4, "exactly n_bsgs bulk flows at {hops} hops");
         }
@@ -624,12 +468,9 @@ mod tests {
         // A short end-to-end run across the routed fat-tree: the victim
         // completes probes at every depth, and adding bulk flows at 5
         // hops cannot make it faster.
-        let spec = RunSpec::new(ClusterConfig::hardware())
-            .with_duration(SimDuration::from_us(500))
-            .with_seed(3);
-        let quiet = clos_victim(&spec, 5, 0);
+        let quiet = victim(0);
         assert!(quiet.iterations > 0, "victim must complete probes");
-        let loaded = clos_victim(&spec, 5, 4);
+        let loaded = victim(4);
         assert!(
             loaded.summary.p50_us() >= quiet.summary.p50_us(),
             "converging load cannot speed the victim up: {:.2} vs {:.2}",
@@ -648,14 +489,12 @@ mod tests {
         assert_eq!(table.topology.switches(), 20);
         assert_eq!(table.roles.len(), 10, "victim + 8 BSGs + sink");
         // A short run completes probes end to end across the spine.
-        let out = RunSpec::new(ClusterConfig::hardware())
-            .with_duration(SimDuration::from_us(300))
-            .run(table);
+        let out = execute(&table.with_duration(SimDuration::from_us(300)), 1);
         let victim = out
             .reports
             .iter()
             .find_map(|(n, r)| match r {
-                crate::executor::RoleReport::RPerf(rep) => Some((n, rep)),
+                RoleReport::RPerf(rep) => Some((n, rep)),
                 _ => None,
             })
             .expect("victim report");

@@ -32,7 +32,7 @@ use rperf_fabric::Topology;
 use rperf_model::config::SchedPolicy;
 use rperf_model::{ClusterConfig, ServiceLevel};
 use rperf_sim::SimDuration;
-use rperf_subnet::{FatTreeParams, TopologySpec};
+use rperf_subnet::{check, FatTreeParams, TopologySpec};
 
 /// QoS configuration of a scenario (Sections VII–VIII).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -300,9 +300,11 @@ impl ScenarioSpec {
     }
 
     /// Checks the spec is executable: a constructible fat tree, no more
-    /// hosts than unicast LIDs, at least one role, every node and every
-    /// target/peer inside the topology, no node claimed twice, and no
-    /// self-targeting flow.
+    /// hosts than unicast LIDs, any other switched topology cabled within
+    /// the profile's switch ports and connected, at least one role, a
+    /// non-empty run window that fits the simulated clock, every node and
+    /// every target/peer inside the topology, no node claimed twice, and
+    /// no self-targeting flow.
     ///
     /// # Errors
     ///
@@ -318,11 +320,32 @@ impl ScenarioSpec {
                 rperf_subnet::MAX_HOSTS
             ));
         }
+        // The builder's demands on all but a fat tree (whose builder raises
+        // the port budget to its radix), on the racks' `TopologySpec` forms.
+        let ports = || self.profile.cluster_config().switch.ports;
+        match &self.topology {
+            Topology::DirectPair | Topology::FatTree(_) => Ok(()),
+            Topology::SingleSwitch { hosts } => {
+                check(&TopologySpec::single_switch(*hosts), ports())
+            }
+            Topology::TwoSwitch {
+                upstream,
+                downstream,
+            } => check(&TopologySpec::chain(2, &[*upstream, *downstream]), ports()),
+            Topology::Spec(spec) => check(spec, ports()),
+        }
+        .map_err(|e| e.to_string())?;
         if self.roles.is_empty() {
             return Err("a scenario needs at least one role".into());
         }
         if self.duration == SimDuration::ZERO {
             return Err("the measurement window must be non-zero".into());
+        }
+        let (warmup, duration) = (self.warmup.as_ps(), self.duration.as_ps());
+        if warmup.checked_add(duration).is_none() {
+            return Err(format!(
+                "warm-up {warmup} ps + measurement window {duration} ps overflows the simulated clock"
+            ));
         }
         if self.shards == 0 || self.shards > 64 {
             return Err(format!("shards must be in 1..=64, got {}", self.shards));
@@ -1205,6 +1228,51 @@ kind = "sink"
             .validate()
             .unwrap_err();
         assert!(dup.contains("more than one role"), "{dup}");
+    }
+
+    #[test]
+    fn validate_rejects_topologies_the_builder_cannot_cable() {
+        // Each parses, and each would panic in the fabric builder on the
+        // profile's 12-port switches: too many ports on switch 0, a
+        // disconnected graph, a self-trunk, more switches than any trunk
+        // list could connect.
+        for topology in [
+            "single_switch\"\nhosts = 13",
+            "two_switch\"\nupstream = 12\ndownstream = 1",
+            "chain\"\nhosts_per_switch = [12, 1]",
+            "star\"\nleaves = 13\nhosts_per_leaf = 1",
+            "custom\"\nswitches = 3\nhost_attachments = [0, 2]\ntrunks = [[0, 1]]",
+            "custom\"\nswitches = 2\nhost_attachments = [0]\ntrunks = [[1, 1]]",
+            "custom\"\nswitches = 1000000000000000000\nhost_attachments = [0]",
+        ] {
+            let role = "[[role]]\nnode = 0\nkind = \"sink\"";
+            let text = format!("[topology]\nkind = \"{topology}\n{role}");
+            let spec = ScenarioSpec::parse(&text).unwrap();
+            assert!(spec.validate().is_err(), "{text}");
+        }
+        // A count too large to add is too many hosts, not a wrapped sum.
+        let two = Topology::TwoSwitch {
+            upstream: usize::MAX,
+            downstream: 2,
+        };
+        let msg = ScenarioSpec::new("t", two)
+            .with_role(0, Role::Sink)
+            .validate();
+        assert!(msg.unwrap_err().contains("unicast LIDs"));
+    }
+
+    #[test]
+    fn validate_rejects_windows_that_overflow_the_clock() {
+        let text = "duration_ms = 1e30\n[topology]\nkind = \"direct_pair\"\n\
+                    [[role]]\nnode = 0\nkind = \"sink\"";
+        let spec = ScenarioSpec::parse(text).unwrap();
+        let msg = spec.validate().unwrap_err();
+        assert!(msg.contains("overflows the simulated clock"), "{msg}");
+        // The largest window that fits is fine; one picosecond more is not.
+        let max = SimDuration::from_ps(u64::MAX - spec.warmup.as_ps());
+        spec.clone().with_duration(max).validate().unwrap();
+        let over = spec.with_duration(max + SimDuration::from_ps(1));
+        assert!(over.validate().is_err());
     }
 
     #[test]

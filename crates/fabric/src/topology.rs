@@ -49,10 +49,12 @@ impl Topology {
         match self {
             Topology::DirectPair => 2,
             Topology::SingleSwitch { hosts } => *hosts,
+            // Saturating: a spec may ask for any count, and validation
+            // must see it as too many rather than wrapped round.
             Topology::TwoSwitch {
                 upstream,
                 downstream,
-            } => upstream + downstream,
+            } => upstream.saturating_add(*downstream),
             Topology::Spec(spec) => spec.hosts(),
             Topology::FatTree(ft) => ft.hosts(),
         }

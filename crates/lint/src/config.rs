@@ -7,15 +7,15 @@
 //!
 //! ```text
 //! [[rule]]
-//! id = "D5"
+//! id = "D4"
 //! crates = ["sim", "switch"]
 //! # optional: files = ["event.rs"]     (restrict to path suffixes)
 //! # optional: hint = "override the built-in fix hint"
 //!
 //! [[allow]]
-//! rule = "D5"
+//! rule = "D4"
 //! path = "crates/switch/src/device.rs"
-//! contains = "no route for"            # optional: substring of the line
+//! contains = "as_f64"                  # optional: substring of the line
 //! justification = "mandatory free text explaining why this is sound"
 //! ```
 //!
@@ -34,7 +34,7 @@ use crate::rules;
 /// One enabled rule with its scope.
 #[derive(Debug, Clone)]
 pub struct RuleCfg {
-    /// Rule id, e.g. `D5`. Must be one of [`rules::KNOWN_IDS`].
+    /// Rule id, e.g. `D4`. Must be one of [`rules::KNOWN_IDS`].
     pub id: String,
     /// Crate keys (directory names under `crates/`, or `root`) the rule
     /// applies to.
@@ -219,7 +219,7 @@ mod tests {
         let cfg = Config::parse(
             r#"
 [[rule]]
-id = "D5"
+id = "D4"
 crates = ["sim", "switch"]
 
 [[rule]]
@@ -228,21 +228,21 @@ crates = ["sim"]
 hint = "no unsafe, ever"
 
 [[allow]]
-rule = "D5"
+rule = "D4"
 path = "crates/switch/src/device.rs"
-contains = "no route for"
-justification = "documented # Panics contract, covered by a should_panic test"
+contains = "as_f64"
+justification = "stats boundary: converts integer counters to floats after the run"
 "#,
         )
         .unwrap();
         assert_eq!(cfg.rules.len(), 2);
-        assert_eq!(cfg.rule("D5").unwrap().crates, vec!["sim", "switch"]);
+        assert_eq!(cfg.rule("D4").unwrap().crates, vec!["sim", "switch"]);
         assert_eq!(
             cfg.rule("D6").unwrap().hint.as_deref(),
             Some("no unsafe, ever")
         );
         assert_eq!(cfg.allows.len(), 1);
-        assert_eq!(cfg.allows[0].contains.as_deref(), Some("no route for"));
+        assert_eq!(cfg.allows[0].contains.as_deref(), Some("as_f64"));
     }
 
     #[test]
@@ -252,13 +252,13 @@ justification = "documented # Panics contract, covered by a should_panic test"
         assert!(e.msg.contains("D99"), "{e}");
 
         let e = Config::parse(
-            "[[rule]]\nid = \"D5\"\ncrates = [\"sim\"]\n\n[[allow]]\nrule = \"D5\"\npath = \"x.rs\"\njustification = \"\"\n",
+            "[[rule]]\nid = \"D4\"\ncrates = [\"sim\"]\n\n[[allow]]\nrule = \"D4\"\npath = \"x.rs\"\njustification = \"\"\n",
         )
         .unwrap_err();
         assert_eq!(e.line, 8, "{e}");
         assert!(e.msg.contains("justification"), "{e}");
 
-        let e = Config::parse("[[allow]]\nrule = \"D5\"\npath = \"x.rs\"\njustification = \"y\"\n")
+        let e = Config::parse("[[allow]]\nrule = \"D4\"\npath = \"x.rs\"\njustification = \"y\"\n")
             .unwrap_err();
         assert!(e.msg.contains("not enabled"), "{e}");
 

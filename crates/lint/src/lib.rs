@@ -338,7 +338,7 @@ mod tests {
     fn allows_filter_and_track_usage() {
         let cfg = Config {
             rules: vec![crate::config::RuleCfg {
-                id: "D5".into(),
+                id: "D1".into(),
                 crates: vec!["fixture".into()],
                 files: Vec::new(),
                 hint: None,
@@ -347,14 +347,14 @@ mod tests {
             }],
             allows: vec![
                 AllowEntry {
-                    rule: "D5".into(),
+                    rule: "D1".into(),
                     path: "x.rs".into(),
                     contains: Some("boom".into()),
                     justification: "test".into(),
                     line: 1,
                 },
                 AllowEntry {
-                    rule: "D5".into(),
+                    rule: "D1".into(),
                     path: "never.rs".into(),
                     contains: None,
                     justification: "test".into(),
@@ -367,7 +367,7 @@ mod tests {
             "fixture/src/x.rs",
             "fixture",
             false,
-            "fn f(v: Option<u32>) {\n    v.expect(\"boom\");\n    v.expect(\"other\");\n}",
+            "fn f() {\n    let boom: HashMap<u8, u8> = g();\n    let other: HashMap<u8, u8> = g();\n}",
             &cfg,
         );
         assert_eq!(diags.len(), 2);

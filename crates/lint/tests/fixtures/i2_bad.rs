@@ -1,5 +1,5 @@
 //! I2 bad: a panic three calls below `WorldState::handle_one` — the
-//! chain the per-crate D5 blanket cannot rank, flagged only because the
+//! chain a per-crate panic blanket cannot rank, flagged only because the
 //! hot loop can actually reach it.
 
 /// The simulated world: one event queue, one slab.
@@ -32,7 +32,7 @@ fn route(lid: u64) {
 }
 
 /// Unreachable from the entry: not flagged despite the unwrap — this is
-/// the precision D5 lacked.
+/// the precision a per-crate blanket lacks.
 pub fn offline_report(v: Option<u64>) -> u64 {
     v.unwrap()
 }

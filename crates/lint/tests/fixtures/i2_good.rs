@@ -34,7 +34,7 @@ fn route(lid: u64) -> bool {
 }
 
 /// Outside the hot loop, panicking on impossible states is fine (and is
-/// D5's business where enabled, not I2's).
+/// no concern of I2's).
 pub fn offline_report(v: Option<u64>) -> u64 {
     v.unwrap()
 }

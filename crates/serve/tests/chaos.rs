@@ -233,6 +233,37 @@ fn oversized_fat_tree_is_a_typed_parse_error() {
     assert_eq!(stat(&stats, "worker_panics"), 0);
 }
 
+/// Specs that parse but could not be built or clocked — a switch past
+/// its port budget, a disconnected or self-trunked graph, a run window
+/// past the simulated clock — are typed `INVALID_SPEC`s, refused before
+/// any worker builds a fabric.
+#[test]
+fn unbuildable_specs_are_typed_invalid_spec() {
+    let server = Server::start(ServeConfig::default()).expect("bind");
+    let addr = server.addr().to_string();
+    let cases = [
+        "[topology]\nkind = \"single_switch\"\nhosts = 13",
+        "[topology]\nkind = \"two_switch\"\nupstream = 12\ndownstream = 1",
+        "[topology]\nkind = \"chain\"\nhosts_per_switch = [12, 1]",
+        "[topology]\nkind = \"star\"\nleaves = 13\nhosts_per_leaf = 1",
+        "[topology]\nkind = \"custom\"\nswitches = 3\nhost_attachments = [0, 2]\ntrunks = [[0, 1]]",
+        "[topology]\nkind = \"custom\"\nswitches = 2\nhost_attachments = [0]\ntrunks = [[1, 1]]",
+        "[topology]\nkind = \"custom\"\nswitches = 1000000000000000000\nhost_attachments = [0]",
+        "duration_ms = 1e30\n[topology]\nkind = \"direct_pair\"",
+    ];
+    for head in cases {
+        let text = format!("{head}\n\n[[role]]\nnode = 0\nkind = \"sink\"\n");
+        match one_shot_client(&addr).submit(&text, 1) {
+            Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::InvalidSpec),
+            other => panic!("expected a typed INVALID_SPEC for\n{text}\ngot {other:?}"),
+        }
+    }
+
+    let stats = parse(&server.shutdown()).expect("final stats parse");
+    assert_eq!(stat(&stats, "invalid_specs"), cases.len() as u64);
+    assert_eq!(stat(&stats, "worker_panics"), 0);
+}
+
 /// Cache cold-vs-hit byte identity: the served response equals a local
 /// `rperf::execute` of the same (spec, seed) byte-for-byte, and the cached
 /// replay equals the cold response.

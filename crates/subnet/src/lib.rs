@@ -11,8 +11,9 @@
 //! * [`FatTreeParams`] — parameterized 2-tier leaf–spine and 3-tier
 //!   Clos / fat-tree generators (`k`, tier count, edge oversubscription)
 //!   producing plain [`TopologySpec`] graphs.
-//! * [`plan`] — validates the spec against the switch port budget,
-//!   assigns LIDs and ports, and computes shortest-path forwarding
+//! * [`check`] — the structural checks alone: LID range, dangling
+//!   references, self-trunks, the switch port budget and connectivity.
+//! * [`plan`] — runs [`check`], assigns LIDs and ports, and computes shortest-path forwarding
 //!   entries (one BFS per switch that hosts endpoints; equal-cost paths
 //!   are resolved per destination LID, deterministically and
 //!   hash-free).
@@ -41,5 +42,5 @@ mod spec;
 
 pub use error::SubnetError;
 pub use fattree::FatTreeParams;
-pub use planner::{plan, SubnetPlan, MAX_HOSTS};
+pub use planner::{check, plan, SubnetPlan, MAX_HOSTS};
 pub use spec::TopologySpec;

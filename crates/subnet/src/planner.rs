@@ -50,34 +50,26 @@ impl SubnetPlan {
     }
 }
 
-/// Validates `spec` against `ports_per_switch` and computes the plan:
-/// hosts take the low port numbers on their switch (in host order),
-/// trunks take the next ports (in trunk order); forwarding uses BFS
-/// shortest paths over the switch graph.
-///
-/// When several equal-cost shortest paths exist (Clos fabrics, parallel
-/// trunks), the egress port is chosen **per destination LID**: the
-/// candidate ports — neighbours exactly one hop closer to the
-/// destination switch, sorted by `(neighbour, port)` — are indexed by
-/// `lid mod candidates`. The selection is a pure function of the
-/// topology and the LID (no hashing, no iteration-order dependence), so
-/// repeated plans are byte-identical, and distinct destinations spread
-/// deterministically across the equal-cost fan — the ECMP-free
-/// destination-based routing of a statically routed IB subnet. A
-/// topology with unique shortest paths gets exactly the single
-/// candidate the BFS tree would have picked.
-///
-/// Only switches that host endpoints are forwarding destinations, so
-/// the cost is one BFS per such switch plus one write per forwarding
-/// entry: O(D·(S + T) + S·H) for D destination switches, S switches,
-/// T trunks and H hosts.
+/// Runs [`plan`]'s structural checks without computing routes: a
+/// topology that passes always plans on `ports_per_switch`-port switches.
 ///
 /// # Errors
 ///
-/// See [`SubnetError`] — more hosts than unicast LIDs, port budget,
-/// dangling references, self-trunks, disconnected fabrics and empty
-/// topologies are rejected.
-pub fn plan(spec: &TopologySpec, ports_per_switch: u8) -> Result<SubnetPlan, SubnetError> {
+/// The first violation, as [`plan`] would report it.
+pub fn check(spec: &TopologySpec, ports_per_switch: u8) -> Result<(), SubnetError> {
+    cable(spec, ports_per_switch).map(drop)
+}
+
+/// A switch index and a port number.
+type Port = (usize, PortId);
+
+/// Each host's `(switch, port)`, each trunk's two ends, and each
+/// switch's `(neighbour, local port)` list.
+type Cabling = (Vec<Port>, Vec<(Port, Port)>, Vec<Vec<Port>>);
+
+/// The checks behind [`check`] and [`plan`], in their error order, plus
+/// the port allocation and adjacency they compute along the way.
+fn cable(spec: &TopologySpec, ports_per_switch: u8) -> Result<Cabling, SubnetError> {
     let n_sw = spec.switches();
     let hosts = spec.hosts();
     if hosts == 0 {
@@ -99,6 +91,20 @@ pub fn plan(spec: &TopologySpec, ports_per_switch: u8) -> Result<SubnetPlan, Sub
         if a >= n_sw || b >= n_sw {
             return Err(SubnetError::UnknownSwitch { switch: a.max(b) });
         }
+    }
+    // In a connected graph of several switches each switch holds a trunk
+    // end, so more switches than ends is disconnected: say so from the
+    // trunks alone, before any table is sized by the declared count.
+    let ends = 2 * spec.trunks().len();
+    if n_sw > 1 && n_sw > ends {
+        let mut trunked: Vec<usize> = spec.trunks().iter().flat_map(|&(a, b)| [a, b]).collect();
+        trunked.sort_unstable();
+        let has_trunk = |sw| trunked.binary_search(&sw).is_ok();
+        // No trunk at switch 0 reaches nothing; else one of 1..=ends has none.
+        let switch = (1..=ends).find(|&sw| has_trunk(0) && !has_trunk(sw));
+        return Err(SubnetError::Disconnected {
+            switch: switch.unwrap_or(1),
+        });
     }
 
     // Port allocation: hosts first (host order), then trunks (trunk
@@ -128,11 +134,6 @@ pub fn plan(spec: &TopologySpec, ports_per_switch: u8) -> Result<SubnetPlan, Sub
         });
     }
 
-    let lids: Vec<Lid> = (1..=hosts as u16).map(Lid::new).collect();
-    let mut hosts_on: Vec<Vec<usize>> = vec![Vec::new(); n_sw];
-    for (host, &(sw, _)) in host_ports.iter().enumerate() {
-        hosts_on[sw].push(host);
-    }
     // Adjacency: neighbour switch → the local port reaching it, sorted
     // by (neighbour, port) so that equal-cost candidates are listed
     // independently of trunk declaration order.
@@ -147,6 +148,44 @@ pub fn plan(spec: &TopologySpec, ports_per_switch: u8) -> Result<SubnetPlan, Sub
 
     if let Some(switch) = distances(&adjacency, 0).iter().position(|&d| d == u32::MAX) {
         return Err(SubnetError::Disconnected { switch });
+    }
+    Ok((host_ports, trunk_ports, adjacency))
+}
+
+/// Validates `spec` against `ports_per_switch` and computes the plan:
+/// hosts take the low port numbers on their switch (in host order),
+/// trunks take the next ports (in trunk order); forwarding uses BFS
+/// shortest paths over the switch graph.
+///
+/// When several equal-cost shortest paths exist (Clos fabrics, parallel
+/// trunks), the egress port is chosen **per destination LID**: the
+/// candidate ports — neighbours exactly one hop closer to the
+/// destination switch, sorted by `(neighbour, port)` — are indexed by
+/// `lid mod candidates`. The selection is a pure function of the
+/// topology and the LID (no hashing, no iteration-order dependence), so
+/// repeated plans are byte-identical, and distinct destinations spread
+/// deterministically across the equal-cost fan — the ECMP-free
+/// destination-based routing of a statically routed IB subnet. A
+/// topology with unique shortest paths gets exactly the single
+/// candidate the BFS tree would have picked.
+///
+/// Only switches that host endpoints are forwarding destinations, so
+/// the cost is one BFS per such switch plus one write per forwarding
+/// entry: O(D·(S + T) + S·H) for D destination switches, S switches,
+/// T trunks and H hosts.
+///
+/// # Errors
+///
+/// See [`check`]: more hosts than unicast LIDs, port budget, dangling
+/// references, self-trunks, disconnected fabrics and empty topologies
+/// are rejected.
+pub fn plan(spec: &TopologySpec, ports_per_switch: u8) -> Result<SubnetPlan, SubnetError> {
+    let (host_ports, trunk_ports, adjacency) = cable(spec, ports_per_switch)?;
+    let (n_sw, hosts) = (spec.switches(), spec.hosts());
+    let lids: Vec<Lid> = (1..=hosts as u16).map(Lid::new).collect();
+    let mut hosts_on: Vec<Vec<usize>> = vec![Vec::new(); n_sw];
+    for (host, &(sw, _)) in host_ports.iter().enumerate() {
+        hosts_on[sw].push(host);
     }
 
     // Forwarding tables, one destination switch at a time: its own
@@ -333,6 +372,27 @@ mod tests {
                 max: 0xBFFF
             }
         );
+    }
+
+    #[test]
+    fn check_accepts_exactly_the_plannable_topologies() {
+        // Full to the last port: one switch, and two whose trunk takes
+        // the last port on each side.
+        check(&TopologySpec::single_switch(12), 12).unwrap();
+        check(&TopologySpec::chain(2, &[11, 11]), 12).unwrap();
+        for spec in [
+            TopologySpec::chain(2, &[12, 1]),
+            TopologySpec::star(13, 1),
+            TopologySpec::custom(3, vec![0, 2], vec![(0, 1)]),
+            TopologySpec::custom(2, vec![0, 1], vec![(0, 1), (1, 1)]),
+        ] {
+            assert_eq!(check(&spec, 12).unwrap_err(), plan(&spec, 12).unwrap_err());
+        }
+        // A switch count no trunk list connects, rejected from the trunks.
+        let huge = |trunks| TopologySpec::custom(usize::MAX / 2, vec![0], trunks);
+        let disconnected = |switch| Err(SubnetError::Disconnected { switch });
+        assert_eq!(check(&huge(vec![(0, 1)]), 12), disconnected(2));
+        assert_eq!(check(&huge(Vec::new()), 12), disconnected(1));
     }
 
     #[test]

@@ -7,20 +7,18 @@
 //!
 //! Run with: `cargo run --release --example converged_traffic`
 
-use rperf::scenario::{converged, QosMode, RunSpec};
-use rperf_model::ClusterConfig;
+use rperf::scenario::{converged_outcome, specs};
+use rperf::{execute, QosMode};
 use rperf_sim::SimDuration;
 
 fn main() {
-    let spec = RunSpec::new(ClusterConfig::hardware())
-        .with_seed(7)
-        .with_duration(SimDuration::from_ms(8));
-
     println!("| BSGs | LSG p50 (µs) | LSG p99.9 (µs) | total BSG Gbps |");
     println!("|------|--------------|----------------|----------------|");
     let mut previous_p50 = None;
     for n_bsgs in 0..=5 {
-        let out = converged(&spec, n_bsgs, 4096, 1, true, QosMode::SharedSl);
+        let table = specs::converged(n_bsgs, 4096, 1, true, QosMode::SharedSl)
+            .with_duration(SimDuration::from_ms(8));
+        let out = converged_outcome(&execute(&table, 7));
         let lsg = out.lsg.expect("LSG attached").summary;
         println!(
             "| {n_bsgs}    | {:12.2} | {:14.2} | {:14.1} |",

@@ -8,23 +8,29 @@
 //!
 //! Run with: `cargo run --release --example measure_tools_compared`
 
-use rperf::scenario::{one_to_one_perftest, one_to_one_qperf, one_to_one_rperf, RunSpec};
-use rperf_model::ClusterConfig;
+use rperf::scenario::specs;
+use rperf::{execute, ScenarioSpec};
 use rperf_sim::SimDuration;
 
 fn main() {
-    let spec = RunSpec::new(ClusterConfig::hardware())
-        .with_seed(5)
-        .with_duration(SimDuration::from_ms(5));
+    // Every tool on the hardware profile, seed 5, a 5 ms window.
+    let run = |table: ScenarioSpec| execute(&table.with_duration(SimDuration::from_ms(5)), 5);
 
     println!(
         "{:<10} {:>16} {:>16} {:>16}",
         "payload", "RPerf p50", "Perftest p50", "QPerf avg"
     );
     for payload in [64u64, 4096] {
-        let rp = one_to_one_rperf(&spec, true, payload).summary;
-        let pf = one_to_one_perftest(&spec, payload);
-        let qp = one_to_one_qperf(&spec, payload);
+        let rp = run(specs::one_to_one_rperf(true, payload))
+            .rperf(0)
+            .expect("rperf on node 0")
+            .summary;
+        let pf = *run(specs::one_to_one_perftest(payload))
+            .latency(0)
+            .expect("perftest client on node 0");
+        let qp = *run(specs::one_to_one_qperf(payload))
+            .qperf(0)
+            .expect("qperf client on node 0");
         println!(
             "{:<10} {:>13.3} µs {:>13.3} µs {:>13.3} µs",
             format!("{payload} B"),

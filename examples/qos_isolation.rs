@@ -10,15 +10,11 @@
 //!
 //! Run with: `cargo run --release --example qos_isolation`
 
-use rperf::scenario::{converged, QosMode, RunSpec};
-use rperf_model::ClusterConfig;
+use rperf::scenario::{converged_outcome, specs};
+use rperf::{execute, QosMode};
 use rperf_sim::SimDuration;
 
 fn main() {
-    let spec = RunSpec::new(ClusterConfig::hardware())
-        .with_seed(3)
-        .with_duration(SimDuration::from_ms(8));
-
     let setups: [(&str, usize, QosMode); 4] = [
         ("no BSGs (baseline)", 0, QosMode::SharedSl),
         ("shared SL", 5, QosMode::SharedSl),
@@ -35,7 +31,9 @@ fn main() {
         "setup", "p50 (µs)", "p99.9", "total Gbps"
     );
     for (name, bsgs, qos) in setups {
-        let out = converged(&spec, bsgs, 4096, 1, true, qos);
+        let table =
+            specs::converged(bsgs, 4096, 1, true, qos).with_duration(SimDuration::from_ms(8));
+        let out = converged_outcome(&execute(&table, 3));
         let lsg = out.lsg.expect("LSG attached").summary;
         println!(
             "{:<28} {:>10.2} {:>10.2} {:>12.1}",

@@ -8,16 +8,18 @@
 //!
 //! Run with: `cargo run --release --example scheduling_policies`
 
-use rperf::scenario::{converged, multihop, QosMode, RunSpec};
+use rperf::scenario::{converged_outcome, specs, ConvergedOutcome};
+use rperf::{execute, DeviceProfile, QosMode, ScenarioSpec};
 use rperf_model::config::SchedPolicy;
-use rperf_model::ClusterConfig;
 use rperf_sim::SimDuration;
 
 fn main() {
-    let base = |policy| {
-        RunSpec::new(ClusterConfig::omnet_simulator().with_policy(policy))
-            .with_seed(11)
-            .with_duration(SimDuration::from_ms(8))
+    // Every run on the OMNeT profile, seed 11, an 8 ms window.
+    let run = |table: ScenarioSpec| -> ConvergedOutcome {
+        let spec = table
+            .with_profile(DeviceProfile::OmnetSimulator)
+            .with_duration(SimDuration::from_ms(8));
+        converged_outcome(&execute(&spec, 11))
     };
 
     println!("Single hop (5 × 4096 B BSGs + 1 LSG → one destination):");
@@ -26,7 +28,7 @@ fn main() {
         ("FCFS", SchedPolicy::Fcfs),
         ("Round-Robin", SchedPolicy::RoundRobin),
     ] {
-        let out = converged(&base(policy), 5, 4096, 1, true, QosMode::SharedSl);
+        let out = run(specs::converged(5, 4096, 1, true, QosMode::SharedSl).with_policy(policy));
         let lsg = out.lsg.expect("LSG attached").summary;
         println!(
             "  {:<14} {:>10.2} {:>10.2}",
@@ -43,10 +45,7 @@ fn main() {
         ("FCFS", SchedPolicy::Fcfs),
         ("Round-Robin", SchedPolicy::RoundRobin),
     ] {
-        let spec = RunSpec::new(ClusterConfig::omnet_simulator())
-            .with_seed(11)
-            .with_duration(SimDuration::from_ms(8));
-        let out = multihop(&spec, policy);
+        let out = run(specs::multihop(policy));
         let lsg = out.lsg.expect("LSG attached").summary;
         println!(
             "  {:<14} {:>10.2} {:>10.2}",

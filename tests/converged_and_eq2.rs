@@ -1,16 +1,27 @@
 //! Cross-crate integration tests: converged traffic and Eq. 2
 //! (Sections VII and VIII-B).
 
-use rperf::scenario::{converged, QosMode, RunSpec};
+use rperf::scenario::{converged_outcome, specs, ConvergedOutcome};
+use rperf::{execute, DeviceProfile, QosMode, ScenarioSpec};
 use rperf_model::analytic::fcfs_waiting_time;
 use rperf_model::config::SchedPolicy;
 use rperf_model::ClusterConfig;
 use rperf_sim::SimDuration;
 
-fn spec(cfg: ClusterConfig, seed: u64) -> RunSpec {
-    RunSpec::new(cfg)
-        .with_seed(seed)
-        .with_duration(SimDuration::from_ms(6))
+const OMNET: DeviceProfile = DeviceProfile::OmnetSimulator;
+
+/// `n_bsgs` shared-SL 4096 B BSGs into one destination, with or
+/// without the LSG.
+fn table(n_bsgs: usize, with_lsg: bool) -> ScenarioSpec {
+    specs::converged(n_bsgs, 4096, 1, with_lsg, QosMode::SharedSl)
+}
+
+/// Runs `table` over a 6 ms window.
+fn run(table: ScenarioSpec, seed: u64) -> ConvergedOutcome {
+    converged_outcome(&execute(
+        &table.with_duration(SimDuration::from_ms(6)),
+        seed,
+    ))
 }
 
 #[test]
@@ -19,14 +30,7 @@ fn lsg_latency_grows_linearly_with_bsgs() {
     // worth of FCFS waiting.
     let mut p50s = Vec::new();
     for n in 0..=5usize {
-        let out = converged(
-            &spec(ClusterConfig::hardware(), 1),
-            n,
-            4096,
-            1,
-            true,
-            QosMode::SharedSl,
-        );
+        let out = run(table(n, true), 1);
         p50s.push(out.lsg.unwrap().summary.p50_us());
     }
     // Zero-load baseline is sub-microsecond.
@@ -54,8 +58,8 @@ fn eq2_predicts_the_waiting_slope() {
     // configured buffer size.
     let cfg = ClusterConfig::hardware();
     let tau = fcfs_waiting_time(1, cfg.switch.input_buffer_bytes, cfg.link.data_rate());
-    let two = converged(&spec(cfg.clone(), 2), 2, 4096, 1, true, QosMode::SharedSl);
-    let four = converged(&spec(cfg, 2), 4, 4096, 1, true, QosMode::SharedSl);
+    let two = run(table(2, true), 2);
+    let four = run(table(4, true), 2);
     let slope = (four.lsg.unwrap().summary.p50_us() - two.lsg.unwrap().summary.p50_us()) / 2.0;
     let predicted = tau.as_us_f64();
     assert!(
@@ -67,22 +71,8 @@ fn eq2_predicts_the_waiting_slope() {
 #[test]
 fn total_bandwidth_stays_high_but_droops() {
     // Paper Fig. 7b: 52.2 → 48.4 Gbps from 1 → 5 BSGs.
-    let one = converged(
-        &spec(ClusterConfig::hardware(), 3),
-        1,
-        4096,
-        1,
-        false,
-        QosMode::SharedSl,
-    );
-    let five = converged(
-        &spec(ClusterConfig::hardware(), 3),
-        5,
-        4096,
-        1,
-        false,
-        QosMode::SharedSl,
-    );
+    let one = run(table(1, false), 3);
+    let five = run(table(5, false), 3);
     assert!(one.total_gbps > 50.0, "1 BSG total {:.1}", one.total_gbps);
     assert!(five.total_gbps > 45.0, "5 BSG total {:.1}", five.total_gbps);
     assert!(
@@ -95,14 +85,7 @@ fn total_bandwidth_stays_high_but_droops() {
 
 #[test]
 fn bandwidth_is_shared_fairly_among_equals() {
-    let out = converged(
-        &spec(ClusterConfig::hardware(), 4),
-        5,
-        4096,
-        1,
-        false,
-        QosMode::SharedSl,
-    );
+    let out = run(table(5, false), 4);
     let min = out.per_bsg_gbps.iter().cloned().fold(f64::MAX, f64::min);
     let max = out.per_bsg_gbps.iter().cloned().fold(0.0, f64::max);
     assert!(
@@ -116,22 +99,8 @@ fn bandwidth_is_shared_fairly_among_equals() {
 fn simulator_profile_fcfs_matches_hardware_trend() {
     // Paper Section VIII-B: "With the FCFS policy, the simulator …
     // behaves similar to the real switch."
-    let hw = converged(
-        &spec(ClusterConfig::hardware(), 5),
-        5,
-        4096,
-        1,
-        true,
-        QosMode::SharedSl,
-    );
-    let sim = converged(
-        &spec(ClusterConfig::omnet_simulator(), 5),
-        5,
-        4096,
-        1,
-        true,
-        QosMode::SharedSl,
-    );
+    let hw = run(table(5, true), 5);
+    let sim = run(table(5, true).with_profile(OMNET), 5);
     let hw_p50 = hw.lsg.unwrap().summary.p50_us();
     let sim_p50 = sim.lsg.unwrap().summary.p50_us();
     // Same mechanism, slightly smaller buffers in the simulator profile.
@@ -145,14 +114,7 @@ fn simulator_profile_fcfs_matches_hardware_trend() {
 fn simulator_profile_has_no_tail() {
     // Paper: "unlike the real switch, simulator does not introduce
     // significant tail RTT" (no µarch model).
-    let sim = converged(
-        &spec(ClusterConfig::omnet_simulator(), 6),
-        5,
-        4096,
-        1,
-        true,
-        QosMode::SharedSl,
-    );
+    let sim = run(table(5, true).with_profile(OMNET), 6);
     let s = sim.lsg.unwrap().summary;
     let spread = s.p999_us() - s.p50_us();
     assert!(
@@ -160,14 +122,7 @@ fn simulator_profile_has_no_tail() {
         "simulator profile spread should be ~0.1 µs, got {spread:.2}"
     );
 
-    let hw = converged(
-        &spec(ClusterConfig::hardware(), 6),
-        0,
-        4096,
-        1,
-        true,
-        QosMode::SharedSl,
-    );
+    let hw = run(table(0, true), 6);
     let s = hw.lsg.unwrap().summary;
     assert!(
         s.p999_us() - s.p50_us() > 0.1,
@@ -178,28 +133,9 @@ fn simulator_profile_has_no_tail() {
 #[test]
 fn round_robin_protects_single_hop_latency() {
     // Paper Fig. 10: RR bounds the LSG's wait to ~one packet per port.
-    let fcfs = converged(
-        &spec(
-            ClusterConfig::omnet_simulator().with_policy(SchedPolicy::Fcfs),
-            7,
-        ),
-        5,
-        4096,
-        1,
-        true,
-        QosMode::SharedSl,
-    );
-    let rr = converged(
-        &spec(
-            ClusterConfig::omnet_simulator().with_policy(SchedPolicy::RoundRobin),
-            7,
-        ),
-        5,
-        4096,
-        1,
-        true,
-        QosMode::SharedSl,
-    );
+    let omnet = || table(5, true).with_profile(OMNET);
+    let fcfs = run(omnet().with_policy(SchedPolicy::Fcfs), 7);
+    let rr = run(omnet().with_policy(SchedPolicy::RoundRobin), 7);
     let fcfs_p50 = fcfs.lsg.unwrap().summary.p50_us();
     let rr_p50 = rr.lsg.unwrap().summary.p50_us();
     assert!(

@@ -1,8 +1,8 @@
 //! Integration tests for subnet-planned topologies: traffic crosses
 //! chains and stars correctly, and hop counts show up in latency.
 
-use rperf::scenario::{chain_latency, RunSpec};
-use rperf::{RPerf, RPerfConfig};
+use rperf::scenario::specs;
+use rperf::{execute, DeviceProfile, RPerf, RPerfConfig};
 use rperf_fabric::{Fabric, Sim};
 use rperf_model::ClusterConfig;
 use rperf_sim::{SimDuration, SimTime};
@@ -48,11 +48,17 @@ fn star_topology_carries_probes_through_the_core() {
 
 #[test]
 fn chain_zero_load_latency_is_linear_in_hops() {
-    let spec = RunSpec::new(ClusterConfig::omnet_simulator())
-        .with_seed(8)
-        .with_duration(SimDuration::from_ms(1));
     let p: Vec<f64> = (1..=4)
-        .map(|n| chain_latency(&spec, n, 0).summary.p50_us())
+        .map(|n| {
+            let table = specs::chain_latency(n, 0)
+                .with_profile(DeviceProfile::OmnetSimulator)
+                .with_duration(SimDuration::from_ms(1));
+            execute(&table, 8)
+                .rperf(0)
+                .expect("rperf on node 0")
+                .summary
+                .p50_us()
+        })
         .collect();
     // Successive differences are one extra switch RTT each — all equal.
     let d1 = p[1] - p[0];
