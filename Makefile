@@ -3,9 +3,9 @@
 
 CARGO ?= cargo
 
-.PHONY: ci fmt lint lint-invariants sanitize-smoke build test bench bench-smoke bench-bless prof-report report quick-report scenario-smoke shard-smoke clos-smoke perf-gate serve serve-smoke
+.PHONY: ci fmt lint lint-invariants sanitize-smoke build test benchmark-test bench bench-smoke bench-bless prof-report report quick-report scenario-smoke clos-smoke perf-gate serve serve-smoke
 
-ci: fmt lint lint-invariants build test shard-smoke clos-smoke perf-gate
+ci: fmt lint lint-invariants build test benchmark-test clos-smoke perf-gate
 
 fmt:
 	$(CARGO) fmt --all --check
@@ -14,7 +14,7 @@ lint:
 	$(CARGO) clippy --workspace --all-targets -- -D warnings
 
 # Workspace invariant linter (rperf-lint, DESIGN.md §5): token rules
-# D1-D4, D6-D10 plus the interprocedural rules I1-I4 over the workspace call
+# D1-D4, D6-D9 plus the interprocedural rules I1-I4 over the workspace call
 # graph, configured by the checked-in lint.toml. --ci additionally
 # writes LINT_report.json (machine-readable diagnostics) for the CI
 # artifact next to BENCH_report.json.
@@ -38,6 +38,12 @@ build:
 test:
 	$(CARGO) test -q --workspace
 
+# The repository benchmark (benchmark/, see its README) is a workspace of
+# its own that `test` never compiles; build and test it here so a change
+# to an API its harness calls fails in CI, not in the benchmark run.
+benchmark-test:
+	$(CARGO) test -q --offline --manifest-path benchmark/Cargo.toml
+
 bench:
 	$(CARGO) bench --workspace
 
@@ -50,7 +56,7 @@ quick-report:
 
 # CI smoke: report on the reduced (--quick) point set, single job for
 # determinism, then the dispatch-layer microbenches (link delivery
-# through one domain; AoS vs SoA buffer scans at 8/36/64 ports) and
+# through the fabric; AoS vs SoA buffer scans at 8/36/64 ports) and
 # the set-up layer's numbers (route planning and fabric build for fat
 # trees of 16, 128 and 1024 hosts).
 # Fails if any packet handle leaks; BENCH_report.json is uploaded as a
@@ -76,11 +82,9 @@ bench-bless:
 # are redirected to /tmp — the profiled run's wall times are perturbed
 # by the counters and must never feed the committed report or the gate —
 # and only the BENCH_prof.json sidecar is copied back for the CI
-# artifact upload. Runs sharded (--shards 2) so the sidecar's per-shard
-# rows (events, barrier-wait nanos, mailbox traffic) are populated and
-# attribute where sharded runs lose time.
+# artifact upload.
 prof-report:
-	$(CARGO) run --release -p rperf-bench --features sim-prof --bin report -- --quick --jobs 1 --shards 2 --prof --out /tmp/rperf_prof_experiments.md
+	$(CARGO) run --release -p rperf-bench --features sim-prof --bin report -- --quick --jobs 1 --prof --out /tmp/rperf_prof_experiments.md
 	cp /tmp/BENCH_prof.json BENCH_prof.json
 
 # Perf-regression gate: rerun the reduced report single-job and fail if
@@ -107,34 +111,13 @@ scenario-smoke:
 	$(CARGO) run --release -q -p rperf-cli -- scenario /tmp/rperf_smoke_wide.scn 2>/tmp/rperf_smoke_wide.err; test $$? -eq 2
 	grep -q 'line 4' /tmp/rperf_smoke_wide.err
 
-# Sharded-execution smoke, three gates:
-#  1. the golden-figure differential suite (every paper figure at
-#     --shards 2 and 4, byte-compared against the shards=1 goldens) —
-#     release profile because the sparse sweeps pay barrier costs per
-#     nanosecond window (the 2-shard half also runs in `make test`; the
-#     oversubscribing 4-shard half is #[ignore]d there);
-#  2. the large fanout_30 scenario plus both example scenarios must be
-#     byte-identical between --shards 1 and --shards 4;
-#  3. on hosts with >= 4 CPUs the sharded fanout_30 run must beat the
-#     sequential one by SHARD_SMOKE_MIN_SPEEDUP x wall-clock (skipped on
-#     smaller hosts, where conservative window barriers can only add
-#     overhead). See scripts/shard_smoke.sh.
-SHARD_SMOKE_MIN_SPEEDUP ?= 2.0
-shard-smoke:
-	$(CARGO) test -q --release -p rperf-bench --test shard_differential -- --include-ignored
-	SHARD_SMOKE_MIN_SPEEDUP=$(SHARD_SMOKE_MIN_SPEEDUP) bash scripts/shard_smoke.sh
-
-# Fat-tree/Clos smoke, three gates (scripts/clos_smoke.sh):
+# Fat-tree/Clos smoke, two gates (scripts/clos_smoke.sh):
 #  1. both committed fat-tree example scenarios run end-to-end from
 #     their spec files alone and `--dump-routes` prints byte-identical
 #     per-switch tables on repeated invocations;
-#  2. a generated 128-host k=8 leaf-spine incast is byte-identical
-#     between --shards 1 and --shards 4;
-#  3. on hosts with >= 4 CPUs the sharded k=8 run must beat the
-#     sequential one by CLOS_SMOKE_MIN_SPEEDUP x wall-clock.
-CLOS_SMOKE_MIN_SPEEDUP ?= 1.5
+#  2. a generated 128-host k=8 leaf-spine incast runs end-to-end.
 clos-smoke:
-	CLOS_SMOKE_MIN_SPEEDUP=$(CLOS_SMOKE_MIN_SPEEDUP) bash scripts/clos_smoke.sh
+	bash scripts/clos_smoke.sh
 
 # Runs the scenario service in the foreground on the default port
 # (stop it with `rperf-cli serve-stats --shutdown`).

@@ -263,7 +263,6 @@ fn bench_report_json(effort: &Effort, stats: &[FigStat], baseline: Option<f64>) 
             "packets_leaked",
             json::num(rperf_fabric::packets_leaked_total() as f64),
         ),
-        ("shards", json::num(effort.shards as f64)),
         ("figures", json::array(figures)),
     ])
 }
@@ -292,28 +291,8 @@ fn bless_baseline_json(stats: &[FigStat], existing: Option<&Baseline>) -> String
     ])
 }
 
-/// Serializes the per-shard execution counters accumulated over the whole
-/// report run (events handled, wall-clock nanoseconds blocked at window
-/// barriers, mailbox messages exchanged), one row per shard index that
-/// ran (`--shards N` gives rows 0..N; a one-domain run has only row 0,
-/// with no barrier wait worth the name and no mailbox traffic).
-#[cfg(feature = "sim-prof")]
-fn prof_shard_rows() -> Vec<String> {
-    rperf_fabric::prof::shard_snapshot()
-        .iter()
-        .map(|s| {
-            json::object([
-                ("shard", json::num(s.shard as f64)),
-                ("events", json::num(s.events as f64)),
-                ("barrier_wait_nanos", json::num(s.barrier_ns as f64)),
-                ("mailbox_msgs", json::num(s.mailbox_msgs as f64)),
-            ])
-        })
-        .collect()
-}
-
-/// Serializes the per-figure sim-prof counter breakdown plus the
-/// per-shard execution counters (the BENCH_prof sidecar; see `--prof`).
+/// Serializes the per-figure sim-prof counter breakdown (the BENCH_prof
+/// sidecar; see `--prof`).
 fn prof_report_json(stats: &[FigStat]) -> String {
     let figures: Vec<String> = stats
         .iter()
@@ -332,14 +311,7 @@ fn prof_report_json(stats: &[FigStat]) -> String {
             json::object([("id", json::string(s.id)), ("kinds", json::array(kinds))])
         })
         .collect();
-    #[cfg(feature = "sim-prof")]
-    let shards = prof_shard_rows();
-    #[cfg(not(feature = "sim-prof"))]
-    let shards = Vec::new();
-    json::object([
-        ("figures", json::array(figures)),
-        ("shards", json::array(shards)),
-    ])
+    json::object([("figures", json::array(figures))])
 }
 
 fn nearest(series_x: &[f64], series_y: &[f64], x: f64) -> Option<f64> {
@@ -427,9 +399,8 @@ fn main() {
          (`rperf::ScenarioSpec`) through the generic executor\n\
          (`rperf::execute`); see DESIGN.md §4.1. Golden tests pin the\n\
          spec-driven output byte-for-byte to the pre-IR harness, and the\n\
-         tables are byte-identical for any `--jobs`/`--shards` setting —\n\
-         parallelism (across simulations or, via conservative-lookahead\n\
-         sharding, inside one; DESIGN.md §3.7) is an execution strategy,\n\
+         tables are byte-identical for any `--jobs` setting — parallelism\n\
+         runs across simulations, each on one thread (DESIGN.md §6), and is\n\
          never part of the result.\n",
         effort.seeds.len(),
         effort.scale
@@ -790,15 +761,6 @@ fn main() {
                 "wrote {} (per-event-kind dispatch counters)",
                 prof_path.display()
             );
-            for row in rperf_fabric::prof::shard_snapshot() {
-                eprintln!(
-                    "  shard {}: {} events, {:.1} ms barrier wait, {} mailbox msgs",
-                    row.shard,
-                    row.events,
-                    row.barrier_ns as f64 / 1e6,
-                    row.mailbox_msgs
-                );
-            }
         }
         #[cfg(not(feature = "sim-prof"))]
         eprintln!(

@@ -22,18 +22,8 @@ pub const PAYLOADS: [u64; 7] = [64, 128, 256, 512, 1024, 2048, 4096];
 
 /// Executes a scenario table with the figure's measurement window (scaled
 /// by the effort level) and the given seed.
-///
-/// `--shards` is a global knob over scenarios of very different sizes, so
-/// it is clamped to each table's device count (specs reject over-sharding
-/// outright; a figure sweep just uses as many domains as the fabric has).
 fn run(table: ScenarioSpec, effort: &Effort, base_ms: f64, seed: u64) -> ScenarioOutcome {
-    let devices = table.topology.hosts() + table.topology.switches();
-    execute(
-        &table
-            .with_duration(effort.window(base_ms))
-            .with_shards(effort.shards.min(devices)),
-        seed,
-    )
+    execute(&table.with_duration(effort.window(base_ms)), seed)
 }
 
 /// Fig. 4 — RPerf RTT vs payload size, with and without the switch
@@ -655,7 +645,6 @@ mod tests {
             seeds: vec![1],
             scale: 0.05,
             jobs: 1,
-            shards: 1,
         }
     }
 
@@ -697,7 +686,6 @@ mod tests {
             seeds: vec![1],
             scale: 0.03,
             jobs: 1,
-            shards: 1,
         };
         let fig = fattree128(&effort);
         assert_eq!(fig.series.len(), 2);

@@ -35,11 +35,6 @@ pub struct Effort {
     /// Worker threads for the `(point, seed)` fan-out (`--jobs`). Any
     /// value produces identical output; see [`sweep_over_seeds`].
     pub jobs: usize,
-    /// Worker domains *inside* each simulation (`--shards`): every
-    /// scenario runs on `shards` conservatively-synchronized shards of
-    /// one fabric. Any value produces identical output — sharding is an
-    /// execution strategy, not part of scenario identity.
-    pub shards: usize,
 }
 
 impl Effort {
@@ -50,7 +45,6 @@ impl Effort {
             seeds: vec![1, 2, 3],
             scale: 1.0,
             jobs: rperf_runner::available_parallelism(),
-            shards: 1,
         }
     }
 
@@ -60,7 +54,6 @@ impl Effort {
             seeds: vec![1],
             scale: 0.2,
             jobs: rperf_runner::available_parallelism(),
-            shards: 1,
         }
     }
 
@@ -72,14 +65,12 @@ impl Effort {
             seeds: vec![1],
             scale: 0.04,
             jobs: 1,
-            shards: 1,
         }
     }
 
     /// Parses the effort flags shared by every bench binary:
-    /// `--quick` (1 seed, 20 % windows), `--jobs N` (worker threads;
-    /// default: available parallelism) and `--shards N` (worker domains
-    /// inside each simulation; default 1).
+    /// `--quick` (1 seed, 20 % windows) and `--jobs N` (worker threads;
+    /// default: available parallelism).
     pub fn from_args(args: &[String]) -> Self {
         let mut effort = if args.iter().any(|a| a == "--quick") {
             Effort::quick()
@@ -96,29 +87,12 @@ impl Effort {
                 });
             effort.jobs = jobs.max(1);
         }
-        if let Some(i) = args.iter().position(|a| a == "--shards") {
-            let shards = args
-                .get(i + 1)
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|&s| (1..=64).contains(&s))
-                .unwrap_or_else(|| {
-                    eprintln!("--shards needs an integer in 1..=64");
-                    std::process::exit(2);
-                });
-            effort.shards = shards;
-        }
         effort
     }
 
     /// Sets the worker-thread count (builder style).
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs.max(1);
-        self
-    }
-
-    /// Sets the per-simulation shard count (builder style).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
         self
     }
 
@@ -155,12 +129,6 @@ pub fn mean(xs: &[f64]) -> f64 {
 /// artifacts built from it do not change when `--jobs` does. The per-seed
 /// results arrive at `merge` in seed order (also independent of worker
 /// count or scheduling).
-///
-/// When the effort also shards each simulation (`--shards N`), the
-/// `--jobs` budget is *divided* between the two dimensions via
-/// [`rperf_runner::plan_parallelism`] — `jobs / shards` sweep workers,
-/// each job running `shards` domain threads — so the total thread count
-/// stays at the budget instead of multiplying past it.
 pub fn sweep_over_seeds<P, R, T, F, M>(
     effort: &Effort,
     params: &[P],
@@ -176,8 +144,7 @@ where
     assert!(!effort.seeds.is_empty(), "sweep needs at least one seed");
     let n_seeds = effort.seeds.len();
     let job_indices: Vec<usize> = (0..params.len() * n_seeds).collect();
-    let plan = rperf_runner::plan_parallelism(effort.jobs, effort.shards);
-    let results = Sweep::new(plan.workers).run(job_indices, |_, job| {
+    let results = Sweep::new(effort.jobs).run(job_indices, |_, job| {
         let param = &params[job / n_seeds];
         let seed = effort.seeds[job % n_seeds];
         run(param, seed)
@@ -210,7 +177,6 @@ mod tests {
             seeds: vec![1, 2, 3],
             scale: 1.0,
             jobs: 1,
-            shards: 1,
         };
         let avg = e.average(|s| s as f64);
         assert_eq!(avg, 2.0);
@@ -235,35 +201,11 @@ mod tests {
     }
 
     #[test]
-    fn from_args_parses_shards() {
-        let e = Effort::from_args(&["--shards".to_string(), "4".to_string()]);
-        assert_eq!(e.shards, 4);
-        assert_eq!(Effort::from_args(&[]).shards, 1);
-        assert_eq!(Effort::full().with_shards(0).shards, 1);
-    }
-
-    #[test]
-    fn sharded_effort_divides_the_jobs_budget() {
-        // 4 jobs × 2 shards would be 8 threads; the sweep runs 2 workers
-        // instead and the output is unchanged (Sweep is order-stable for
-        // any worker count).
-        let effort = Effort {
-            seeds: vec![10, 20],
-            scale: 1.0,
-            jobs: 4,
-            shards: 2,
-        };
-        let got = sweep_over_seeds(&effort, &[1u64, 2], |&p, s| p * 100 + s, |_, rs| rs);
-        assert_eq!(got, vec![vec![110, 120], vec![210, 220]]);
-    }
-
-    #[test]
     fn sweep_preserves_param_and_seed_order() {
         let effort = Effort {
             seeds: vec![10, 20, 30],
             scale: 1.0,
             jobs: 4,
-            shards: 1,
         };
         let params = [1u64, 2, 3];
         let got = sweep_over_seeds(
@@ -291,7 +233,6 @@ mod tests {
             seeds: vec![1, 2, 3],
             scale: 1.0,
             jobs: 1,
-            shards: 1,
         };
         let serial = sweep_over_seeds(&base, &params, run, merge);
         for jobs in [2, 4, 9] {

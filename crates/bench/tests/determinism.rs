@@ -12,7 +12,6 @@ fn tiny(jobs: usize) -> Effort {
         seeds: vec![1, 2],
         scale: 0.05,
         jobs,
-        shards: 1,
     }
 }
 
@@ -89,7 +88,6 @@ fn one_to_one_sweep_is_byte_identical_across_worker_counts() {
         seeds: vec![1],
         scale: 0.03,
         jobs: 1,
-        shards: 1,
     };
     let serial = figures::fig5(&effort).to_json();
     let parallel = figures::fig5(&effort.clone().with_jobs(3)).to_json();

@@ -102,10 +102,6 @@ pub enum Command {
         seed: u64,
         /// Emit the outcome as deterministic JSON instead of text.
         json: bool,
-        /// Worker domains for sharded execution; `None` keeps whatever
-        /// the spec file says (default 1, one domain).
-        /// Results are identical either way — this is a wall-clock knob.
-        shards: Option<usize>,
         /// Print the per-switch forwarding tables the subnet planner
         /// programmed for the spec's topology instead of running it.
         dump_routes: bool,
@@ -273,8 +269,7 @@ COMMANDS:
     multihop   two-switch topology     [--policy fcfs|rr|fair]
     chain      switch-chain extension  [--switches N] [--bsgs N]
     sweep      payload sweep 64B-4096B [--what lat|bw] [--no-switch] [--seeds N]
-    scenario   run a spec file         <FILE> [--seed N] [--json] [--shards N]
-                                       [--dump-routes]
+    scenario   run a spec file         <FILE> [--seed N] [--json] [--dump-routes]
     submit     send a spec file to a running rperf-serve daemon
                                        <FILE> [--seed N] [--addr HOST:PORT]
                                        [--attempts N] [--timeout-ms N]
@@ -291,8 +286,6 @@ COMMON OPTIONS:
     --policy fcfs|rr|fair
     --jobs N          worker threads for sweeps (default: all cores;
                       any value gives identical output)
-    --shards N        (scenario only) worker domains inside one run;
-                      any value gives identical output
     --dump-routes     (scenario only) print the per-switch forwarding
                       tables for the spec's topology instead of running
 ";
@@ -325,7 +318,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
         };
         let mut seed = 1u64;
         let mut json = false;
-        let mut shards = None;
         let mut dump_routes = false;
         let mut i = 2;
         while i < args.len() {
@@ -342,14 +334,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                     dump_routes = true;
                     i += 1;
                 }
-                "--shards" => {
-                    let n = parse_u64("--shards", args.get(i + 1))?;
-                    if n == 0 || n > 64 {
-                        return Err(ParseError(format!("--shards must be in 1..=64, got {n}")));
-                    }
-                    shards = Some(n as usize);
-                    i += 2;
-                }
                 other => return Err(ParseError(format!("unknown option `{other}` for scenario"))),
             }
         }
@@ -357,7 +341,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             file: file.clone(),
             seed,
             json,
-            shards,
             dump_routes,
         });
     }
@@ -613,26 +596,17 @@ fn run_table(table: ScenarioSpec, common: &Common, seed: u64) -> Result<Scenario
 /// code): an unreadable file is `Io`, a syntax error is `Spec` — with the
 /// parser's 1-based line number preserved as `file:line N: message` — and
 /// a spec that parses but fails validation is `Runtime`.
-fn run_scenario(
-    file: &str,
-    seed: u64,
-    json: bool,
-    shards: Option<usize>,
-    dump_routes: bool,
-) -> Result<String, CliError> {
+fn run_scenario(file: &str, seed: u64, json: bool, dump_routes: bool) -> Result<String, CliError> {
     let text = std::fs::read_to_string(file).map_err(|e| CliError::Io(format!("{file}: {e}")))?;
     // `ParseError` renders as `line N: msg`; prefixing the path yields the
     // compiler-style `file:line N: msg` the smoke test greps for.
-    let mut spec =
+    let spec =
         rperf::ScenarioSpec::parse(&text).map_err(|e| CliError::Spec(format!("{file}:{e}")))?;
     if dump_routes {
         // Routing is a property of the topology alone, so the role-table
         // validation is skipped: a spec with nothing but a `[topology]`
         // section dumps fine. Parse failures above keep exit code 2.
         return Ok(rperf::dump_routes(&spec, seed));
-    }
-    if let Some(shards) = shards {
-        spec.shards = shards;
     }
     spec.validate()
         .map_err(|e| CliError::Runtime(format!("{file}: {e}")))?;
@@ -757,9 +731,8 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
             file,
             seed,
             json,
-            shards,
             dump_routes,
-        } => run_scenario(file, *seed, *json, *shards, *dump_routes),
+        } => run_scenario(file, *seed, *json, *dump_routes),
         Command::Submit {
             file,
             seed,
@@ -1132,7 +1105,6 @@ mod tests {
                 file: "exp.scn".into(),
                 seed: 7,
                 json: true,
-                shards: None,
                 dump_routes: false,
             }
         );
@@ -1143,13 +1115,13 @@ mod tests {
                 file: "exp.scn".into(),
                 seed: 1,
                 json: false,
-                shards: None,
                 dump_routes: true,
             }
         );
         assert!(parse(&args("scenario")).is_err(), "missing file path");
         assert!(parse(&args("scenario --json")).is_err(), "flag before path");
         assert!(parse(&args("scenario exp.scn --bogus")).is_err());
+        assert!(parse(&args("scenario exp.scn --shards 2")).is_err());
     }
 
     /// A scratch file inside the workspace target directory.
@@ -1174,31 +1146,19 @@ mod tests {
             file: file.clone(),
             seed: 1,
             json: false,
-            shards: None,
             dump_routes: false,
         })
         .unwrap();
         assert!(text.contains("rperf"), "{text}");
         assert!(text.contains("messages delivered"), "{text}");
         let json = run(&Command::Scenario {
-            file: file.clone(),
+            file,
             seed: 1,
             json: true,
-            shards: None,
             dump_routes: false,
         })
         .unwrap();
         assert!(json.starts_with("{\"scenario\":\"probe\""), "{json}");
-        // Sharded execution is byte-identical to one domain.
-        let sharded = run(&Command::Scenario {
-            file,
-            seed: 1,
-            json: true,
-            shards: Some(3),
-            dump_routes: false,
-        })
-        .unwrap();
-        assert_eq!(json, sharded, "--shards must not change results");
     }
 
     #[test]
@@ -1213,7 +1173,6 @@ mod tests {
                 file,
                 seed: 1,
                 json: false,
-                shards: None,
                 dump_routes: true,
             })
         };
@@ -1242,7 +1201,6 @@ mod tests {
             file: "no/such/file.scn".into(),
             seed: 1,
             json: false,
-            shards: None,
             dump_routes: false,
         })
         .unwrap_err();
@@ -1259,7 +1217,6 @@ mod tests {
             file: bad.clone(),
             seed: 1,
             json: false,
-            shards: None,
             dump_routes: false,
         })
         .unwrap_err();
@@ -1276,7 +1233,6 @@ mod tests {
             file: invalid,
             seed: 1,
             json: false,
-            shards: None,
             dump_routes: false,
         })
         .unwrap_err();
@@ -1382,7 +1338,6 @@ mod tests {
             file: file.clone(),
             seed: 1,
             json: true,
-            shards: None,
             dump_routes: false,
         })
         .expect("local run");

@@ -413,9 +413,7 @@ fn execute_budgeted_with_config(
             builder = builder.with_rnic_override(r.node, hot);
         }
     }
-    // One engine for every shard count: `shards` changes only how the
-    // fabric is partitioned, never the event order (DESIGN.md §3.7).
-    let mut sim = Sim::sharded(builder.build(&spec.topology), spec.shards);
+    let mut sim = Sim::new(builder.build(&spec.topology));
     for r in &spec.roles {
         sim.add_app(r.node, build_app(spec, r, seed));
     }
@@ -456,9 +454,9 @@ fn execute_budgeted_with_config(
 /// Builds the same fabric [`execute`] would (profile, policy and QoS
 /// applied) but attaches no applications and runs nothing, so a spec
 /// needs only a topology: roles are irrelevant to routing and are not
-/// validated here. The output is stable across runs, `--jobs` and
-/// `--shards` — routing is computed by the deterministic subnet planner,
-/// never discovered at run time.
+/// validated here. The output is stable across runs and `--jobs` —
+/// routing is computed by the deterministic subnet planner, never
+/// discovered at run time.
 pub fn dump_routes(spec: &ScenarioSpec, seed: u64) -> String {
     let mut cfg = profile_config(spec);
     if spec.qos != QosMode::SharedSl {

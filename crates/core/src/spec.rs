@@ -32,7 +32,7 @@ use rperf_fabric::Topology;
 use rperf_model::config::SchedPolicy;
 use rperf_model::{ClusterConfig, ServiceLevel};
 use rperf_sim::SimDuration;
-use rperf_subnet::{check, FatTreeParams, TopologySpec};
+use rperf_subnet::{check, FatTreeParams, TopologySpec, MAX_HOSTS};
 
 /// QoS configuration of a scenario (Sections VII–VIII).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -229,13 +229,12 @@ pub struct ScenarioSpec {
     pub topology: Topology,
     /// The traffic matrix.
     pub roles: Vec<RoleSpec>,
-    /// Worker domains for sharded execution (1 = one domain, no threads).
-    ///
-    /// Results are identical for every value — sharding is a wall-clock
-    /// optimization, not a model change (see DESIGN.md §3) — so this knob
-    /// does not participate in scenario identity: [`ScenarioSpec::to_text`]
-    /// omits it at the default and cache keys built from the canonical
-    /// text stay stable across shard counts.
+    /// Deprecated shim, kept only for the repository benchmark's harness,
+    /// which still sets it through [`ScenarioSpec::with_shards`] and reads
+    /// it back. Nothing in the workspace reads it: every scenario runs as
+    /// one simulation on one thread. It is never parsed and never written
+    /// by [`ScenarioSpec::to_text`], so it is not part of a spec's text or
+    /// its cache key.
     pub shards: usize,
 }
 
@@ -293,7 +292,9 @@ impl ScenarioSpec {
         self
     }
 
-    /// Sets the worker-domain count for sharded execution (builder style).
+    /// Deprecated shim for the repository benchmark's harness: stores
+    /// `shards` in [`ScenarioSpec::shards`], which changes nothing about
+    /// how the scenario runs.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
         self
@@ -345,22 +346,6 @@ impl ScenarioSpec {
         if warmup.checked_add(duration).is_none() {
             return Err(format!(
                 "warm-up {warmup} ps + measurement window {duration} ps overflows the simulated clock"
-            ));
-        }
-        if self.shards == 0 || self.shards > 64 {
-            return Err(format!("shards must be in 1..=64, got {}", self.shards));
-        }
-        // Every worker domain needs at least one device, or
-        // `partition_devices` would produce empty shards at run time.
-        let devices = hosts + self.topology.switches();
-        if self.shards > devices {
-            return Err(format!(
-                "shards = {} exceeds the {} devices in the topology \
-                 ({} hosts + {} switches)",
-                self.shards,
-                devices,
-                hosts,
-                self.topology.switches()
             ));
         }
         let mut claimed = vec![false; hosts];
@@ -527,12 +512,40 @@ fn parse_topology(section: &Section) -> Result<Topology, SpecError> {
             if hosts.is_empty() {
                 return err(line, "`hosts_per_switch` must name at least one switch");
             }
+            // Bounded before the host list is built: an oversized chain
+            // would otherwise fail as an allocation abort, not an error.
+            let total = hosts.iter().try_fold(0usize, |sum, &n| sum.checked_add(n));
+            if total.is_none_or(|n| n > MAX_HOSTS) {
+                return err(
+                    line,
+                    format!("topology `chain` has more hosts than the {MAX_HOSTS} unicast LIDs"),
+                );
+            }
             Topology::Spec(TopologySpec::chain(hosts.len(), &hosts))
         }
-        "star" => Topology::Spec(TopologySpec::star(
-            req_int("leaves")? as usize,
-            req_int("hosts_per_leaf")? as usize,
-        )),
+        "star" => {
+            let leaves = req_int("leaves")? as usize;
+            let per_leaf = req_int("hosts_per_leaf")? as usize;
+            // Bounded before the switch and host lists are built, as for
+            // `chain`.
+            let line = |key: &str| section.get(key).map_or(header, |(l, _)| l);
+            if leaves > MAX_HOSTS {
+                return err(
+                    line("leaves"),
+                    format!("topology `star` has {leaves} leaves; at most {MAX_HOSTS} are allowed"),
+                );
+            }
+            if leaves.checked_mul(per_leaf).is_none_or(|n| n > MAX_HOSTS) {
+                return err(
+                    line("hosts_per_leaf"),
+                    format!(
+                        "topology `star` has {leaves} × {per_leaf} hosts, more than the \
+                         {MAX_HOSTS} unicast LIDs"
+                    ),
+                );
+            }
+            Topology::Spec(TopologySpec::star(leaves, per_leaf))
+        }
         "custom" => {
             let switches = req_int("switches")? as usize;
             let Some((line, v)) = section.get("host_attachments") else {
@@ -757,7 +770,6 @@ impl ScenarioSpec {
                 "duration_ps",
                 "duration_us",
                 "duration_ms",
-                "shards",
             ],
         )?;
 
@@ -798,29 +810,11 @@ impl ScenarioSpec {
         };
         let warmup = duration_from(&top, "warmup", SimDuration::from_us(200))?;
         let duration = duration_from(&top, "duration", SimDuration::from_ms(5))?;
-        let (shards_line, shards) = match top.get("shards") {
-            None => (0, 1),
-            Some((line, v)) => (line, expect_int(line, "shards", v)? as usize),
-        };
 
         let Some(topology) = topology else {
             return err(text.lines().count().max(1), "missing [topology] section");
         };
         let topology = parse_topology(&topology)?;
-        // Reject over-sharding at the `shards =` line rather than letting
-        // `partition_devices` produce empty worker domains at run time.
-        let devices = topology.hosts() + topology.switches();
-        if shards > devices {
-            return err(
-                shards_line,
-                format!(
-                    "shards = {shards} exceeds the {devices} devices in the topology \
-                     ({} hosts + {} switches)",
-                    topology.hosts(),
-                    topology.switches()
-                ),
-            );
-        }
         let roles = roles
             .iter()
             .map(parse_role)
@@ -835,7 +829,7 @@ impl ScenarioSpec {
             duration,
             topology,
             roles,
-            shards,
+            shards: 1,
         })
     }
 
@@ -869,12 +863,6 @@ impl ScenarioSpec {
         let _ = writeln!(out, "qos = \"{qos}\"");
         let _ = writeln!(out, "warmup_ps = {}", self.warmup.as_ps());
         let _ = writeln!(out, "duration_ps = {}", self.duration.as_ps());
-        // Emitted only away from the default: sharding never changes
-        // results, so the canonical text (and every cache key derived
-        // from it) is shard-agnostic unless a spec opts in explicitly.
-        if self.shards != 1 {
-            let _ = writeln!(out, "shards = {}", self.shards);
-        }
 
         let _ = writeln!(out, "\n[topology]");
         match &self.topology {
@@ -1043,37 +1031,14 @@ kind = "sink"
     }
 
     #[test]
-    fn shards_knob_parses_validates_and_roundtrips() {
-        let spec = ScenarioSpec::parse(GAMING).unwrap();
-        assert_eq!(spec.shards, 1, "shards defaults to one domain");
-        assert!(
-            !spec.to_text().contains("shards"),
-            "the default must stay out of the canonical text (cache keys)"
-        );
-
-        let sharded = spec.clone().with_shards(4);
-        let text = sharded.to_text();
-        assert!(text.contains("shards = 4"), "{text}");
-        let back = ScenarioSpec::parse(&text).unwrap();
-        assert_eq!(back, sharded, "non-default shards must round-trip");
-        back.validate().unwrap();
-
-        assert!(
-            spec.clone()
-                .with_shards(0)
-                .validate()
-                .unwrap_err()
-                .contains("shards"),
-            "shards = 0 must be rejected"
-        );
-        assert!(
-            spec.clone()
-                .with_shards(65)
-                .validate()
-                .unwrap_err()
-                .contains("shards"),
-            "shards > 64 must be rejected"
-        );
+    fn shards_is_an_unknown_key() {
+        let e = ScenarioSpec::parse("name = \"x\"\nshards = 2\n[topology]\nkind = \"direct_pair\"")
+            .unwrap_err();
+        assert_eq!(e.line, 2, "{e}");
+        assert!(e.msg.contains("shards"), "{e}");
+        // The benchmark shim is never written, so it never reaches a key.
+        let spec = ScenarioSpec::parse(GAMING).unwrap().with_shards(4);
+        assert!(!spec.to_text().contains("shards"));
     }
 
     #[test]
@@ -1147,26 +1112,38 @@ kind = "sink"
     }
 
     #[test]
-    fn over_sharded_specs_are_rejected_with_line_numbers() {
-        // direct_pair has 2 devices; shards = 3 cannot be satisfied.
-        let e = ScenarioSpec::parse("shards = 3\n[topology]\nkind = \"direct_pair\"").unwrap_err();
-        assert_eq!(e.line, 1, "{e}");
-        assert!(e.msg.contains("2 devices"), "{e}");
+    fn oversized_stars_and_chains_are_parse_errors_at_their_key() {
+        let star = |leaves: &str, per_leaf: &str| {
+            ScenarioSpec::parse(&format!(
+                "[topology]\nkind = \"star\"\nleaves = {leaves}\nhosts_per_leaf = {per_leaf}"
+            ))
+        };
+        let e = star("100000000000", "1").unwrap_err();
+        assert_eq!(e.line, 3, "{e}");
+        assert!(e.msg.contains("leaves"), "{e}");
+        // Too many hosts in all, and a product that overflows `usize`.
+        for (leaves, per_leaf) in [("200", "300"), ("40000", "18446744073709551615")] {
+            let e = star(leaves, per_leaf).unwrap_err();
+            assert_eq!(e.line, 4, "{e}");
+            assert!(e.msg.contains("unicast LIDs"), "{e}");
+        }
+        star("2", "3").unwrap();
 
-        // The programmatic path (CLI --shards override) is caught by
-        // validate() instead.
-        let spec = ScenarioSpec::new("t", Topology::DirectPair)
-            .with_role(0, Role::Sink)
-            .with_shards(3);
-        let msg = spec.validate().unwrap_err();
-        assert!(msg.contains("2 devices"), "{msg}");
-
-        // At the boundary it is fine: 2 hosts + 0 switches = 2 devices.
-        ScenarioSpec::new("t", Topology::DirectPair)
-            .with_role(0, Role::Sink)
-            .with_shards(2)
-            .validate()
-            .unwrap();
+        let chain = |hosts: &str| {
+            ScenarioSpec::parse(&format!(
+                "name = \"c\"\n[topology]\nkind = \"chain\"\nhosts_per_switch = {hosts}"
+            ))
+        };
+        for hosts in [
+            "[100000000000]",
+            "[40000, 10000]",
+            "[18446744073709551615, 1]",
+        ] {
+            let e = chain(hosts).unwrap_err();
+            assert_eq!(e.line, 4, "{e}");
+            assert!(e.msg.contains("unicast LIDs"), "{e}");
+        }
+        chain("[1, 2]").unwrap();
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Link delivery through the full fabric: the dispatch layer's number.
 //!
 //! A converged-traffic workload (8 senders incast to one sink through a
-//! single switch — the regime of Figs. 11-12) runs to quiescence on one
-//! domain, so the time is the run loop, keyed scheduling, dispatch and
-//! the device handlers together.
+//! single switch — the regime of Figs. 11-12) runs to quiescence, so
+//! the time is the run loop, keyed scheduling, dispatch and the device
+//! handlers together.
 
 use std::any::Any;
 

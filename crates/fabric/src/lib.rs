@@ -31,12 +31,12 @@
 
 #[cfg(feature = "sim-prof")]
 pub mod prof;
-mod shard;
+mod sim;
 mod topology;
 mod trace;
 mod world;
 
-pub use shard::{partition_devices, Ctx, Sim};
+pub use sim::{Ctx, Sim};
 pub use topology::{Endpoint, Fabric, FabricBuilder, Topology};
 pub use trace::{TraceEvent, TraceRecord, Tracer};
 pub use world::{events_processed_total, packets_leaked_total, slab_high_water_total, App};

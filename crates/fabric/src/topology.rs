@@ -86,8 +86,8 @@ pub enum Endpoint {
 /// The cluster configuration is held in an [`Arc`] shared with every
 /// device (nodes and switches reference the same allocation rather than
 /// each owning a clone). A fabric does not run on its own: [`crate::Sim`]
-/// takes it apart into domains, each with the packet slab its devices
-/// exchange handles into.
+/// takes ownership of its devices and adds the event queue and the
+/// packet slab they exchange handles into.
 ///
 /// Use the constructors ([`Fabric::direct_pair`], [`Fabric::single_switch`],
 /// [`Fabric::two_switch`]) or [`FabricBuilder`] for per-node overrides.

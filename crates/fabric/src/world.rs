@@ -1,6 +1,6 @@
 //! The application layer: the event vocabulary, the [`App`] trait and
 //! the process-wide run counters. The engine that dispatches events, and
-//! the [`Ctx`] it hands apps, live in [`crate::shard`].
+//! the [`Ctx`] it hands apps, live in [`crate::sim`].
 
 use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -10,14 +10,13 @@ use rperf_verbs::Cqe;
 
 use crate::Ctx;
 
-/// An event flowing through one domain of the assembled fabric.
+/// An event flowing through the assembled fabric.
 ///
-/// Packet events carry [`PacketRef`] handles into the domain's
+/// Packet events carry [`PacketRef`] handles into the simulation's
 /// [`rperf_model::PacketSlab`]; the packet body is allocated once at
-/// injection and never copied per hop within a domain.
+/// injection and never copied per hop.
 ///
-/// Node and switch indices are the device's index *within the domain*
-/// (see [`crate::shard`]), stored as `u32` rather than `usize`: the enum
+/// Node and switch indices are stored as `u32` rather than `usize`: the enum
 /// sits inside every timer-wheel entry, and the narrower fields keep the
 /// hot packet/wake variants to a single cache line's worth of entry
 /// during cascade copies.
@@ -86,11 +85,7 @@ pub(crate) enum FabricEvent {
 
 /// The application interface: measurement tools and traffic generators
 /// implement this and are attached to nodes with [`crate::Sim::add_app`].
-///
-/// Apps are `Send` so a sharded run can move each node's app to the
-/// worker thread that owns its domain; apps hold only their own
-/// measurement state, so this costs implementations nothing.
-pub trait App: Send {
+pub trait App {
     /// Called once when the simulation starts.
     fn start(&mut self, ctx: &mut Ctx<'_>);
 

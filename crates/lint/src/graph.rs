@@ -656,7 +656,7 @@ fn resolve_call(
     }
 }
 
-/// A static referenced on a shard path, with its resolved metadata —
+/// A static referenced on a reachable path, with its resolved metadata —
 /// convenience for rule I3.
 #[derive(Debug)]
 pub struct StaticUse<'g> {

@@ -1,6 +1,6 @@
 //! The interprocedural rules I1–I4, run over the workspace call graph.
 //!
-//! Where D1–D10 pattern-match token sequences one file at a time, these
+//! Where D1–D9 pattern-match token sequences one file at a time, these
 //! rules reason about *reachability*: a `thread_rng()` three helper
 //! calls below a figure generator is exactly as nondeterministic as one
 //! written inline, and the token rules cannot see it. Each rule names
@@ -15,7 +15,7 @@
 //! |----|-----------|
 //! | I1 | no ambient-input source (RNG, wall clock, env, infinite socket wait) reachable from a result-producing entry |
 //! | I2 | no `panic!`/`unwrap`/`expect`/`todo!` reachable from a hot-loop entry |
-//! | I3 | no `static` reachable from shard-executed code (telemetry atomics via `[[allow]]`) |
+//! | I3 | no `static` reachable from the run loop or dispatch (telemetry atomics via `[[allow]]`) |
 //! | I4 | a `pub fn` calling an ordering-contract-documented API fn must carry a contract doc itself |
 //!
 //! Conservatism and its consequences are catalogued in DESIGN.md §5.1;
@@ -110,7 +110,7 @@ pub fn run_inter(files: &[SourceFile], cfg: &Config) -> InterReport {
         i2_panic_reachability(files, &g, rule, &mut out);
     }
     if let Some(rule) = cfg.rule("I3") {
-        i3_shard_purity(files, &g, rule, &mut out);
+        i3_run_purity(files, &g, rule, &mut out);
     }
     if let Some(rule) = cfg.rule("I4") {
         i4_contract_propagation(files, &g, rule, &mut out);
@@ -195,7 +195,7 @@ fn i2_panic_reachability(
     }
 }
 
-fn i3_shard_purity(files: &[SourceFile], g: &Graph, cfg: &RuleCfg, out: &mut Vec<Diagnostic>) {
+fn i3_run_purity(files: &[SourceFile], g: &Graph, cfg: &RuleCfg, out: &mut Vec<Diagnostic>) {
     let entries = g.match_entries(&cfg.entries);
     let parent = g.reach(&entries);
     // One diagnostic per (static, referencing file): the first use site
@@ -217,7 +217,7 @@ fn i3_shard_purity(files: &[SourceFile], g: &Graph, cfg: &RuleCfg, out: &mut Vec
             u.site.col,
             "I3",
             format!(
-                "{} `{}: {}` reachable from shard-executed code: {}",
+                "{} `{}: {}` reachable from the dispatch loop: {}",
                 if u.st.is_atomic {
                     "shared atomic"
                 } else {

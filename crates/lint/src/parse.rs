@@ -1,6 +1,6 @@
 //! A hand-written recursive-descent item parser on top of [`crate::lexer`].
 //!
-//! The token-level rules (D1–D10) match short token sequences and never
+//! The token-level rules (D1–D9) match short token sequences and never
 //! resolve names; the interprocedural rules (I1–I4, [`crate::inter`])
 //! need more: which functions a file defines, which impl/trait each one
 //! belongs to, what it imports, which items are `#[cfg(test)]`- or
@@ -61,7 +61,7 @@ pub struct StaticDecl {
     /// tokens (e.g. `AtomicU64`, `[AtomicU64 ; KINDS]`).
     pub ty: String,
     /// True when the type mentions an `Atomic*` ident — the only class
-    /// of static the shard-purity rule can ever exempt.
+    /// of static the run-purity rule (I3) can ever exempt.
     pub is_atomic: bool,
     /// True when test-gated (see [`FnDecl::in_test`]).
     pub in_test: bool,

@@ -18,7 +18,6 @@
 //! | D7 | every `pub fn` in the event-API crate documents its contract |
 //! | D8 | no environment reads (`env::var`) in result-producing paths |
 //! | D9 | blocking sockets in the serving layer carry finite timeouts |
-//! | D10 | cross-shard state travels only through the sim mailbox (no ad-hoc shared-mutable sync in shard-executed crates) |
 //!
 //! The interprocedural catalog (I1–I4) lives in [`crate::inter`] and
 //! runs over the whole-workspace call graph instead of single token
@@ -31,7 +30,7 @@ use crate::parse::{self, ItemTree};
 
 /// Every rule id the engine implements.
 pub const KNOWN_IDS: &[&str] = &[
-    "D1", "D2", "D3", "D4", "D6", "D7", "D8", "D9", "D10", "I1", "I2", "I3", "I4",
+    "D1", "D2", "D3", "D4", "D6", "D7", "D8", "D9", "I1", "I2", "I3", "I4",
 ];
 
 /// The built-in fix hint for `id`.
@@ -45,10 +44,9 @@ pub fn default_hint(id: &str) -> &'static str {
         "D7" => "event-API callers rely on documented (time, seq) FIFO ordering; add a doc comment stating the ordering contract",
         "D8" => "environment variables make results depend on the shell; thread configuration through explicit arguments",
         "D9" => "a blocking socket read with no timeout lets one stalled peer wedge the thread forever; call set_read_timeout(Some(..))/set_write_timeout(Some(..)) right after accept/connect",
-        "D10" => "shard worker domains may exchange state only through rperf_sim::shard::Mailbox envelopes, which the window scheduler merges in (time, seq) order; ad-hoc shared-mutable sync is a side channel the deterministic merge never sees",
         "I1" => "the call chain in the message shows how a result path reaches ambient input; thread the value through explicit arguments, or break the edge (the diagnostic points at the source, not the entry)",
         "I2" => "a panic anywhere in the reachable set aborts the whole sweep; return a typed error along the chain, or demote the check to debug_assert! (pruned from release reachability)",
-        "I3" => "shard workers must not touch process-global state; move it into the shard's Domain, or — for monotonic telemetry counters only — add an [[allow]] naming the atomic with a justification",
+        "I3" => "simulations run concurrently on sweep and serve workers, so dispatch code must not touch process-global state; keep it in the Sim, or — for monotonic telemetry counters only — add an [[allow]] naming the atomic with a justification",
         "I4" => "callers inherit the (time, seq) ordering obligation of the API they call; copy the contract sentence into this fn's doc comment so the obligation stays visible at every layer",
         _ => "see DESIGN.md §5",
     }
@@ -66,10 +64,9 @@ pub fn explain(id: &str) -> Option<&'static str> {
         "D7" => "D7 — documented event-API contracts.\n\nEvery pub fn in the event-API crate documents its ordering contract.\nI4 propagates the obligation to callers in other crates.",
         "D8" => "D8 — no environment reads.\n\nenv::var makes results depend on the invoking shell. Configuration is\nthreaded through explicit arguments. I1 extends the check to\nreachability from result-producing entries.",
         "D9" => "D9 — finite socket timeouts.\n\nA blocking read with no timeout lets one stalled peer wedge a serve\nworker forever. set_read_timeout(Some(..)) right after accept/connect;\nset_read_timeout(None) is flagged at the call site.",
-        "D10" => "D10 — no shard side channels.\n\nCross-shard state travels only through rperf_sim::shard::Mailbox\nenvelopes, merged in (time, seq) order at window boundaries. Mutex/\nRwLock/RefCell/Cell/mpsc in shard-executed crates are side channels\nthe deterministic merge never sees. I3 adds reachability: statics\ntouched by code the shard windows can call.",
         "I1" => "I1 — taint reachability (interprocedural).\n\nSources: thread_rng()/rand::, Instant/SystemTime, env::var*/vars, and\nset_read_timeout(None)/set_write_timeout(None). The analyzer builds a\nconservative workspace call graph (see DESIGN.md §5.1), BFS-reaches\nfrom the configured `entries` (figure generators, executors, sweep\nrunners), and flags every source inside the reachable set — however\nmany helper crates deep. The message carries the shortest call chain\nthe graph knows from an entry to the offending function. Fix by\nthreading the value through arguments; exempt with a justified\n[[allow]] pinned to the site.",
-        "I2" => "I2 — panic reachability (interprocedural).\n\nFlags panic!/todo!/unimplemented! and .unwrap()/.expect() in any\nfunction reachable from the hot-loop entries (`entries` in lint.toml:\nrun_sharded, Domain::handle_one, shard window bodies; a pattern\nthat matches no function fails the run).\nPruning: #[cfg(test)] items are not graph nodes, debug_assert! bodies\nare skipped (they vanish in release builds), and code gated by an\n`off_features` feature is invisible. An unreachable panic, even in a\nhot-loop crate, is fine. Method-name call edges\nover-approximate: a panic in a same-named method of an unrelated type\ncan be flagged — silence that with a justified [[allow]].",
-        "I3" => "I3 — shard purity (interprocedural).\n\nShard worker windows replay deterministically only if shard-executed\ncode touches no process-global state. The analyzer reaches from the\nshard window entries and flags every `static` referenced by reachable\ncode, one diagnostic per (static, file). The only sanctioned\nexception is monotonic telemetry (Atomic* counters folded after the\nrun) — exempt those via [[allow]] entries naming the counter, so each\nexemption carries a justification.",
+        "I2" => "I2 — panic reachability (interprocedural).\n\nFlags panic!/todo!/unimplemented! and .unwrap()/.expect() in any\nfunction reachable from the hot-loop entries (`entries` in lint.toml:\nthe run loop and Sim::handle_one; a pattern that matches no\nfunction fails the run).\nPruning: #[cfg(test)] items are not graph nodes, debug_assert! bodies\nare skipped (they vanish in release builds), and code gated by an\n`off_features` feature is invisible. An unreachable panic, even in a\nhot-loop crate, is fine. Method-name call edges\nover-approximate: a panic in a same-named method of an unrelated type\ncan be flagged — silence that with a justified [[allow]].",
+        "I3" => "I3 — run purity (interprocedural).\n\nSimulations run concurrently on sweep workers and rperf-serve jobs,\nand each replays deterministically only if the code it runs touches\nno process-global state. The analyzer reaches from the run loop and\nthe dispatch entry and flags every `static` referenced by reachable\ncode, one diagnostic per (static, file). The only sanctioned\nexception is monotonic telemetry (Atomic* counters folded after the\nrun) — exempt those via [[allow]] entries naming the counter, so each\nexemption carries a justification.",
         "I4" => "I4 — ordering-contract propagation (interprocedural).\n\nA pub fn that (exactly) calls a contract-documented function of the\nevent-API crate (`api_crate`, default `sim`) must itself carry a doc\ncomment stating the ordering contract (any of: 'order', 'FIFO',\n'(time, seq)', 'deterministic', case-insensitive). This closes D7's\none-crate scope: the obligation follows the call graph outward.\nName-level method edges are deliberately excluded — they would demand\nordering docs from every Vec::push caller.",
         _ => return None,
     };
@@ -307,7 +304,6 @@ pub fn run_rules(file: &SourceFile, config: &Config) -> Vec<Diagnostic> {
             "D7" => d7_doc_contracts(file, rule, &mut out),
             "D8" => d8_env_reads(file, rule, &mut out),
             "D9" => d9_socket_timeouts(file, rule, &mut out),
-            "D10" => d10_shard_side_channels(file, rule, &mut out),
             _ => {}
         }
     }
@@ -665,39 +661,6 @@ fn d9_socket_timeouts(file: &SourceFile, cfg: &RuleCfg, out: &mut Vec<Diagnostic
     }
 }
 
-/// D10: code that runs inside shard worker domains (the fabric crate)
-/// must exchange cross-shard state only through the
-/// `rperf_sim::shard::Mailbox` envelopes that the window scheduler
-/// merges in `(time, seq)` order at window boundaries. Any ad-hoc
-/// shared-mutable synchronization — `Mutex`/`RwLock` guards, `mpsc`
-/// channels, `RefCell`/`Cell` interior mutability — is a side channel
-/// the deterministic merge never sees, so whatever flows through it
-/// depends on thread scheduling. Atomics are deliberately not flagged:
-/// the fabric's global counters (`events_processed_total`, slab
-/// high-water) are monotonic telemetry folded after the run, not
-/// simulation state.
-fn d10_shard_side_channels(file: &SourceFile, cfg: &RuleCfg, out: &mut Vec<Diagnostic>) {
-    const SIDE_CHANNELS: [&str; 5] = ["Mutex", "RwLock", "RefCell", "Cell", "mpsc"];
-    for s in 0..file.sig.len() {
-        if file.test_at(s) {
-            continue;
-        }
-        let t = &file.tokens[file.sig[s]];
-        if let Some(name) = SIDE_CHANNELS.iter().copied().find(|&n| t.is_ident(n)) {
-            out.push(file.diag(
-                "D10",
-                t,
-                format!(
-                    "shared-mutable sync primitive `{name}` in shard-executed crate `{}`; \
-                     cross-shard state must travel through the mailbox",
-                    file.crate_key
-                ),
-                cfg,
-            ));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -834,37 +797,6 @@ fn private_needs_no_doc() {}
         assert!(run(
             "#[cfg(test)]\nmod tests { fn f(s: &TcpStream) { s.read(&mut b).ok(); } }",
             &["D9"],
-        )
-        .is_empty());
-    }
-
-    #[test]
-    fn d10_flags_side_channels_not_mailbox_or_atomics() {
-        let diags = run(
-            "use std::sync::Mutex;\nfn f() { let (tx, rx) = mpsc::channel(); }",
-            &["D10"],
-        );
-        assert_eq!(diags.len(), 2, "{diags:#?}");
-        assert!(diags[0].msg.contains("`Mutex`"));
-        assert!(diags[1].msg.contains("`mpsc`"));
-        // RefCell and Cell are interior-mutability side channels too.
-        assert_eq!(
-            run("fn f(c: &RefCell<u64>, d: &Cell<u8>) {}", &["D10"]).len(),
-            2
-        );
-        // The mailbox API and telemetry atomics are the sanctioned paths.
-        assert!(run(
-            "use rperf_sim::shard::Mailbox;\n\
-             static EVENTS: AtomicU64 = AtomicU64::new(0);\n\
-             fn f(m: &Mailbox<Envelope>) { m.post(0, e); }",
-            &["D10"],
-        )
-        .is_empty());
-        // Strings, comments, and test regions never fire.
-        assert!(run("// Mutex\nfn f() { g(\"Mutex\"); }", &["D10"]).is_empty());
-        assert!(run(
-            "#[cfg(test)]\nmod tests { use std::sync::Mutex; }",
-            &["D10"],
         )
         .is_empty());
     }

@@ -12,8 +12,8 @@ use std::path::{Path, PathBuf};
 
 use rperf_lint::{lint_source, lint_workspace, Config};
 
-const RULE_IDS: [&str; 13] = [
-    "D1", "D2", "D3", "D4", "D6", "D7", "D8", "D9", "D10", "I1", "I2", "I3", "I4",
+const RULE_IDS: [&str; 12] = [
+    "D1", "D2", "D3", "D4", "D6", "D7", "D8", "D9", "I1", "I2", "I3", "I4",
 ];
 
 fn fixture_dir() -> PathBuf {

@@ -1,11 +1,11 @@
-//! I3 bad: shard-executed code reaches process-global state — a
-//! non-atomic table *and* an undeclared atomic counter, both side
-//! channels the deterministic window merge never sees.
+//! I3 bad: dispatch code reaches process-global state — a non-atomic
+//! table *and* an undeclared atomic counter, both shared by every
+//! simulation running concurrently in the process.
 
 static ROUTE_CACHE: [u8; 64] = [0; 64];
 static WINDOW_HITS: AtomicU64 = AtomicU64::new(0);
 
-/// Shard window entry: drains one conservative-lookahead window.
+/// Run-loop entry: drains one chunk of events.
 pub fn run_window(events: &mut Vec<u64>) {
     while let Some(ev) = events.pop() {
         dispatch(ev);

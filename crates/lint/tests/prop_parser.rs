@@ -21,7 +21,7 @@ const SEEDS: &[&str] = &[
     include_str!("../src/lexer.rs"),
     include_str!("../src/parse.rs"),
     include_str!("../src/graph.rs"),
-    include_str!("../../fabric/src/shard.rs"),
+    include_str!("../../fabric/src/sim.rs"),
 ];
 
 /// Fragments that collide into plausible-but-broken Rust: item

@@ -129,39 +129,19 @@ pub fn available_parallelism() -> usize {
         .unwrap_or(1)
 }
 
-/// How a thread budget divides between sweep workers and the worker
-/// domains (shards) each job runs internally.
+/// Deprecated shim, kept only for the repository benchmark's harness:
+/// what [`plan_parallelism`] returns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Plan {
-    /// Concurrent sweep jobs (outer [`Sweep`] workers).
+    /// Concurrent sweep jobs: `threads / shards_per_job`, at least 1.
     pub workers: usize,
-    /// Shard threads inside each job (inner worker domains).
+    /// The `shards_per_job` argument, at least 1.
     pub shards_per_job: usize,
 }
 
-impl Plan {
-    /// Total threads a sweep under this plan keeps busy.
-    pub fn threads(&self) -> usize {
-        self.workers * self.shards_per_job
-    }
-}
-
-/// Divides a thread budget between sweep workers and per-job shards.
-///
-/// When each sweep job is itself a sharded simulation running
-/// `shards_per_job` worker threads (DESIGN.md §3.7), fanning out
-/// `threads` jobs as well would oversubscribe the machine
-/// `shards_per_job`-fold — and a sharded simulation degrades
-/// disproportionately under oversubscription, because every
-/// conservative-window barrier its shards reach turns into context
-/// switches. So the budget is divided, and the *sweep* dimension keeps
-/// what it can use: independent jobs speed up near-linearly, while
-/// shards pay barrier overhead per window. The shard dimension is only
-/// worth threads the sweep cannot fill on its own (few jobs, many
-/// cores).
-///
-/// `workers = max(1, threads / shards_per_job)`; both inputs are
-/// clamped to at least 1.
+/// Deprecated shim, kept only for the repository benchmark's harness,
+/// which still splits its thread budget by a per-job shard count. Every
+/// simulation runs on one thread, so nothing in the workspace calls it.
 pub fn plan_parallelism(threads: usize, shards_per_job: usize) -> Plan {
     let shards_per_job = shards_per_job.max(1);
     Plan {
@@ -219,15 +199,10 @@ mod tests {
 
     #[test]
     fn plan_divides_threads_between_workers_and_shards() {
-        // Unsharded jobs: the whole budget goes to sweep workers.
         assert_eq!(plan_parallelism(8, 1).workers, 8);
-        // Sharded jobs split the budget without oversubscribing.
         let p = plan_parallelism(8, 4);
         assert_eq!((p.workers, p.shards_per_job), (2, 4));
-        assert_eq!(p.threads(), 8);
-        // The budget never rounds up past the requested thread count…
-        assert!(plan_parallelism(6, 4).threads() <= 6 || plan_parallelism(6, 4).workers == 1);
-        // …and both dimensions are clamped to at least 1.
+        // Both dimensions are clamped to at least 1.
         assert_eq!(plan_parallelism(1, 16).workers, 1);
         assert_eq!(
             plan_parallelism(0, 0),

@@ -502,12 +502,8 @@ fn handle_submit(stream: &mut TcpStream, shared: &Arc<Shared>, payload: &[u8]) -
     }
 
     // Canonical text, not client bytes: formatting differences share a
-    // cache line. The `shards` knob is normalized away too — it selects
-    // a partitioning, not a scenario, and sharded outcomes are
-    // byte-identical to one-shard ones (DESIGN.md §3.7) — so a sharded
-    // submission is served from a one-shard run's cache entry and vice
-    // versa.
-    let canonical = spec.clone().with_shards(1).to_text();
+    // cache line.
+    let canonical = spec.to_text();
     let key = cache_key(&canonical, seed, CODE_VERSION);
 
     if let Some(bytes) = shared.cache.lock().expect("cache lock poisoned").get(key) {

@@ -211,25 +211,41 @@ fn exhausted_budget_is_a_typed_deadline() {
     assert_eq!(stat(&stats, "results_ok"), 0);
 }
 
-/// A fat tree too wide for 255-port switches is a typed spec error, not
-/// a worker panic, and no worker ever sees it.
+/// A fat tree too wide for 255-port switches, and a star or a chain
+/// with more hosts than unicast LIDs, are typed spec errors naming the
+/// offending key's line — not a worker panic or an allocation abort of
+/// the whole process — and no worker ever sees them.
 #[test]
 fn oversized_fat_tree_is_a_typed_parse_error() {
     let server = Server::start(ServeConfig::default()).expect("bind");
     let addr = server.addr().to_string();
-    let text = "name = \"wide\"\n[topology]\nkind = \"fattree\"\nk = 300\ntiers = 2\n\n\
-                [[role]]\nnode = 0\nkind = \"sink\"\n";
-
-    match one_shot_client(&addr).submit(text, 1) {
-        Err(ClientError::Server { code, message }) => {
-            assert_eq!(code, ErrorCode::ParseError, "{message}");
-            assert!(message.contains("255 ports"), "{message}");
+    let cases = [
+        ("kind = \"fattree\"\nk = 300\ntiers = 2", "255 ports"),
+        (
+            "kind = \"star\"\nleaves = 100000000000\nhosts_per_leaf = 1",
+            "leaves",
+        ),
+        (
+            "kind = \"chain\"\nhosts_per_switch = [100000000000]",
+            "unicast LIDs",
+        ),
+    ];
+    for (topology, expected) in cases {
+        let text = format!(
+            "name = \"wide\"\n[topology]\n{topology}\n\n[[role]]\nnode = 0\nkind = \"sink\"\n"
+        );
+        match one_shot_client(&addr).submit(&text, 1) {
+            Err(ClientError::Server { code, message }) => {
+                assert_eq!(code, ErrorCode::ParseError, "{message}");
+                assert!(message.contains("line 4"), "{message}");
+                assert!(message.contains(expected), "{message}");
+            }
+            other => panic!("expected a typed PARSE_ERROR, got {other:?}"),
         }
-        other => panic!("expected a typed PARSE_ERROR, got {other:?}"),
     }
 
     let stats = parse(&server.shutdown()).expect("final stats parse");
-    assert_eq!(stat(&stats, "parse_errors"), 1);
+    assert_eq!(stat(&stats, "parse_errors"), cases.len() as u64);
     assert_eq!(stat(&stats, "worker_panics"), 0);
 }
 

@@ -177,38 +177,6 @@ fn two_hundred_concurrent_submissions_with_injected_faults() {
 }
 
 #[test]
-fn sharded_submission_shares_the_sequential_cache_line() {
-    // `shards` selects an execution engine, not a scenario (DESIGN.md
-    // §3.7): the server normalizes it out of the cache key, so a
-    // `shards = 4` submission is a cache *hit* against the sequential
-    // run of the same spec — and byte-identical to it.
-    let _serial = serial();
-    let server = Server::start(ServeConfig {
-        addr: "127.0.0.1:0".to_string(),
-        workers: 2,
-        queue_depth: 4,
-        deadline_ms: 90_000,
-        io_timeout_ms: 120_000,
-        ..ServeConfig::default()
-    })
-    .expect("bind ephemeral port");
-    let addr = server.addr().to_string();
-
-    let sequential = spec_text("incast_8.scn");
-    let sharded = format!("shards = 4\n{sequential}");
-
-    let cold = client_for(&addr, 1)
-        .submit(&sequential, 7)
-        .expect("sequential submission failed");
-    let warm = client_for(&addr, 2)
-        .submit(&sharded, 7)
-        .expect("sharded submission failed");
-    assert!(warm.cached, "sharded spec missed the sequential cache line");
-    assert_eq!(warm.json, cold.json);
-    server.shutdown();
-}
-
-#[test]
 fn sequential_connections_are_accepted_without_a_poll_delay() {
     const PINGS: u32 = 100;
     let _serial = serial();

@@ -236,9 +236,8 @@ impl<E> EventQueue<E> {
     /// Ordering contract: the queue pops in non-decreasing `(at, key)`
     /// order, so events at the same instant pop in ascending key order
     /// regardless of insertion order — the property the fabric relies on
-    /// to make pop order independent of how events were partitioned
-    /// across shards (DESIGN.md §3.7). Events with equal `at` and `key`
-    /// pop in an unspecified order.
+    /// to make pop order a function of its emission keys alone (DESIGN.md
+    /// §3). Events with equal `at` and `key` pop in an unspecified order.
     ///
     /// # Panics
     ///
@@ -573,7 +572,7 @@ mod tests {
     #[test]
     fn keyed_schedule_pops_in_key_order_regardless_of_insertion() {
         // Three insertion orders of the same (at, key) set must pop
-        // identically — the shard-count-invariance property.
+        // identically: pop order depends on the keys alone.
         let evs = [
             (SimTime::from_ns(5), 7u128, "c"),
             (SimTime::from_ns(5), 3, "b"),

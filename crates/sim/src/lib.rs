@@ -16,9 +16,9 @@
 //!   need. Reproducibility is a core requirement for a measurement tool, so
 //!   the suite does not depend on external RNG crates whose streams may
 //!   change between versions.
-//! * [`run_sharded`] — the driver loop: one or more [`ShardedWorld`]
-//!   shards advanced in conservative-lookahead windows under an event
-//!   budget and a cancellation hook (a single shard is the `N = 1` case).
+//! * [`run`] — the run loop: one [`World`] advanced on the calling
+//!   thread under a time horizon, an exact event budget and a
+//!   cancellation hook.
 //!
 //! # Examples
 //!
@@ -38,12 +38,10 @@
 mod event;
 pub mod reference;
 mod rng;
-pub mod shard;
+mod run;
 mod time;
 
 pub use event::EventQueue;
 pub use rng::SimRng;
-pub use shard::{
-    run_sharded, Lookahead, Mailbox, RunOutcome, ShardRunStats, ShardedWorld, SpinBarrier,
-};
+pub use run::{run, RunOutcome, World};
 pub use time::{SimDuration, SimTime};

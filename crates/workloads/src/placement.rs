@@ -4,7 +4,7 @@
 //! distance (the victim flow) and incast source sets that converge on a
 //! destination from maximally remote edges (the background load). Both
 //! are pure functions of [`FatTreeParams`], so placements are identical
-//! across runs, shard counts and job counts.
+//! across runs and job counts.
 
 use rperf_subnet::FatTreeParams;
 
