@@ -3,7 +3,7 @@
 
 CARGO ?= cargo
 
-.PHONY: ci fmt lint lint-invariants sanitize-smoke build test benchmark-test bench bench-smoke bench-bless prof-report report quick-report scenario-smoke clos-smoke perf-gate serve serve-smoke
+.PHONY: ci fmt lint lint-invariants build test benchmark-test bench bench-smoke bench-bless report quick-report scenario-smoke clos-smoke perf-gate serve serve-smoke
 
 ci: fmt lint lint-invariants build test benchmark-test clos-smoke perf-gate
 
@@ -21,20 +21,12 @@ lint:
 lint-invariants:
 	$(CARGO) run --release -q -p rperf-lint -- --ci
 
-# Quick figure sweeps with the sim-sanitizer feature's runtime invariant
-# checks (packet conservation, credit bounds, event-time monotonicity):
-# fig4 for the latency path, fig5/fig7/fig10 for the bandwidth-bound
-# RNIC wake path. Dev profile on purpose: the checks are
-# debug_assert!-based.
-SANITIZE_FIGS ?= 4 5 7 10
-sanitize-smoke:
-	for f in $(SANITIZE_FIGS); do \
-		$(CARGO) run -q -p rperf-bench --bin figure --features sim-sanitizer -- --fig $$f --quick > /dev/null || exit 1; \
-	done
-
 build:
 	$(CARGO) build --release --workspace
 
+# Debug build, so the runtime invariant checks (packet conservation,
+# credit bounds, event-time monotonicity, no packet live once the queue
+# drains) run as debug_assert!s in every test that simulates.
 test:
 	$(CARGO) test -q --workspace
 
@@ -47,7 +39,8 @@ benchmark-test:
 bench:
 	$(CARGO) bench --workspace
 
-# Regenerates EXPERIMENTS.md + BENCH_report.json at full effort.
+# Regenerates EXPERIMENTS.md + BENCH_report.json (per-figure wall time
+# and event counts, in total and per event kind) at full effort.
 report:
 	$(CARGO) run --release -p rperf-bench --bin report -- --jobs $(shell nproc)
 
@@ -77,15 +70,6 @@ bench-bless:
 	for i in $$(seq $(BLESS_RUNS)); do \
 		$(CARGO) run --release -p rperf-bench --bin report -- --quick --jobs 1 --bless; \
 	done
-
-# Per-event-kind dispatch attribution (sim-prof feature). All outputs
-# are redirected to /tmp — the profiled run's wall times are perturbed
-# by the counters and must never feed the committed report or the gate —
-# and only the BENCH_prof.json sidecar is copied back for the CI
-# artifact upload.
-prof-report:
-	$(CARGO) run --release -p rperf-bench --features sim-prof --bin report -- --quick --jobs 1 --prof --out /tmp/rperf_prof_experiments.md
-	cp /tmp/BENCH_prof.json BENCH_prof.json
 
 # Perf-regression gate: rerun the reduced report single-job and fail if
 # any figure (or the total) takes more than 10% longer in wall seconds

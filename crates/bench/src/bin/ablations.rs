@@ -31,6 +31,7 @@ fn shared(n_bsgs: usize, with_lsg: bool) -> ScenarioSpec {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    rperf_bench::reject_unknown_flags(&args, &[]);
     let effort = Effort::from_args(&args);
 
     println!("# Ablations\n");

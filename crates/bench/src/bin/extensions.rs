@@ -52,6 +52,7 @@ fn asymmetric_bulk() -> ScenarioSpec {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    rperf_bench::reject_unknown_flags(&args, &[]);
     let effort = Effort::from_args(&args);
 
     println!("# Extension: proportionally fair packet scheduling\n");

@@ -13,6 +13,7 @@ use rperf_bench::{figures, Effort};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    rperf_bench::reject_unknown_flags(&args, &["--fig", "--seeds", "--scale", "--json"]);
     let mut effort = Effort::from_args(&args);
     let mut fig: Option<String> = None;
     let mut json = false;

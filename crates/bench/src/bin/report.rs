@@ -1,9 +1,9 @@
 //! Runs every figure and writes EXPERIMENTS.md (paper vs measured) plus
 //! BENCH_report.json (per-figure wall-clock seconds and processed
-//! simulation events).
+//! simulation events, in total and per event kind).
 //!
 //! Usage: `cargo run --release -p rperf-bench --bin report
-//!         [--quick] [--jobs N] [--out PATH] [--gate [PCT]] [--bless] [--prof]`
+//!         [--quick] [--jobs N] [--out PATH] [--gate [PCT]] [--bless]`
 //!
 //! `--gate` turns the run into a perf-regression gate: after the report is
 //! written, every figure's wall seconds — and the total — are compared
@@ -20,12 +20,6 @@
 //! this several times, leaving the per-figure slowest time over N runs —
 //! a conservative ceiling that keeps the gate from flaking on scheduler
 //! noise.
-//!
-//! `--prof` (requires building with `--features sim-prof`) writes the
-//! per-event-kind dispatch counters to BENCH_prof.json next to the
-//! report. Profiled builds pay for two atomic adds and a wall-clock read
-//! per event, so BENCH_report.json numbers from a profiled run are NOT
-//! comparable with the gate baseline; the sidecar is diagnostic only.
 
 #![forbid(unsafe_code)]
 
@@ -34,35 +28,21 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use rperf_bench::{figures, paper, Effort};
+use rperf_fabric::KIND_NAMES;
 use rperf_stats::{json, Figure};
-
-/// One event kind's dispatch count and handler time for one figure
-/// (populated only in `--features sim-prof` builds).
-struct ProfRow {
-    kind: &'static str,
-    count: u64,
-    nanos: u64,
-}
 
 /// Wall-clock and event-count attribution for one figure sweep.
 struct FigStat {
     id: &'static str,
     wall_s: f64,
-    events: u64,
-    prof: Vec<ProfRow>,
+    /// Events processed, per kind ([`KIND_NAMES`] order).
+    events_by_kind: [u64; KIND_NAMES.len()],
 }
 
-#[cfg(feature = "sim-prof")]
-fn prof_delta(before: &[rperf_fabric::prof::ProfEntry]) -> Vec<ProfRow> {
-    rperf_fabric::prof::snapshot()
-        .iter()
-        .zip(before)
-        .map(|(after, b)| ProfRow {
-            kind: after.kind,
-            count: after.count - b.count,
-            nanos: after.nanos - b.nanos,
-        })
-        .collect()
+impl FigStat {
+    fn events(&self) -> u64 {
+        self.events_by_kind.iter().sum()
+    }
 }
 
 /// Figures whose first run finishes below this wall time are re-run (up
@@ -94,43 +74,37 @@ const TIMED_FIGURES: [&str; 11] = [
 fn timed<T>(stats: &mut Vec<FigStat>, id: &'static str, f: impl Fn() -> T) -> T {
     eprintln!("running {id}...");
     let one = || {
-        let events_before = rperf_fabric::events_processed_total();
-        #[cfg(feature = "sim-prof")]
-        let prof_before = rperf_fabric::prof::snapshot();
+        let before = rperf_fabric::events_by_kind_total();
         let start = Instant::now();
         let out = f();
         let wall_s = start.elapsed().as_secs_f64();
-        let events = rperf_fabric::events_processed_total() - events_before;
-        #[cfg(feature = "sim-prof")]
-        let prof = prof_delta(&prof_before);
-        #[cfg(not(feature = "sim-prof"))]
-        let prof = Vec::new();
-        (out, wall_s, events, prof)
+        let after = rperf_fabric::events_by_kind_total();
+        (out, wall_s, std::array::from_fn(|k| after[k] - before[k]))
     };
-    let (mut out, mut wall_s, events, mut prof) = one();
+    let (mut out, mut wall_s, events_by_kind) = one();
     let mut runs = 1;
     while wall_s < TIMED_RERUN_BELOW_S && runs < TIMED_MAX_RUNS {
-        let (rerun_out, rerun_wall, rerun_events, rerun_prof) = one();
+        let (rerun_out, rerun_wall, rerun_by_kind) = one();
         // The sweep is deterministic; a drifting event count across
         // back-to-back runs means a real bug, not timing noise.
         assert_eq!(
-            rerun_events, events,
-            "{id}: event count changed across identical re-runs"
+            rerun_by_kind, events_by_kind,
+            "{id}: per-kind event counts changed across identical re-runs"
         );
         out = rerun_out;
-        if rerun_wall < wall_s {
-            wall_s = rerun_wall;
-            prof = rerun_prof;
-        }
+        wall_s = wall_s.min(rerun_wall);
         runs += 1;
     }
-    eprintln!("  {id}: {wall_s:.3} s, {events} events (best of {runs})");
-    stats.push(FigStat {
+    let stat = FigStat {
         id,
         wall_s,
-        events,
-        prof,
-    });
+        events_by_kind,
+    };
+    eprintln!(
+        "  {id}: {wall_s:.3} s, {} events (best of {runs})",
+        stat.events()
+    );
+    stats.push(stat);
     out
 }
 
@@ -235,15 +209,22 @@ fn bench_report_json(effort: &Effort, stats: &[FigStat], baseline: Option<f64>) 
     let figures: Vec<String> = stats
         .iter()
         .map(|s| {
+            let by_kind = json::object(
+                KIND_NAMES
+                    .iter()
+                    .zip(s.events_by_kind)
+                    .map(|(kind, n)| (*kind, json::num(n as f64))),
+            );
             json::object([
                 ("id", json::string(s.id)),
                 ("wall_s", json::num(s.wall_s)),
-                ("events", json::num(s.events as f64)),
+                ("events", json::num(s.events() as f64)),
+                ("events_by_kind", by_kind),
             ])
         })
         .collect();
     let total_wall: f64 = stats.iter().map(|s| s.wall_s).sum();
-    let total_events: u64 = stats.iter().map(|s| s.events).sum();
+    let total_events: u64 = stats.iter().map(FigStat::events).sum();
     json::object([
         ("jobs", json::num(effort.jobs as f64)),
         ("seeds", json::num(effort.seeds.len() as f64)),
@@ -291,29 +272,6 @@ fn bless_baseline_json(stats: &[FigStat], existing: Option<&Baseline>) -> String
     ])
 }
 
-/// Serializes the per-figure sim-prof counter breakdown (the BENCH_prof
-/// sidecar; see `--prof`).
-fn prof_report_json(stats: &[FigStat]) -> String {
-    let figures: Vec<String> = stats
-        .iter()
-        .map(|s| {
-            let kinds: Vec<String> = s
-                .prof
-                .iter()
-                .map(|r| {
-                    json::object([
-                        ("kind", json::string(r.kind)),
-                        ("count", json::num(r.count as f64)),
-                        ("handler_nanos", json::num(r.nanos as f64)),
-                    ])
-                })
-                .collect();
-            json::object([("id", json::string(s.id)), ("kinds", json::array(kinds))])
-        })
-        .collect();
-    json::object([("figures", json::array(figures))])
-}
-
 fn nearest(series_x: &[f64], series_y: &[f64], x: f64) -> Option<f64> {
     series_x
         .iter()
@@ -321,7 +279,7 @@ fn nearest(series_x: &[f64], series_y: &[f64], x: f64) -> Option<f64> {
         .map(|i| series_y[i])
 }
 
-fn compare_rows(fig: &Figure, series_label: &str, refs: &[(f64, f64)], unit: &str) -> String {
+fn compare_rows(fig: &Figure, series_label: &str, refs: &[(f64, f64)]) -> String {
     let mut out = String::new();
     let Some(series) = fig.series.iter().find(|s| s.label == series_label) else {
         return format!("  (series `{series_label}` missing)\n");
@@ -338,7 +296,6 @@ fn compare_rows(fig: &Figure, series_label: &str, refs: &[(f64, f64)], unit: &st
                     out,
                     "| {x} | {published:.2} | {measured:.2} | {ratio:.2}× |"
                 );
-                let _ = unit;
             }
             None => {
                 let _ = writeln!(out, "| {x} | {published:.2} | - | - |");
@@ -359,13 +316,14 @@ fn comparison_table(
     let _ = writeln!(out, "**{title}** (`{series}`, {unit})\n");
     let _ = writeln!(out, "| x | paper | measured | ratio |");
     let _ = writeln!(out, "|---|---|---|---|");
-    out.push_str(&compare_rows(fig, series, refs, unit));
+    out.push_str(&compare_rows(fig, series, refs));
     let _ = writeln!(out);
     out
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    rperf_bench::reject_unknown_flags(&args, &["--out", "--gate", "--bless"]);
     let effort = Effort::from_args(&args);
     let mut stats: Vec<FigStat> = Vec::new();
     let out_path: PathBuf = args
@@ -382,7 +340,6 @@ fn main() {
             .unwrap_or(10.0)
     });
     let bless = args.iter().any(|a| a == "--bless");
-    let want_prof = args.iter().any(|a| a == "--prof");
 
     let mut md = String::new();
     let _ = writeln!(
@@ -732,7 +689,7 @@ fn main() {
     )
     .expect("write BENCH_report.json");
     let total_wall: f64 = stats.iter().map(|s| s.wall_s).sum();
-    let total_events: u64 = stats.iter().map(|s| s.events).sum();
+    let total_events: u64 = stats.iter().map(FigStat::events).sum();
     eprintln!(
         "wrote {} ({} jobs, {total_wall:.2} s wall, {total_events} events)",
         bench_path.display(),
@@ -750,25 +707,6 @@ fn main() {
         rperf_fabric::slab_high_water_total(),
         rperf_fabric::packets_leaked_total()
     );
-
-    if want_prof {
-        #[cfg(feature = "sim-prof")]
-        {
-            let prof_path = out_path.with_file_name("BENCH_prof.json");
-            std::fs::write(&prof_path, prof_report_json(&stats) + "\n")
-                .expect("write BENCH_prof.json");
-            eprintln!(
-                "wrote {} (per-event-kind dispatch counters)",
-                prof_path.display()
-            );
-        }
-        #[cfg(not(feature = "sim-prof"))]
-        eprintln!(
-            "warning: --prof requires a `--features sim-prof` build; no BENCH_prof.json written"
-        );
-    }
-    #[cfg(not(feature = "sim-prof"))]
-    let _ = prof_report_json; // referenced only by profiled builds
 
     // A leaked handle means some packet was injected but never freed at
     // its destination — a correctness bug, not a performance detail.

@@ -114,6 +114,21 @@ impl Effort {
     }
 }
 
+/// The flags [`Effort::from_args`] reads.
+const EFFORT_FLAGS: [&str; 2] = ["--quick", "--jobs"];
+
+/// Exits with status 2, naming the flag on stderr, when `args` holds a
+/// `--flag` that is neither an [`Effort`] flag nor one of the binary's
+/// `own` flags, so a misspelt or retired flag fails instead of being
+/// ignored.
+pub fn reject_unknown_flags(args: &[String], own: &[&str]) {
+    let known = |a: &str| EFFORT_FLAGS.contains(&a) || own.contains(&a);
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--") && !known(a)) {
+        eprintln!("unknown flag `{flag}`");
+        std::process::exit(2);
+    }
+}
+
 /// The arithmetic mean of an f64 slice (NaN on empty input).
 pub fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64

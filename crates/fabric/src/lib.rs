@@ -29,8 +29,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-#[cfg(feature = "sim-prof")]
-pub mod prof;
 mod sim;
 mod topology;
 mod trace;
@@ -39,4 +37,7 @@ mod world;
 pub use sim::{Ctx, Sim};
 pub use topology::{Endpoint, Fabric, FabricBuilder, Topology};
 pub use trace::{TraceEvent, TraceRecord, Tracer};
-pub use world::{events_processed_total, packets_leaked_total, slab_high_water_total, App};
+pub use world::{
+    events_by_kind_total, events_processed_total, packets_leaked_total, slab_high_water_total, App,
+    KIND_NAMES,
+};

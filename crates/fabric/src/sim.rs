@@ -44,7 +44,7 @@ use rperf_verbs::{RecvWr, SendWr, VerbsError};
 
 use crate::topology::{Endpoint, Fabric};
 use crate::trace::{TraceEvent, Tracer};
-use crate::world::{self, App, FabricEvent};
+use crate::world::{self, App, FabricEvent, KINDS};
 
 /// Initial capacity of the event queue. It sizes only the timer wheel's
 /// ready lane, which holds one 4 ns bucket and grows on demand; a whole
@@ -253,6 +253,8 @@ pub struct Sim {
     rnic_out: Vec<RnicAction>,
     switch_out: Vec<SwitchAction>,
     tracer: Option<Tracer>,
+    /// Events dispatched so far, per kind ([`crate::KIND_NAMES`] order).
+    events_by_kind: [u64; KINDS],
     started: bool,
     /// Set by the first run that drains the queue, which counts leaks;
     /// nothing can schedule afterwards, so later runs count nothing.
@@ -305,6 +307,7 @@ impl Sim {
             rnic_out: Vec::with_capacity(64),
             switch_out: Vec::with_capacity(64),
             tracer: None,
+            events_by_kind: [0; KINDS],
             started: false,
             drained: false,
         }
@@ -312,22 +315,20 @@ impl Sim {
 
     #[inline]
     fn handle_one(&mut self, now: SimTime, event: FabricEvent) {
-        #[cfg(feature = "sim-prof")]
-        let prof_kind = crate::prof::kind_of(&event);
-        #[cfg(feature = "sim-prof")]
-        let prof_start = std::time::Instant::now();
         if let Some(tracer) = &mut self.tracer {
             trace(tracer, &self.net.slab, now, &event);
         }
         // Split field borrows: the device gets `&mut` while the slab and
         // the scratch action buffer are used alongside it. Hot packet/wake
-        // arms come first.
+        // arms come first. Each arm counts its event at its index in
+        // `KIND_NAMES` (a constant index: no per-event kind lookup).
         match event {
             FabricEvent::SwitchPacket {
                 switch,
                 ingress,
                 packet,
             } => {
+                self.events_by_kind[0] += 1;
                 let sw = switch as usize;
                 self.switches[sw].packet_arrival(
                     now,
@@ -339,16 +340,19 @@ impl Sim {
                 self.net.route_switch(sw, now, &mut self.switch_out);
             }
             FabricEvent::SwitchWake { switch, egress } => {
+                self.events_by_kind[1] += 1;
                 let sw = switch as usize;
                 self.switches[sw].egress_wake(now, egress, &mut self.switch_out);
                 self.net.route_switch(sw, now, &mut self.switch_out);
             }
             FabricEvent::RnicPacket { node, packet } => {
+                self.events_by_kind[2] += 1;
                 let n = node as usize;
                 self.rnics[n].packet_arrival(now, packet, &mut self.net.slab, &mut self.rnic_out);
                 self.net.route_rnic(n, now, &mut self.rnic_out);
             }
             FabricEvent::RnicWake(node) => {
+                self.events_by_kind[3] += 1;
                 let n = node as usize;
                 self.rnics[n].wake(now, &self.net.slab, &mut self.rnic_out);
                 self.net.route_rnic(n, now, &mut self.rnic_out);
@@ -359,6 +363,7 @@ impl Sim {
                 vl,
                 bytes,
             } => {
+                self.events_by_kind[4] += 1;
                 let sw = switch as usize;
                 self.switches[sw].credit_from_downstream(
                     now,
@@ -370,19 +375,20 @@ impl Sim {
                 self.net.route_switch(sw, now, &mut self.switch_out);
             }
             FabricEvent::RnicCredit { node, vl, bytes } => {
+                self.events_by_kind[5] += 1;
                 let n = node as usize;
                 self.rnics[n].credit_from_peer(now, vl, bytes, &self.net.slab, &mut self.rnic_out);
                 self.net.route_rnic(n, now, &mut self.rnic_out);
             }
             FabricEvent::AppCqe { node, cqe } => {
+                self.events_by_kind[6] += 1;
                 self.with_app(node as usize, now, |app, ctx| app.on_cqe(ctx, cqe));
             }
             FabricEvent::AppTimer { node, token } => {
+                self.events_by_kind[7] += 1;
                 self.with_app(node as usize, now, |app, ctx| app.on_timer(ctx, token));
             }
         }
-        #[cfg(feature = "sim-prof")]
-        crate::prof::record(prof_kind, prof_start.elapsed().as_nanos() as u64);
     }
 
     /// Runs `f` on `node`'s app (if any) with a [`Ctx`] over this
@@ -444,11 +450,11 @@ impl Sim {
     /// Ordering contract: events pop in `(time, key)` order across
     /// pause/resume boundaries, so an uninterrupted call is bit-identical
     /// to [`Sim::run_until`] and an interrupted one leaves the simulation
-    /// resumable. The process-wide event, slab and leak counters are
-    /// updated either way. The first run that ends with the queue drained
-    /// counts the packet handles still live in the slab as leaks
-    /// ([`crate::packets_leaked_total`]): with no events left, no packet
-    /// can still be in flight. Horizon-bounded stops legitimately strand
+    /// resumable. The process-wide per-kind event, slab and leak counters
+    /// are updated either way, once per call. The first run that ends
+    /// with the queue drained counts the packet handles still live in the
+    /// slab as leaks ([`crate::packets_leaked_total`]): with no events
+    /// left, no packet can still be in flight. Horizon-bounded stops legitimately strand
     /// in-flight packets and count nothing, and so do runs after the
     /// first drained one, which would count the same handles again.
     pub fn run_until_budgeted(
@@ -458,19 +464,15 @@ impl Sim {
         check_every: u64,
         cancelled: &mut dyn FnMut() -> bool,
     ) -> RunOutcome {
-        let before = self.events_processed();
+        let before = self.events_by_kind;
         let outcome = rperf_sim::run(self, t, max_events, check_every, cancelled);
-        world::note_events(self.events_processed() - before);
+        world::note_events(std::array::from_fn(|k| self.events_by_kind[k] - before[k]));
         world::note_slab_high_water(self.net.slab.high_water() as u64);
         if outcome == RunOutcome::QueueDrained && !self.drained {
             self.drained = true;
             let live = self.packets_live();
             world::note_leaks(live as u64);
-            #[cfg(feature = "sim-sanitizer")]
-            debug_assert_eq!(
-                live, 0,
-                "sim-sanitizer: {live} packet(s) still in the slab at quiescence"
-            );
+            debug_assert_eq!(live, 0, "{live} packet(s) still in the slab at quiescence");
         }
         outcome
     }
@@ -489,6 +491,11 @@ impl Sim {
     /// Total events processed so far.
     pub fn events_processed(&self) -> u64 {
         self.net.q.popped()
+    }
+
+    /// Events processed so far, per kind, in [`crate::KIND_NAMES`] order.
+    pub fn events_by_kind(&self) -> [u64; KINDS] {
+        self.events_by_kind
     }
 
     /// Live packet handles in the slab (leak diagnostics).
@@ -775,13 +782,19 @@ mod tests {
         let out = sim.run_until_budgeted(SimTime::from_us(10_000), 500, 64, &mut || false);
         assert_eq!(out, RunOutcome::BudgetExhausted);
         assert_eq!(sim.events_processed(), 500);
+        assert_eq!(sim.events_by_kind().iter().sum::<u64>(), 500);
         let out = sim.run_until_budgeted(SimTime::from_us(10_000), u64::MAX, 64, &mut || false);
         assert_eq!(out, RunOutcome::QueueDrained);
         assert_eq!(sim.app_as::<Sink>(2).recvs, 200);
+        assert_eq!(
+            sim.events_by_kind().iter().sum::<u64>(),
+            sim.events_processed()
+        );
         // Interrupting changes nothing: the uninterrupted run ends the same.
         let mut whole = streaming_pair();
         whole.run_to_quiescence();
         assert_eq!(whole.events_processed(), sim.events_processed());
+        assert_eq!(whole.events_by_kind(), sim.events_by_kind());
         assert_eq!(
             whole.app_as::<Sink>(3).last_at,
             sim.app_as::<Sink>(3).last_at

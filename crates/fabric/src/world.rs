@@ -83,6 +83,23 @@ pub(crate) enum FabricEvent {
     },
 }
 
+/// Number of [`FabricEvent`] kinds; see [`KIND_NAMES`].
+pub(crate) const KINDS: usize = 8;
+
+/// Display names of the event kinds, index-aligned with
+/// [`crate::Sim::events_by_kind`] and the counters `Sim::handle_one`
+/// bumps in its dispatch arms.
+pub const KIND_NAMES: [&str; KINDS] = [
+    "switch_packet",
+    "switch_wake",
+    "rnic_packet",
+    "rnic_wake",
+    "switch_credit",
+    "rnic_credit",
+    "app_cqe",
+    "app_timer",
+];
+
 /// The application interface: measurement tools and traffic generators
 /// implement this and are attached to nodes with [`crate::Sim::add_app`].
 pub trait App {
@@ -100,13 +117,13 @@ pub trait App {
 }
 
 /// Process-wide count of events handled by every [`crate::Sim`] on any
-/// thread.
+/// thread, per kind ([`KIND_NAMES`] order).
 ///
 /// Parallel sweeps (`rperf-runner`) run many `Sim`s concurrently; the
-/// relaxed atomic adds commute, so the total is deterministic even though
-/// the interleaving is not. The bench report records it per figure as a
-/// deterministic regression signal next to wall time.
-static EVENTS_PROCESSED: AtomicU64 = AtomicU64::new(0);
+/// relaxed atomic adds commute, so the counts are deterministic even
+/// though the interleaving is not. The bench report records them per
+/// figure as a deterministic regression signal next to wall time.
+static EVENTS_BY_KIND: [AtomicU64; KINDS] = [const { AtomicU64::new(0) }; KINDS];
 
 /// Process-wide high-water mark of live packets in any [`crate::Sim`]'s
 /// slabs.
@@ -120,16 +137,29 @@ static SLAB_HIGH_WATER: AtomicU64 = AtomicU64::new(0);
 /// left, no packet can still be in flight.
 static PACKETS_LEAKED: AtomicU64 = AtomicU64::new(0);
 
-/// Total events processed by all simulations in this process so far.
+/// Events processed by all simulations in this process so far, per kind
+/// ([`KIND_NAMES`] order).
 ///
 /// Snapshot before and after a workload and subtract to attribute events
 /// to it (valid also when the workload runs on worker threads).
+pub fn events_by_kind_total() -> [u64; KINDS] {
+    EVENTS_BY_KIND.each_ref().map(|n| n.load(Ordering::Relaxed))
+}
+
+/// Total events processed by all simulations in this process so far:
+/// the sum of [`events_by_kind_total`].
+///
+/// A shim: only the repository benchmark reads it, and it goes once
+/// per-run statistics travel on `ScenarioOutcome`.
 pub fn events_processed_total() -> u64 {
-    EVENTS_PROCESSED.load(Ordering::Relaxed)
+    events_by_kind_total().iter().sum()
 }
 
 /// Highest number of simultaneously live packets observed in any
 /// simulation's slab in this process.
+///
+/// A shim kept for the repository benchmark (and `report`) until
+/// per-run statistics travel on `ScenarioOutcome`.
 pub fn slab_high_water_total() -> u64 {
     SLAB_HIGH_WATER.load(Ordering::Relaxed)
 }
@@ -137,13 +167,18 @@ pub fn slab_high_water_total() -> u64 {
 /// Total packet handles found still allocated at quiescence across all
 /// simulations in this process (must stay 0; anything else is a leak in
 /// the device models).
+///
+/// A shim kept for the repository benchmark (and `report`) until
+/// per-run statistics travel on `ScenarioOutcome`.
 pub fn packets_leaked_total() -> u64 {
     PACKETS_LEAKED.load(Ordering::Relaxed)
 }
 
-/// Adds to the process-wide event counter.
-pub(crate) fn note_events(n: u64) {
-    EVENTS_PROCESSED.fetch_add(n, Ordering::Relaxed);
+/// Adds one run's per-kind event counts to the process-wide counters.
+pub(crate) fn note_events(by_kind: [u64; KINDS]) {
+    for (total, n) in EVENTS_BY_KIND.iter().zip(by_kind) {
+        total.fetch_add(n, Ordering::Relaxed);
+    }
 }
 
 /// Raises the process-wide slab high-water mark.

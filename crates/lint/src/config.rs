@@ -23,9 +23,7 @@
 //! call-graph roots the reachability analysis starts from (patterns per
 //! [`crate::graph::Graph::match_entries`]); I4 takes `api_crate`, the
 //! crate whose contract-documented functions propagate the doc
-//! obligation. A top-level `off_features = [...]` key lists cargo
-//! features the analyzer assumes disabled (feature-gated code is
-//! invisible to the call graph).
+//! obligation.
 
 use rperf_model::textcfg::{err, expect_str, expect_str_list, Document, ParseError, Section};
 
@@ -74,8 +72,6 @@ pub struct Config {
     pub rules: Vec<RuleCfg>,
     /// Allowlist entries in file order.
     pub allows: Vec<AllowEntry>,
-    /// Cargo features the call-graph analysis assumes disabled.
-    pub off_features: Vec<String>,
 }
 
 impl Config {
@@ -93,12 +89,8 @@ impl Config {
     /// missing a justification.
     pub fn parse(text: &str) -> Result<Config, ParseError> {
         let doc = Document::parse(text)?;
-        doc.top
-            .check_keys("lint.toml", &["version", "off_features"])?;
+        doc.top.check_keys("lint.toml", &["version"])?;
         let mut cfg = Config::default();
-        if let Some((line, v)) = doc.top.get("off_features") {
-            cfg.off_features = expect_str_list(line, "off_features", v)?;
-        }
         for sec in &doc.sections {
             match sec.raw_header.as_str() {
                 "[[rule]]" => cfg.rules.push(parse_rule(sec)?),

@@ -29,14 +29,12 @@
 //! scanned as part of its enclosing function, so its *sites* are seen),
 //! and slice-index panics, which are not modeled as panic sites.
 //!
-//! Functions gated `#[cfg(test)]` are not nodes; tokens gated by a
-//! feature named in `off_features` (lint.toml) are invisible to the body
-//! scan, so `sim-prof`-only instrumentation neither calls nor taints.
+//! Functions gated `#[cfg(test)]` are not nodes.
 
 use std::collections::BTreeMap;
 
 use crate::lexer::{TokKind, Token};
-use crate::parse::{self, FnDecl};
+use crate::parse::FnDecl;
 use crate::rules::SourceFile;
 
 /// What kind of ambient-input taint a token introduces (rule I1).
@@ -186,9 +184,8 @@ struct Indexes {
 
 impl Graph {
     /// Builds the graph over `files` (all of which must carry parsed
-    /// item trees). `off_features` lists cargo features the analysis
-    /// assumes disabled.
-    pub fn build(files: &[SourceFile], off_features: &[String]) -> Graph {
+    /// item trees).
+    pub fn build(files: &[SourceFile]) -> Graph {
         let mut g = Graph::default();
         let mut idx = Indexes {
             by_crate_name: BTreeMap::new(),
@@ -199,7 +196,7 @@ impl Graph {
         // Pass 1: nodes and indexes.
         for (fi, file) in files.iter().enumerate() {
             for s in &file.tree.statics {
-                if s.in_test || s.features.iter().any(|f| off_features.contains(f)) {
+                if s.in_test {
                     continue;
                 }
                 let id = g.statics.len();
@@ -214,7 +211,7 @@ impl Graph {
                     .or_insert(id);
             }
             for d in &file.tree.fns {
-                if d.in_test || d.features.iter().any(|f| off_features.contains(f)) {
+                if d.in_test {
                     continue;
                 }
                 let id = g.nodes.len();
@@ -266,12 +263,8 @@ impl Graph {
         // walk the same zip again.
         let mut node_id = 0usize;
         for file in files {
-            let off_mask = parse::off_feature_mask(&file.tokens, off_features);
-            for d in &file.tree.fns {
-                if d.in_test || d.features.iter().any(|f| off_features.contains(f)) {
-                    continue;
-                }
-                scan_body(&mut g, &idx, node_id, file, d, &off_mask);
+            for d in file.tree.fns.iter().filter(|d| !d.in_test) {
+                scan_body(&mut g, &idx, node_id, file, d);
                 node_id += 1;
             }
         }
@@ -350,8 +343,9 @@ impl Graph {
         parent
     }
 
-    /// Renders the entry → … → `node` chain recorded by [`Graph::reach`]
-    /// as `a → b → c`, eliding the middle beyond 5 hops.
+    /// Renders the whole entry → … → `node` chain recorded by
+    /// [`Graph::reach`] as `a -> b -> c`: the middle hops are where an
+    /// over-approximated edge shows, so none is elided.
     pub fn chain(&self, parent: &[Option<usize>], node: usize) -> String {
         let mut path = vec![node];
         let mut cur = node;
@@ -364,38 +358,17 @@ impl Graph {
         }
         path.reverse();
         let keys: Vec<&str> = path.iter().map(|&i| self.nodes[i].key.as_str()).collect();
-        if keys.len() <= 5 {
-            keys.join(" -> ")
-        } else {
-            format!(
-                "{} -> {} -> ... -> {} -> {}",
-                keys[0],
-                keys[1],
-                keys[keys.len() - 2],
-                keys[keys.len() - 1]
-            )
-        }
+        keys.join(" -> ")
     }
 }
 
 /// Scans one function body for calls, taints, panic sites, and static
 /// references, pushing them onto node `id`.
-fn scan_body(
-    g: &mut Graph,
-    idx: &Indexes,
-    id: usize,
-    file: &SourceFile,
-    d: &FnDecl,
-    off_mask: &[bool],
-) {
+fn scan_body(g: &mut Graph, idx: &Indexes, id: usize, file: &SourceFile, d: &FnDecl) {
     let Some((start, end)) = d.body else { return };
-    // Filtered positions: significant tokens inside the body that are
-    // not feature-masked.
+    // Filtered positions: significant tokens inside the body.
     let b: Vec<usize> = (start..=end.min(file.tokens.len().saturating_sub(1)))
-        .filter(|&i| {
-            !matches!(file.tokens[i].kind, TokKind::Comment | TokKind::DocComment)
-                && !off_mask.get(i).copied().unwrap_or(false)
-        })
+        .filter(|&i| !matches!(file.tokens[i].kind, TokKind::Comment | TokKind::DocComment))
         .collect();
     let tok = |k: usize| -> Option<&Token> { b.get(k).map(|&i| &file.tokens[i]) };
     let crate_key = &file.crate_key;
@@ -414,8 +387,7 @@ fn scan_body(
                 // whole argument list for every fact class.
                 "debug_assert" | "debug_assert_eq" | "debug_assert_ne" => {
                     let mut m = k + 2;
-                    if let Some(open) = tok(m).filter(|t| t.is_punct('(')) {
-                        let _ = open;
+                    if tok(m).is_some_and(|t| t.is_punct('(')) {
                         let mut depth = 0isize;
                         while m < b.len() {
                             let q = &file.tokens[b[m]];
@@ -635,19 +607,9 @@ fn resolve_call(
         // `module::name` within a known crate, or plain `name`.
         _ => {
             let c = target_crate.unwrap_or_else(|| crate_key.to_string());
-            if qual.is_some() && crate_key_of(&segs[0]).is_none() && segs[0] != *name {
-                // A multi-segment path whose head is neither a workspace
-                // crate, an alias, nor a type (`std::mem::take`): not ours.
-                let head_known = idx
-                    .by_crate_name
-                    .range((c.clone(), String::new())..(format!("{c}\u{1}"), String::new()))
-                    .next()
-                    .is_some();
-                let _ = head_known;
-                // Only resolve when the head segment is a module of this
-                // crate — approximated by "the crate defines fn `name`".
-                // std paths fall through to the same lookup and miss.
-            }
+            // A multi-segment path resolves as if its head were a module
+            // of this crate ("the crate defines fn `name`"); std paths
+            // (`std::mem::take`) fall through to the same lookup and miss.
             match idx.by_crate_name.get(&(c, name)) {
                 Some(ids) => ids.iter().map(|&i| (i, EdgeKind::Exact)).collect(),
                 None => Vec::new(),
@@ -695,10 +657,6 @@ mod tests {
         SourceFile::analyze(path, crate_key, false, src)
     }
 
-    fn build(files: &[SourceFile]) -> Graph {
-        Graph::build(files, &[])
-    }
-
     fn node<'g>(g: &'g Graph, key: &str) -> (usize, &'g Node) {
         g.nodes
             .iter()
@@ -717,7 +675,7 @@ mod tests {
             ),
             file("crates/b/src/lib.rs", "b", "pub fn far() {}"),
         ];
-        let g = build(&files);
+        let g = Graph::build(&files);
         let (entry, n) = node(&g, "a::entry");
         let callees: Vec<&str> = n.calls.iter().map(|e| g.nodes[e.to].key.as_str()).collect();
         assert!(callees.contains(&"a::helper"), "{callees:?}");
@@ -736,13 +694,30 @@ mod tests {
              struct W;\nimpl W { fn step(&mut self) { deep(); } }\n\
              fn deep() { panic!(\"boom\"); }",
         )];
-        let g = build(&files);
+        let g = Graph::build(&files);
         let (entry, _) = node(&g, "a::entry");
         let reach = g.reach(&[entry]);
         let (deep, dn) = node(&g, "a::deep");
         assert!(reach[deep].is_some());
         assert_eq!(dn.panics.len(), 1);
         assert_eq!(g.chain(&reach, deep), "a::entry -> a::W::step -> a::deep");
+    }
+
+    #[test]
+    fn long_chains_render_in_full() {
+        let files = vec![file(
+            "crates/a/src/lib.rs",
+            "a",
+            "pub fn f1() { f2(); }\nfn f2() { f3(); }\nfn f3() { f4(); }\n\
+             fn f4() { f5(); }\nfn f5() { f6(); }\nfn f6() {}",
+        )];
+        let g = Graph::build(&files);
+        let (f1, _) = node(&g, "a::f1");
+        let (f6, _) = node(&g, "a::f6");
+        assert_eq!(
+            g.chain(&g.reach(&[f1]), f6),
+            "a::f1 -> a::f2 -> a::f3 -> a::f4 -> a::f5 -> a::f6"
+        );
     }
 
     #[test]
@@ -759,7 +734,7 @@ mod tests {
                 "pub fn far() { let x = thread_rng(); }",
             ),
         ];
-        let g = build(&files);
+        let g = Graph::build(&files);
         let (entry, _) = node(&g, "a::entry");
         let reach = g.reach(&[entry]);
         let (far, fnode) = node(&g, "b::far");
@@ -777,7 +752,7 @@ mod tests {
              fn check(v: u32) -> bool { v.checked_add(1).unwrap() > 0 }\n\
              #[cfg(test)]\nmod tests { pub fn t() { panic!(\"x\"); } }",
         )];
-        let g = build(&files);
+        let g = Graph::build(&files);
         let (hot, hn) = node(&g, "a::hot");
         assert!(hn.calls.is_empty(), "debug_assert args are not edges");
         assert!(hn.panics.is_empty());
@@ -796,7 +771,7 @@ mod tests {
              pub struct W;\nimpl W { pub fn run_window(&self) { EVENTS.fetch_add(1, O); tick(); } }\n\
              fn tick() { let _x = TBL[0]; }\npub fn fig4() {}\npub fn fig5() {}",
         )];
-        let g = build(&files);
+        let g = Graph::build(&files);
         assert_eq!(g.statics.len(), 2);
         let entries = g.match_entries(&["W::run_window".to_string()]);
         assert_eq!(entries.len(), 1);

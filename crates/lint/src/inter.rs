@@ -89,7 +89,7 @@ pub fn run_inter(files: &[SourceFile], cfg: &Config) -> InterReport {
     if !needs_graph {
         return InterReport::default();
     }
-    let g = Graph::build(files, &cfg.off_features);
+    let g = Graph::build(files);
     let unmatched_entries = cfg
         .rules
         .iter()

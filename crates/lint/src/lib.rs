@@ -361,7 +361,6 @@ mod tests {
                     line: 2,
                 },
             ],
-            off_features: Vec::new(),
         };
         let diags = lint_source(
             "fixture/src/x.rs",

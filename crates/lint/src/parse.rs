@@ -3,8 +3,8 @@
 //! The token-level rules (D1–D9) match short token sequences and never
 //! resolve names; the interprocedural rules (I1–I4, [`crate::inter`])
 //! need more: which functions a file defines, which impl/trait each one
-//! belongs to, what it imports, which items are `#[cfg(test)]`- or
-//! feature-gated, and where each function's body starts and ends. This
+//! belongs to, what it imports, which items are `#[cfg(test)]`-gated,
+//! and where each function's body starts and ends. This
 //! module extracts exactly that — an [`ItemTree`] of functions, statics
 //! and use-declarations with spans — without attempting to be a full
 //! Rust parser: expression bodies stay opaque token ranges (the call
@@ -40,9 +40,6 @@ pub struct FnDecl {
     /// True when the item (or an enclosing mod/impl) is gated by
     /// `#[cfg(test)]` or `#[test]`.
     pub in_test: bool,
-    /// Feature names from `#[cfg(feature = "…")]` gates on the item or
-    /// any enclosing scope.
-    pub features: Vec<String>,
     /// Raw token-index range of the body `{ … }`, braces inclusive.
     /// `None` for bodiless declarations (trait method signatures).
     pub body: Option<(usize, usize)>,
@@ -65,8 +62,6 @@ pub struct StaticDecl {
     pub is_atomic: bool,
     /// True when test-gated (see [`FnDecl::in_test`]).
     pub in_test: bool,
-    /// Feature gates (see [`FnDecl::features`]).
-    pub features: Vec<String>,
     /// 1-based line of the `static` keyword.
     pub line: u32,
     /// 1-based column of the `static` keyword.
@@ -94,21 +89,13 @@ pub struct ItemTree {
     pub uses: Vec<UseDecl>,
 }
 
-/// Attribute gates accumulated while parsing.
-#[derive(Debug, Clone, Default)]
-struct Gates {
-    test: bool,
-    features: Vec<String>,
-}
-
-/// Inherited context: module path, impl/trait scope, gates.
+/// Inherited context: module path, impl/trait scope, test gate.
 #[derive(Debug, Clone, Default)]
 struct Ctx {
     module: Vec<String>,
     self_ty: Option<String>,
     trait_name: Option<String>,
     in_test: bool,
-    features: Vec<String>,
 }
 
 struct Parser<'a> {
@@ -237,9 +224,10 @@ impl Parser<'_> {
         }
     }
 
-    /// Parses one attribute `#[…]` at `pos` (the `#`), updating `gates`.
-    /// Inner attributes `#![…]` are skipped without touching gates.
-    fn attr(&mut self, gates: &mut Gates, end: usize) {
+    /// Parses one attribute `#[…]` at `pos` (the `#`), setting `test`
+    /// on `#[test]` and `#[cfg(test)]`. Inner attributes `#![…]` are
+    /// skipped without touching it.
+    fn attr(&mut self, test: &mut bool, end: usize) {
         let inner = self.is_punct(self.pos + 1, '!');
         let open = self.pos + if inner { 2 } else { 1 };
         if !self.is_punct(open, '[') {
@@ -253,23 +241,11 @@ impl Parser<'_> {
         if !inner {
             let body: Vec<&Token> = (open + 1..close).filter_map(|p| self.tok(p)).collect();
             match body.first() {
-                Some(t) if t.is_ident("test") => gates.test = true,
+                Some(t) if t.is_ident("test") => *test = true,
                 Some(t) if t.is_ident("cfg") => {
                     let negated = body.iter().any(|t| t.is_ident("not"));
                     if !negated && body.iter().any(|t| t.is_ident("test")) {
-                        gates.test = true;
-                    }
-                    // Collect `feature = "name"` pairs. A `not(feature)`
-                    // gate is treated as always-on (conservative).
-                    for w in 0..body.len() {
-                        if body[w].is_ident("feature")
-                            && body.get(w + 1).is_some_and(|t| t.is_punct('='))
-                            && !negated
-                        {
-                            if let Some(s) = body.get(w + 2).filter(|t| t.kind == TokKind::Str) {
-                                gates.features.push(s.text.trim_matches('"').to_string());
-                            }
-                        }
+                        *test = true;
                     }
                 }
                 _ => {}
@@ -282,7 +258,7 @@ impl Parser<'_> {
     /// closing brace.
     fn items(&mut self, ctx: &Ctx, end: usize) {
         let mut doc = String::new();
-        let mut gates = Gates::default();
+        let mut test = false;
         while self.pos < end {
             let Some(t) = self.tok(self.pos) else { break };
             match t.kind {
@@ -297,14 +273,14 @@ impl Parser<'_> {
                     continue;
                 }
                 TokKind::Punct if t.text == "#" => {
-                    self.attr(&mut gates, end);
+                    self.attr(&mut test, end);
                     continue;
                 }
                 TokKind::Punct if t.text == "}" => return, // scope ends
                 TokKind::Ident => {}
                 _ => {
                     doc.clear();
-                    gates = Gates::default();
+                    test = false;
                     self.pos += 1;
                     continue;
                 }
@@ -351,12 +327,12 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 doc.clear();
-                gates = Gates::default();
+                test = false;
                 continue;
             };
             match kw.text.as_str() {
                 "fn" => {
-                    self.fn_item(ctx, &doc, &gates, is_pub, &kw, end);
+                    self.fn_item(ctx, &doc, test, is_pub, &kw, end);
                 }
                 "mod" => {
                     self.pos += 1;
@@ -372,8 +348,7 @@ impl Parser<'_> {
                         if let Some(n) = name {
                             inner.module.push(n);
                         }
-                        inner.in_test |= gates.test;
-                        inner.features.extend(gates.features.iter().cloned());
+                        inner.in_test |= test;
                         self.pos += 1; // into the block
                         if self.depth < MAX_DEPTH {
                             self.depth += 1;
@@ -385,8 +360,8 @@ impl Parser<'_> {
                         self.skip_to_semi(end);
                     }
                 }
-                "impl" => self.impl_or_trait_item(ctx, &gates, false, end),
-                "trait" => self.impl_or_trait_item(ctx, &gates, true, end),
+                "impl" => self.impl_or_trait_item(ctx, test, false, end),
+                "trait" => self.impl_or_trait_item(ctx, test, true, end),
                 "use" => {
                     self.pos += 1;
                     let mut leaves = Vec::new();
@@ -395,7 +370,7 @@ impl Parser<'_> {
                     self.skip_to_semi(end);
                 }
                 "static" => {
-                    self.static_item(&doc, &gates, ctx, &kw, end);
+                    self.static_item(test, ctx, &kw, end);
                 }
                 "struct" | "enum" | "union" | "type" | "const" => {
                     // Skip to the item terminator: `;` or a brace block.
@@ -484,20 +459,12 @@ impl Parser<'_> {
                 }
             }
             doc.clear();
-            gates = Gates::default();
+            test = false;
         }
     }
 
     /// Parses a `fn` item starting at the `fn` keyword.
-    fn fn_item(
-        &mut self,
-        ctx: &Ctx,
-        doc: &str,
-        gates: &Gates,
-        is_pub: bool,
-        kw: &Token,
-        end: usize,
-    ) {
+    fn fn_item(&mut self, ctx: &Ctx, doc: &str, test: bool, is_pub: bool, kw: &Token, end: usize) {
         self.pos += 1; // past `fn`
         let Some(name_tok) = self.tok(self.pos).filter(|t| t.kind == TokKind::Ident) else {
             // `fn (` is a fn-pointer type fragment, not an item.
@@ -517,12 +484,23 @@ impl Parser<'_> {
                 }
             }
         }
-        // Return type / where clause: scan to the body `{` or a `;`.
+        // Return type / where clause: scan to the body `{` or a `;`,
+        // stepping over generics and over bracketed and parenthesized
+        // types, whose `;` (`-> [u64; 8]`) does not end the item.
         let mut body = None;
         while self.pos < end {
             let Some(t) = self.tok(self.pos) else { break };
             if t.is_punct('<') {
                 self.pos = self.skip_angles(self.pos, end);
+                continue;
+            }
+            if t.is_punct('[') || t.is_punct('(') {
+                let (o, c) = if t.is_punct('[') {
+                    ('[', ']')
+                } else {
+                    ('(', ')')
+                };
+                self.pos = self.matching(self.pos, o, c, end).map_or(end, |c| c + 1);
                 continue;
             }
             if t.is_punct('{') {
@@ -551,12 +529,7 @@ impl Parser<'_> {
             module: ctx.module.clone(),
             is_pub: is_pub || ctx.trait_name.is_some() && ctx.self_ty == ctx.trait_name,
             doc: doc.to_string(),
-            in_test: ctx.in_test || gates.test,
-            features: {
-                let mut f = ctx.features.clone();
-                f.extend(gates.features.iter().cloned());
-                f
-            },
+            in_test: ctx.in_test || test,
             body,
             line: kw.line,
             col: kw.col,
@@ -565,7 +538,7 @@ impl Parser<'_> {
 
     /// Parses an `impl` or `trait` block header and recurses into its
     /// body with the self-type/trait context set.
-    fn impl_or_trait_item(&mut self, ctx: &Ctx, gates: &Gates, is_trait: bool, end: usize) {
+    fn impl_or_trait_item(&mut self, ctx: &Ctx, test: bool, is_trait: bool, end: usize) {
         self.pos += 1; // past `impl`/`trait`
         if self.is_punct(self.pos, '<') {
             self.pos = self.skip_angles(self.pos, end);
@@ -632,8 +605,7 @@ impl Parser<'_> {
         let mut inner = ctx.clone();
         inner.self_ty = self_ty;
         inner.trait_name = trait_name;
-        inner.in_test |= gates.test;
-        inner.features.extend(gates.features.iter().cloned());
+        inner.in_test |= test;
         self.pos += 1;
         if self.depth < MAX_DEPTH {
             self.depth += 1;
@@ -707,7 +679,7 @@ impl Parser<'_> {
     }
 
     /// Parses a `static` item starting at the keyword.
-    fn static_item(&mut self, _doc: &str, gates: &Gates, ctx: &Ctx, kw: &Token, end: usize) {
+    fn static_item(&mut self, test: bool, ctx: &Ctx, kw: &Token, end: usize) {
         self.pos += 1;
         if self.is_ident(self.pos, "mut") {
             self.pos += 1;
@@ -753,116 +725,11 @@ impl Parser<'_> {
             name,
             ty,
             is_atomic,
-            in_test: ctx.in_test || gates.test,
-            features: {
-                let mut f = ctx.features.clone();
-                f.extend(gates.features.iter().cloned());
-                f
-            },
+            in_test: ctx.in_test || test,
             line: kw.line,
             col: kw.col,
         });
     }
-}
-
-/// Computes a per-token mask of code gated off by `#[cfg(feature =
-/// "…")]` attributes naming a feature in `off`. The analyzer treats
-/// masked tokens as absent — the workspace's gated builds (`sim-prof`)
-/// compile that code out of every result-producing configuration, so
-/// analyzing it would report phantom paths. Statement-level attributes
-/// gate to the end of the statement (`;`) or block, item-level ones to
-/// the end of the item — the same regions [`crate::rules`]' test mask
-/// uses.
-pub fn off_feature_mask(tokens: &[Token], off: &[String]) -> Vec<bool> {
-    let mut mask = vec![false; tokens.len()];
-    if off.is_empty() {
-        return mask;
-    }
-    let sig: Vec<usize> = tokens
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| !matches!(t.kind, TokKind::Comment | TokKind::DocComment))
-        .map(|(i, _)| i)
-        .collect();
-    let mut s = 0usize;
-    while s < sig.len() {
-        if !(tokens[sig[s]].is_punct('#')
-            && sig.get(s + 1).is_some_and(|&j| tokens[j].is_punct('[')))
-        {
-            s += 1;
-            continue;
-        }
-        let Some(close) = matching_sig(tokens, &sig, s + 1, '[', ']') else {
-            break;
-        };
-        let attr: Vec<&Token> = sig[s + 2..close].iter().map(|&i| &tokens[i]).collect();
-        let gated = attr.first().is_some_and(|t| t.is_ident("cfg"))
-            && !attr.iter().any(|t| t.is_ident("not"))
-            && (0..attr.len()).any(|w| {
-                attr[w].is_ident("feature")
-                    && attr.get(w + 1).is_some_and(|t| t.is_punct('='))
-                    && attr.get(w + 2).is_some_and(|t| {
-                        t.kind == TokKind::Str && off.iter().any(|f| t.text.trim_matches('"') == f)
-                    })
-            });
-        if !gated {
-            s = close + 1;
-            continue;
-        }
-        // Skip further attributes on the same item/statement.
-        let mut k = close + 1;
-        while sig.get(k).is_some_and(|&i| tokens[i].is_punct('#'))
-            && sig.get(k + 1).is_some_and(|&j| tokens[j].is_punct('['))
-        {
-            match matching_sig(tokens, &sig, k + 1, '[', ']') {
-                Some(c) => k = c + 1,
-                None => break,
-            }
-        }
-        // The gated region runs to its closing brace or `;`.
-        let mut last = None;
-        let mut m = k;
-        while m < sig.len() {
-            let t = &tokens[sig[m]];
-            if t.is_punct('{') {
-                last = matching_sig(tokens, &sig, m, '{', '}');
-                // A `{}`-terminated statement may still carry a tail
-                // (`let x = S { .. };`): extend through a trailing `;`.
-                if let Some(c) = last {
-                    if sig.get(c + 1).is_some_and(|&i| tokens[i].is_punct(';')) {
-                        last = Some(c + 1);
-                    }
-                }
-                break;
-            }
-            if t.is_punct(';') {
-                last = Some(m);
-                break;
-            }
-            m += 1;
-        }
-        let last = last.unwrap_or(sig.len() - 1);
-        for &i in &sig[s..=last.min(sig.len() - 1)] {
-            mask[i] = true;
-        }
-        s = last + 1;
-    }
-    mask
-}
-
-fn matching_sig(tokens: &[Token], sig: &[usize], open: usize, o: char, c: char) -> Option<usize> {
-    let mut depth = 0isize;
-    for (k, &i) in sig.iter().enumerate().skip(open) {
-        if tokens[i].is_punct(o) {
-            depth += 1;
-        } else if tokens[i].is_punct(c) {
-            depth -= 1;
-            if depth == 0 {
-                return Some(k);
-            }
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -940,13 +807,12 @@ trait App {
     fn modules_inherit_gates() {
         let t = tree(
             "#[cfg(test)]\nmod tests {\n    fn case() {}\n    mod inner { fn deep() {} }\n}\n\
-             #[cfg(feature = \"sim-prof\")]\npub fn record() {}\nfn live() {}",
+             fn live() {}",
         );
         let by_name = |n: &str| t.fns.iter().find(|f| f.name == n).unwrap();
         assert!(by_name("case").in_test);
         assert!(by_name("deep").in_test);
-        assert_eq!(by_name("record").features, vec!["sim-prof"]);
-        assert!(!by_name("live").in_test && by_name("live").features.is_empty());
+        assert!(!by_name("live").in_test);
         assert_eq!(by_name("deep").module, vec!["tests", "inner"]);
     }
 
@@ -984,21 +850,16 @@ trait App {
     }
 
     #[test]
-    fn off_feature_mask_gates_statements_and_items() {
-        let src = "#[cfg(feature = \"sim-prof\")]\nfn prof() { tick(); }\n\
-                   fn hot() {\n    #[cfg(feature = \"sim-prof\")]\n    let t = now();\n    go();\n}";
-        let toks = lex(src);
-        let mask = off_feature_mask(&toks, &["sim-prof".to_string()]);
-        let masked: Vec<&str> = toks
-            .iter()
-            .zip(&mask)
-            .filter(|(_, m)| **m)
-            .map(|(t, _)| t.text.as_str())
-            .collect();
-        assert!(masked.contains(&"prof") && masked.contains(&"now"));
-        assert!(!masked.contains(&"go"));
-        // No off features: nothing masked.
-        assert!(off_feature_mask(&toks, &[]).iter().all(|m| !m));
+    fn array_and_tuple_return_types_keep_later_items() {
+        // The `;` inside `[u64; 8]` must not end `a` as a bodiless
+        // declaration, which would hide every later item in the file.
+        let src = "pub fn a() -> [u64; 8] { [0; 8] }\n\
+                   fn t() -> ([u8; 2], u8) { ([0; 2], 0) }\n\
+                   pub fn b() {}";
+        let t = tree(src);
+        let names: Vec<&str> = t.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["a", "t", "b"]);
+        assert!(t.fns.iter().all(|f| f.body.is_some()));
     }
 
     #[test]

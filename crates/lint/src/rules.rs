@@ -65,7 +65,7 @@ pub fn explain(id: &str) -> Option<&'static str> {
         "D8" => "D8 — no environment reads.\n\nenv::var makes results depend on the invoking shell. Configuration is\nthreaded through explicit arguments. I1 extends the check to\nreachability from result-producing entries.",
         "D9" => "D9 — finite socket timeouts.\n\nA blocking read with no timeout lets one stalled peer wedge a serve\nworker forever. set_read_timeout(Some(..)) right after accept/connect;\nset_read_timeout(None) is flagged at the call site.",
         "I1" => "I1 — taint reachability (interprocedural).\n\nSources: thread_rng()/rand::, Instant/SystemTime, env::var*/vars, and\nset_read_timeout(None)/set_write_timeout(None). The analyzer builds a\nconservative workspace call graph (see DESIGN.md §5.1), BFS-reaches\nfrom the configured `entries` (figure generators, executors, sweep\nrunners), and flags every source inside the reachable set — however\nmany helper crates deep. The message carries the shortest call chain\nthe graph knows from an entry to the offending function. Fix by\nthreading the value through arguments; exempt with a justified\n[[allow]] pinned to the site.",
-        "I2" => "I2 — panic reachability (interprocedural).\n\nFlags panic!/todo!/unimplemented! and .unwrap()/.expect() in any\nfunction reachable from the hot-loop entries (`entries` in lint.toml:\nthe run loop and Sim::handle_one; a pattern that matches no\nfunction fails the run).\nPruning: #[cfg(test)] items are not graph nodes, debug_assert! bodies\nare skipped (they vanish in release builds), and code gated by an\n`off_features` feature is invisible. An unreachable panic, even in a\nhot-loop crate, is fine. Method-name call edges\nover-approximate: a panic in a same-named method of an unrelated type\ncan be flagged — silence that with a justified [[allow]].",
+        "I2" => "I2 — panic reachability (interprocedural).\n\nFlags panic!/todo!/unimplemented! and .unwrap()/.expect() in any\nfunction reachable from the hot-loop entries (`entries` in lint.toml:\nthe run loop and Sim::handle_one; a pattern that matches no\nfunction fails the run).\nPruning: #[cfg(test)] items are not graph nodes, and debug_assert!\nbodies are skipped (they vanish in release builds). An unreachable\npanic, even in a hot-loop crate, is fine. Method-name call edges\nover-approximate: a panic in a same-named method of an unrelated type\ncan be flagged — silence that with a justified [[allow]].",
         "I3" => "I3 — run purity (interprocedural).\n\nSimulations run concurrently on sweep workers and rperf-serve jobs,\nand each replays deterministically only if the code it runs touches\nno process-global state. The analyzer reaches from the run loop and\nthe dispatch entry and flags every `static` referenced by reachable\ncode, one diagnostic per (static, file). The only sanctioned\nexception is monotonic telemetry (Atomic* counters folded after the\nrun) — exempt those via [[allow]] entries naming the counter, so each\nexemption carries a justification.",
         "I4" => "I4 — ordering-contract propagation (interprocedural).\n\nA pub fn that (exactly) calls a contract-documented function of the\nevent-API crate (`api_crate`, default `sim`) must itself carry a doc\ncomment stating the ordering contract (any of: 'order', 'FIFO',\n'(time, seq)', 'deterministic', case-insensitive). This closes D7's\none-crate scope: the obligation follows the call graph outward.\nName-level method edges are deliberately excluded — they would demand\nordering docs from every Vec::push caller.",
         _ => return None,
@@ -679,7 +679,6 @@ mod tests {
                 })
                 .collect(),
             allows: Vec::new(),
-            off_features: Vec::new(),
         }
     }
 

@@ -57,7 +57,7 @@ const VOCAB: &[&str] = &[
     "test",
     "feature",
     "=",
-    "\"sim-prof\"",
+    "\"name\"",
     ":",
     ";",
     ",",
@@ -91,7 +91,7 @@ const VOCAB: &[&str] = &[
 ];
 
 /// Every check the fuzzers share: lex, assert spans, parse, assert item
-/// positions, mask features, build the graph, walk it.
+/// positions, build the graph, walk it.
 fn front_end_never_panics(src: &str) {
     let tokens = lex(src);
     let lines: Vec<&str> = src.split('\n').collect();
@@ -127,17 +127,10 @@ fn front_end_never_panics(src: &str) {
         assert!(s.line >= 1 && (s.line as usize) <= lines.len());
     }
 
-    let mask = parse::off_feature_mask(&tokens, &["sim-prof".to_string()]);
-    assert_eq!(
-        mask.len(),
-        tokens.len(),
-        "feature mask must cover every token"
-    );
-
     // The graph builder consumes whatever the parser produced; it must
     // hold up even when the item tree came from garbage.
     let file = SourceFile::analyze("fuzz/input.rs", "fuzz", false, src);
-    let graph = Graph::build(std::slice::from_ref(&file), &["sim-prof".to_string()]);
+    let graph = Graph::build(std::slice::from_ref(&file));
     let entries = graph.match_entries(&["fuzz::f*".to_string(), "World::g".to_string()]);
     let parent = graph.reach(&entries);
     for (id, p) in parent.iter().enumerate() {
@@ -214,7 +207,7 @@ fn pathological_nesting_never_panics() {
 }
 
 /// The seed files themselves — uncorrupted — must of course pass the
-/// same span and mask invariants.
+/// same span invariants.
 #[test]
 fn pristine_seeds_hold_invariants() {
     for seed in SEEDS {

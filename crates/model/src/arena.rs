@@ -84,12 +84,12 @@ impl PacketSlab {
     }
 
     /// Packet conservation: every slot is either live or on the free list.
-    #[cfg(feature = "sim-sanitizer")]
+    /// Checked in debug builds only.
     fn check_conservation(&self) {
         debug_assert_eq!(
             self.live + self.free.len(),
             self.slots.len(),
-            "sim-sanitizer: packet conservation violated (live {} + free {} != slots {})",
+            "packet conservation violated (live {} + free {} != slots {})",
             self.live,
             self.free.len(),
             self.slots.len()
@@ -123,7 +123,6 @@ impl PacketSlab {
                 }
             }
         };
-        #[cfg(feature = "sim-sanitizer")]
         self.check_conservation();
         handle
     }
@@ -162,7 +161,6 @@ impl PacketSlab {
         slot.generation = slot.generation.wrapping_add(1);
         self.free.push(handle.index);
         self.live -= 1;
-        #[cfg(feature = "sim-sanitizer")]
         self.check_conservation();
         packet
     }

@@ -297,10 +297,9 @@ impl<E> EventQueue<E> {
         } else {
             self.ready.pop_front()?
         };
-        #[cfg(feature = "sim-sanitizer")]
         debug_assert!(
             entry.at >= self.now,
-            "sim-sanitizer: event time regressed: {:?} < now {:?}",
+            "event time regressed: {:?} < now {:?}",
             entry.at,
             self.now
         );

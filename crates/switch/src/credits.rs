@@ -72,10 +72,9 @@ impl CreditLedger {
             return false;
         }
         *a -= bytes;
-        #[cfg(feature = "sim-sanitizer")]
         debug_assert!(
             self.available[vl.index()] <= self.initial[vl.index()],
-            "sim-sanitizer: {vl} credits exceed the initial grant after consume"
+            "{vl} credits exceed the initial grant after consume"
         );
         true
     }
@@ -86,10 +85,9 @@ impl CreditLedger {
         let i = vl.index();
         // (Clamping small over-replenishment is documented API slack; a
         // single return larger than the whole grant is always a bug.)
-        #[cfg(feature = "sim-sanitizer")]
         debug_assert!(
             bytes <= self.initial[i],
-            "sim-sanitizer: credit return of {bytes} B on {vl} exceeds the whole grant of {} B",
+            "credit return of {bytes} B on {vl} exceeds the whole grant of {} B",
             self.initial[i]
         );
         self.available[i] = (self.available[i] + bytes).min(self.initial[i]);
@@ -187,10 +185,9 @@ impl CreditMatrix {
             return false;
         }
         *a -= bytes;
-        #[cfg(feature = "sim-sanitizer")]
         debug_assert!(
             self.available[i] <= self.initial[i],
-            "sim-sanitizer: {vl} credits exceed the initial grant after consume"
+            "{vl} credits exceed the initial grant after consume"
         );
         true
     }
@@ -200,10 +197,9 @@ impl CreditMatrix {
     #[inline]
     pub fn replenish(&mut self, port: PortId, vl: VirtualLane, bytes: u64) {
         let i = self.idx(port, vl);
-        #[cfg(feature = "sim-sanitizer")]
         debug_assert!(
             bytes <= self.initial[i],
-            "sim-sanitizer: credit return of {bytes} B on {vl} exceeds the whole grant of {} B",
+            "credit return of {bytes} B on {vl} exceeds the whole grant of {} B",
             self.initial[i]
         );
         self.available[i] = (self.available[i] + bytes).min(self.initial[i]);
@@ -254,15 +250,24 @@ mod tests {
         assert_eq!(c.available(vl1), 1_000);
     }
 
-    // The sanitizer turns the silent clamp into a debug_assert, so this
-    // test only makes sense without it.
-    #[cfg(not(feature = "sim-sanitizer"))]
     #[test]
     fn over_replenish_clamped() {
+        // Returning more than is in flight (but no more than the whole
+        // grant) is documented slack: available clamps at the grant.
         let mut c = CreditLedger::new(1, 1_000);
         let vl = VirtualLane::new(0);
-        c.replenish(vl, 5_000);
+        assert!(c.consume(vl, 400));
+        c.replenish(vl, 600);
         assert_eq!(c.available(vl), 1_000);
+        assert_eq!(c.in_flight(vl), 0);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "exceeds the whole grant")]
+    fn return_larger_than_the_grant_trips_the_debug_check() {
+        let mut c = CreditLedger::new(1, 1_000);
+        c.replenish(VirtualLane::new(0), 5_000);
     }
 
     #[test]
