@@ -14,6 +14,9 @@
 //! BENCH_report.json are deterministic and serve as the exact regression
 //! signal beside it.
 //!
+//! A `--gate` value that is not a number in (0, 100), or `--out` with no
+//! path after it, exits 2 before any figure runs.
+//!
 //! `--bless` re-blesses the baseline: the run's per-figure wall time is
 //! max-merged into BENCH_baseline.json (missing baseline: the run is
 //! written as-is). `make bench-bless` deletes the old baseline and runs
@@ -106,6 +109,41 @@ fn timed<T>(stats: &mut Vec<FigStat>, id: &'static str, f: impl Fn() -> T) -> T 
     );
     stats.push(stat);
     out
+}
+
+/// The argument after `flag`: `None` without the flag, `Some(None)` when
+/// it is last.
+fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<Option<&'a str>> {
+    let i = args.iter().position(|a| a == flag)?;
+    Some(args.get(i + 1).map(String::as_str))
+}
+
+/// `--out PATH`, by default EXPERIMENTS.md at the checkout root. A
+/// missing path (`--out` last, or before another `--flag`) is an error.
+fn out_path(args: &[String]) -> Result<PathBuf, String> {
+    match flag_value(args, "--out") {
+        None => Ok(PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../EXPERIMENTS.md")),
+        Some(Some(path)) if !path.starts_with("--") => Ok(PathBuf::from(path)),
+        Some(Some(flag)) => Err(format!("`--out` needs a path, got `{flag}`")),
+        Some(None) => Err("`--out` needs a path, got nothing".into()),
+    }
+}
+
+/// `--gate [PCT]`: `None` without the flag, 10 % when no value follows
+/// (it is last, or another `--flag` follows), else PCT, which must be a
+/// number in (0, 100).
+fn gate_pct(args: &[String]) -> Result<Option<f64>, String> {
+    match flag_value(args, "--gate") {
+        None => Ok(None),
+        Some(None) => Ok(Some(10.0)),
+        Some(Some(v)) if v.starts_with("--") => Ok(Some(10.0)),
+        Some(Some(v)) => match v.parse::<f64>() {
+            Ok(pct) if pct > 0.0 && pct < 100.0 => Ok(Some(pct)),
+            _ => Err(format!(
+                "`--gate` takes a percentage in (0, 100), got `{v}`"
+            )),
+        },
+    }
 }
 
 /// One figure's committed wall time.
@@ -326,19 +364,13 @@ fn main() {
     rperf_bench::reject_unknown_flags(&args, &["--out", "--gate", "--bless"]);
     let effort = Effort::from_args(&args);
     let mut stats: Vec<FigStat> = Vec::new();
-    let out_path: PathBuf = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../EXPERIMENTS.md"));
-    // `--gate` alone gates at 10%; `--gate PCT` overrides the threshold.
-    let gate_pct: Option<f64> = args.iter().position(|a| a == "--gate").map(|i| {
-        args.get(i + 1)
-            .and_then(|v| v.parse::<f64>().ok())
-            .filter(|p| *p > 0.0 && *p < 100.0)
-            .unwrap_or(10.0)
-    });
+    let (out_path, gate_pct) = match (out_path(&args), gate_pct(&args)) {
+        (Ok(out), Ok(gate)) => (out, gate),
+        (Err(e), _) | (_, Err(e)) => {
+            eprintln!("{e}");
+            std::process::exit(2);
+        }
+    };
     let bless = args.iter().any(|a| a == "--bless");
 
     let mut md = String::new();
@@ -751,6 +783,40 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn gate_defaults_to_ten_percent_without_a_value() {
+        assert_eq!(gate_pct(&args("--quick")), Ok(None));
+        assert_eq!(gate_pct(&args("--quick --gate")), Ok(Some(10.0)));
+        assert_eq!(gate_pct(&args("--gate --out x.md")), Ok(Some(10.0)));
+        assert_eq!(gate_pct(&args("--gate 25")), Ok(Some(25.0)));
+        assert_eq!(gate_pct(&args("--gate 0.5")), Ok(Some(0.5)));
+    }
+
+    #[test]
+    fn gate_rejects_a_value_outside_zero_to_a_hundred() {
+        for bad in ["150", "100", "0", "-5", "ten", "NaN", "inf"] {
+            let err = gate_pct(&args(&format!("--gate {bad}"))).unwrap_err();
+            assert!(err.contains("--gate") && err.contains(bad), "{err}");
+        }
+    }
+
+    #[test]
+    fn out_needs_a_path() {
+        assert_eq!(out_path(&args("--out x.md")), Ok(PathBuf::from("x.md")));
+        assert!(out_path(&args("--quick"))
+            .unwrap()
+            .ends_with("EXPERIMENTS.md"));
+        assert!(out_path(&args("--quick --out"))
+            .unwrap_err()
+            .contains("--out"));
+        let err = out_path(&args("--out --gate 5")).unwrap_err();
+        assert!(err.contains("--out") && err.contains("--gate"), "{err}");
+    }
 
     /// `make perf-gate` fails outright when the committed baseline does
     /// not load, so it must have the schema `--gate` reads and a time for

@@ -50,3 +50,36 @@ fn unknown_flags_are_usage_errors() {
     }
     assert!(!std::path::Path::new(&out_md).exists());
 }
+
+/// A bad flag *value* is a usage error too, caught before any figure
+/// runs: `--gate` outside (0, 100) or not a number, `--out` with no path
+/// after it (which would otherwise write into the checkout root).
+#[test]
+fn bad_report_flag_values_are_usage_errors() {
+    let out_md = format!("{}/bad_value.md", env!("CARGO_TARGET_TMPDIR"));
+    let base = ["--quick", "--jobs", "1"];
+    for (extra, flag, value) in [
+        (vec!["--gate", "150", "--out", &out_md], "--gate", "150"),
+        (vec!["--gate", "ten", "--out", &out_md], "--gate", "ten"),
+        (vec!["--out", &out_md, "--gate", "0"], "--gate", "0"),
+        (vec!["--out"], "--out", "nothing"),
+        (vec!["--out", "--gate"], "--out", "--gate"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_report"))
+            .args(base)
+            .args(&extra)
+            .output()
+            .expect("spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{extra:?}: {stderr}");
+        assert!(
+            stderr.contains(flag) && stderr.contains(value),
+            "{extra:?}: {stderr}"
+        );
+        assert!(
+            !stderr.contains("running") && !stderr.contains("wrote"),
+            "{extra:?}: a figure ran or a file was written: {stderr}"
+        );
+    }
+    assert!(!std::path::Path::new(&out_md).exists());
+}

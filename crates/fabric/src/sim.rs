@@ -276,6 +276,7 @@ impl Sim {
     pub fn new(fabric: Fabric) -> Self {
         let Fabric {
             cfg,
+            lanes: _,
             rnics,
             clocks,
             switches,

@@ -89,11 +89,17 @@ pub enum Endpoint {
 /// takes ownership of its devices and adds the event queue and the
 /// packet slab they exchange handles into.
 ///
+/// Every VL-indexed structure of every device — switch input buffers and
+/// credits, RNIC injection queues and ledgers — is sized by one lane
+/// count per fabric ([`Fabric::lanes`]), so both ends of every link agree
+/// on it.
+///
 /// Use the constructors ([`Fabric::direct_pair`], [`Fabric::single_switch`],
 /// [`Fabric::two_switch`]) or [`FabricBuilder`] for per-node overrides.
 #[derive(Debug)]
 pub struct Fabric {
     pub(crate) cfg: Arc<ClusterConfig>,
+    pub(crate) lanes: u8,
     pub(crate) rnics: Vec<Rnic>,
     pub(crate) clocks: Vec<TscClock>,
     pub(crate) switches: Vec<Switch>,
@@ -149,6 +155,13 @@ impl Fabric {
     /// The cluster configuration.
     pub fn config(&self) -> &ClusterConfig {
         &self.cfg
+    }
+
+    /// Lanes per port on every device: 1 + the highest VL any switch or
+    /// RNIC SL2VL table maps to — 1 for shared-SL runs, 2 with a
+    /// dedicated SL. The configured `vls` only bounds the tables.
+    pub fn lanes(&self) -> u8 {
+        self.lanes
     }
 
     /// The LID of a node.
@@ -214,7 +227,21 @@ impl FabricBuilder {
             .unwrap_or_else(|| Arc::clone(shared))
     }
 
-    fn make_nodes(&self, count: usize, rng: &mut SimRng) -> (Vec<Rnic>, Vec<TscClock>) {
+    /// The fabric's lane count (see [`Fabric::lanes`]), over the switch
+    /// table, the shared RNIC table and every per-node override.
+    fn lanes(&self) -> u8 {
+        let rnic_tables = std::iter::once(&self.cfg.rnic)
+            .chain(self.rnic_overrides.iter().map(|(_, c)| c))
+            .map(|c| c.sl2vl.lanes());
+        rnic_tables.fold(self.cfg.switch.sl2vl.lanes(), u8::max)
+    }
+
+    /// The grant a switch input buffer advertises: one buffer per lane.
+    fn switch_grant(&self, lanes: u8) -> CreditLedger {
+        CreditLedger::new(lanes, self.cfg.switch.input_buffer_bytes)
+    }
+
+    fn make_nodes(&self, count: usize, lanes: u8, rng: &mut SimRng) -> (Vec<Rnic>, Vec<TscClock>) {
         // All non-overridden nodes share one config allocation.
         let shared = Arc::new(self.cfg.rnic.clone());
         let mut rnics = Vec::with_capacity(count);
@@ -225,6 +252,7 @@ impl FabricBuilder {
                 NodeId::new(i as u16),
                 Lid::new(i as u16 + 1),
                 cfg,
+                lanes,
                 &self.cfg.link,
                 rng.fork(100 + i as u64),
             ));
@@ -279,8 +307,9 @@ impl FabricBuilder {
 
     /// Builds the back-to-back two-host fabric.
     pub fn direct_pair(self) -> Fabric {
+        let lanes = self.lanes();
         let mut rng = SimRng::new(self.seed);
-        let (mut rnics, clocks) = self.make_nodes(2, &mut rng);
+        let (mut rnics, clocks) = self.make_nodes(2, lanes, &mut rng);
         // Each RNIC holds credits for the peer's receive buffer.
         let grant0 = rnics[1].advertised_credits();
         let grant1 = rnics[0].advertised_credits();
@@ -288,6 +317,7 @@ impl FabricBuilder {
         rnics[1].set_peer_credits(grant1);
         Fabric {
             cfg: Arc::new(self.cfg),
+            lanes,
             rnics,
             clocks,
             switches: Vec::new(),
@@ -304,18 +334,22 @@ impl FabricBuilder {
             nodes,
             self.cfg.switch.ports
         );
+        let lanes = self.lanes();
         let mut rng = SimRng::new(self.seed);
-        let (mut rnics, clocks) = self.make_nodes(nodes, &mut rng);
-        let mut sw = Switch::new(self.switch_cfg(), self.cfg.link.data_rate(), rng.fork(999));
+        let (mut rnics, clocks) = self.make_nodes(nodes, lanes, &mut rng);
+        let mut sw = Switch::new(
+            self.switch_cfg(),
+            lanes,
+            self.cfg.link.data_rate(),
+            rng.fork(999),
+        );
+        let grant = self.switch_grant(lanes);
         let mut switch_ports = vec![None; self.cfg.switch.ports as usize];
         for (i, rnic) in rnics.iter_mut().enumerate() {
             let port = PortId::new(i as u8);
             sw.set_route(rnic.lid(), port);
             sw.set_downstream_credits(port, rnic.advertised_credits());
-            rnic.set_peer_credits(CreditLedger::new(
-                self.cfg.switch.vls,
-                self.cfg.switch.input_buffer_bytes,
-            ));
+            rnic.set_peer_credits(grant.clone());
             switch_ports[i] = Some(Endpoint::Rnic(i));
         }
         Fabric {
@@ -323,6 +357,7 @@ impl FabricBuilder {
                 .map(|i| Endpoint::SwitchPort(0, PortId::new(i as u8)))
                 .collect(),
             cfg: Arc::new(self.cfg),
+            lanes,
             rnics,
             clocks,
             switches: vec![sw],
@@ -342,17 +377,18 @@ impl FabricBuilder {
     pub fn from_spec(self, spec: &TopologySpec) -> Fabric {
         let subnet = plan(spec, self.cfg.switch.ports)
             .unwrap_or_else(|e| panic!("unplannable topology: {e}"));
+        let lanes = self.lanes();
         let mut rng = SimRng::new(self.seed);
-        let (mut rnics, clocks) = self.make_nodes(spec.hosts(), &mut rng);
+        let (mut rnics, clocks) = self.make_nodes(spec.hosts(), lanes, &mut rng);
         let ports = self.cfg.switch.ports as usize;
-        let vls = self.cfg.switch.vls;
-        let buffer = self.cfg.switch.input_buffer_bytes;
+        let grant = self.switch_grant(lanes);
 
         let sw_cfg = self.switch_cfg();
         let mut switches: Vec<Switch> = (0..spec.switches())
             .map(|i| {
                 Switch::new(
                     Arc::clone(&sw_cfg),
+                    lanes,
                     self.cfg.link.data_rate(),
                     rng.fork(900 + i as u64),
                 )
@@ -368,20 +404,21 @@ impl FabricBuilder {
         // Wire hosts.
         for (host, &(sw, port)) in subnet.host_ports.iter().enumerate() {
             switches[sw].set_downstream_credits(port, rnics[host].advertised_credits());
-            rnics[host].set_peer_credits(CreditLedger::new(vls, buffer));
+            rnics[host].set_peer_credits(grant.clone());
             switch_peer[sw][port.index()] = Some(Endpoint::Rnic(host));
             rnic_peer.push(Endpoint::SwitchPort(sw, port));
         }
         // Wire trunks.
         for &((a, pa), (b, pb)) in &subnet.trunk_ports {
-            switches[a].set_downstream_credits(pa, CreditLedger::new(vls, buffer));
-            switches[b].set_downstream_credits(pb, CreditLedger::new(vls, buffer));
+            switches[a].set_downstream_credits(pa, grant.clone());
+            switches[b].set_downstream_credits(pb, grant.clone());
             switch_peer[a][pa.index()] = Some(Endpoint::SwitchPort(b, pb));
             switch_peer[b][pb.index()] = Some(Endpoint::SwitchPort(a, pa));
         }
 
         Fabric {
             cfg: Arc::new(self.cfg),
+            lanes,
             rnics,
             clocks,
             switches,
@@ -397,16 +434,15 @@ impl FabricBuilder {
         assert!(downstream < ports, "too many downstream hosts");
         let trunk = PortId::new(self.cfg.switch.ports - 1);
 
+        let lanes = self.lanes();
         let mut rng = SimRng::new(self.seed);
         let total = upstream + downstream;
-        let (mut rnics, clocks) = self.make_nodes(total, &mut rng);
+        let (mut rnics, clocks) = self.make_nodes(total, lanes, &mut rng);
         let sw_cfg = self.switch_cfg();
-        let mut sw0 = Switch::new(
-            Arc::clone(&sw_cfg),
-            self.cfg.link.data_rate(),
-            rng.fork(998),
-        );
-        let mut sw1 = Switch::new(sw_cfg, self.cfg.link.data_rate(), rng.fork(997));
+        let rate = self.cfg.link.data_rate();
+        let mut sw0 = Switch::new(Arc::clone(&sw_cfg), lanes, rate, rng.fork(998));
+        let mut sw1 = Switch::new(sw_cfg, lanes, rate, rng.fork(997));
+        let grant = self.switch_grant(lanes);
         let mut ports0 = vec![None; ports];
         let mut ports1 = vec![None; ports];
         let mut rnic_peer = Vec::with_capacity(total);
@@ -424,16 +460,13 @@ impl FabricBuilder {
             };
             sw.set_route(rnic.lid(), port);
             sw.set_downstream_credits(port, rnic.advertised_credits());
-            rnic.set_peer_credits(CreditLedger::new(
-                self.cfg.switch.vls,
-                self.cfg.switch.input_buffer_bytes,
-            ));
+            rnic.set_peer_credits(grant.clone());
             port_list[port.index()] = Some(Endpoint::Rnic(i));
             rnic_peer.push(Endpoint::SwitchPort(sw_idx, port));
         }
 
         // Remote LIDs route over the trunk; each switch grants the other
-        // one input buffer per VL.
+        // one input buffer per lane.
         for i in 0..total {
             let lid = Lid::new(i as u16 + 1);
             if i < upstream {
@@ -442,7 +475,6 @@ impl FabricBuilder {
                 sw0.set_route(lid, trunk);
             }
         }
-        let grant = CreditLedger::new(self.cfg.switch.vls, self.cfg.switch.input_buffer_bytes);
         sw0.set_downstream_credits(trunk, grant.clone());
         sw1.set_downstream_credits(trunk, grant);
         ports0[trunk.index()] = Some(Endpoint::SwitchPort(1, trunk));
@@ -450,6 +482,7 @@ impl FabricBuilder {
 
         Fabric {
             cfg: Arc::new(self.cfg),
+            lanes,
             rnics,
             clocks,
             switches: vec![sw0, sw1],
@@ -558,6 +591,31 @@ mod tests {
         let t = rperf_sim::SimTime::from_us(3);
         for i in 0..5 {
             assert_eq!(a.clock(i).read(t), b.clock(i).read(t));
+        }
+    }
+
+    #[test]
+    fn one_lane_count_per_fabric() {
+        use rperf_subnet::FatTreeParams;
+        let topologies = [
+            Topology::DirectPair,
+            Topology::SingleSwitch { hosts: 3 },
+            Topology::TwoSwitch {
+                upstream: 2,
+                downstream: 2,
+            },
+            Topology::FatTree(FatTreeParams::new(4, 3, 1)),
+        ];
+        for (cfg, lanes) in [
+            (ClusterConfig::hardware(), 1),
+            (ClusterConfig::hardware().with_dedicated_sl(), 2),
+        ] {
+            for topo in &topologies {
+                let f = FabricBuilder::new(cfg.clone(), 1).build(topo);
+                assert_eq!(f.lanes(), lanes, "{topo:?}");
+                assert!((0..f.nodes()).all(|i| f.rnic(i).lanes() == lanes));
+                assert!((0..f.switches_len()).all(|i| f.switch(i).lanes() == lanes));
+            }
         }
     }
 

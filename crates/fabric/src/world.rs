@@ -195,7 +195,8 @@ pub(crate) fn note_leaks(n: u64) {
 mod tests {
     use super::*;
     use crate::{Fabric, Sim};
-    use rperf_model::{ClusterConfig, QpNum, Transport, Verb};
+    use rperf_model::config::VlArbEntry;
+    use rperf_model::{ClusterConfig, PortId, QpNum, ServiceLevel, Transport, Verb};
     use rperf_sim::{SimDuration, SimTime};
     use rperf_verbs::{CqeOpcode, RecvWr, SendWr, WrId};
 
@@ -203,6 +204,7 @@ mod tests {
     struct OneShot {
         target: usize,
         payload: u64,
+        sl: ServiceLevel,
         qp: Option<QpNum>,
         send_done: Option<SimTime>,
     }
@@ -212,6 +214,7 @@ mod tests {
             OneShot {
                 target,
                 payload,
+                sl: ServiceLevel::new(0),
                 qp: None,
                 send_done: None,
             }
@@ -223,7 +226,8 @@ mod tests {
             let qp = ctx.create_qp(Transport::Rc);
             self.qp = Some(qp);
             let wr = SendWr::new(WrId(1), Verb::Send, self.payload)
-                .to(ctx.lid_of(self.target), QpNum::new(1));
+                .to(ctx.lid_of(self.target), QpNum::new(1))
+                .with_sl(self.sl);
             ctx.post_send(qp, wr).unwrap();
         }
 
@@ -318,6 +322,48 @@ mod tests {
             delta < SimDuration::from_ns(800),
             "switch delta implausibly large: {delta}"
         );
+    }
+
+    /// The switch table reaches VL2 while the RNIC tables stop at VL1: the
+    /// fabric still has one lane count, the RNICs' included, and a SEND
+    /// the switch maps to VL2 is buffered there and delivered. (One SEND:
+    /// the switch returns credit on its own table's lane, not the lane
+    /// the sender spent, so with unmatched tables a longer burst stalls.)
+    #[test]
+    fn differing_sl2vl_tables_share_one_lane_count() {
+        let mut cfg = ClusterConfig::omnet_simulator().with_dedicated_sl();
+        let (sl2, vl2) = (ServiceLevel::new(2), VirtualLane::new(2));
+        cfg.switch.sl2vl = cfg.switch.sl2vl.with(sl2, vl2);
+        cfg.switch.vlarb.low.push(VlArbEntry {
+            vl: vl2,
+            weight: 64,
+        });
+        assert_eq!(cfg.rnic.sl2vl.lanes(), 2);
+        let fabric = Fabric::single_switch(cfg, 2, 7);
+        assert_eq!(fabric.lanes(), 3);
+        assert_eq!(fabric.switch(0).lanes(), 3);
+        assert!((0..2).all(|i| fabric.rnic(i).lanes() == 3));
+
+        let mut sim = Sim::new(fabric);
+        let mut sender = OneShot::new(1, 4096);
+        sender.sl = sl2;
+        sim.add_app(0, Box::new(sender));
+        sim.add_app(1, Box::new(Sink::new()));
+        sim.start();
+        // Step through the packet's stay in the switch's input buffer.
+        let mut seen_on_vl2 = false;
+        let mut t = SimTime::ZERO;
+        while t < SimTime::from_us(5) {
+            t += SimDuration::from_ns(10);
+            sim.run_until(t);
+            let ingress = PortId::new(0);
+            seen_on_vl2 |= sim.switch(0).occupancy(ingress, vl2) > 0;
+            assert_eq!(sim.switch(0).occupancy(ingress, VirtualLane::new(0)), 0);
+        }
+        assert!(seen_on_vl2, "the SEND never sat on the switch's VL2");
+        sim.run_to_quiescence();
+        assert_eq!(sim.app_as::<Sink>(1).bytes, 4096);
+        assert!(sim.app_as::<OneShot>(0).send_done.is_some());
     }
 
     #[test]

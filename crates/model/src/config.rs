@@ -130,6 +130,11 @@ impl Sl2VlTable {
     pub fn max_vl(&self) -> u8 {
         self.map.iter().copied().max().unwrap_or(0)
     }
+
+    /// Lanes a port needs to carry the table: one past its highest VL.
+    pub fn lanes(&self) -> u8 {
+        self.max_vl() + 1
+    }
 }
 
 /// One VL arbitration table entry: a VL and its weight in 64-byte units
@@ -451,6 +456,12 @@ impl ClusterConfig {
                 self.switch.vls
             ));
         }
+        if self.rnic.vls < 2 || self.rnic.vls > 16 {
+            return Err(format!(
+                "IB requires 2..=16 VLs per port, RNIC has {}",
+                self.rnic.vls
+            ));
+        }
         if self.switch.sl2vl.max_vl() >= self.switch.vls {
             return Err("switch SL2VL table references a VL beyond the port's VL count".into());
         }
@@ -545,6 +556,32 @@ mod tests {
         let mut c = ClusterConfig::hardware();
         c.switch.sl2vl = Sl2VlTable::all_to_vl0().with(ServiceLevel::new(3), VirtualLane::new(12));
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validation_bounds_both_vl_counts_to_the_ib_range() {
+        for vls in [0u8, 1, 17, u8::MAX] {
+            let mut c = ClusterConfig::hardware();
+            c.rnic.vls = vls;
+            let err = c.validate().unwrap_err();
+            assert!(err.contains("RNIC has"), "{err}");
+            let mut c = ClusterConfig::hardware();
+            c.switch.vls = vls;
+            assert!(c.validate().unwrap_err().contains("switch has"));
+        }
+        for vls in [2u8, 16] {
+            let mut c = ClusterConfig::hardware();
+            c.rnic.vls = vls;
+            c.switch.vls = vls;
+            c.validate().unwrap();
+        }
+    }
+
+    #[test]
+    fn sl2vl_lanes_are_one_past_the_highest_vl() {
+        assert_eq!(Sl2VlTable::all_to_vl0().lanes(), 1);
+        let t = Sl2VlTable::all_to_vl0().with(ServiceLevel::new(7), VirtualLane::new(15));
+        assert_eq!(t.lanes(), 16);
     }
 
     #[test]

@@ -167,7 +167,7 @@ pub struct Rnic {
     /// FIFO tie-break for `pending_tx` timers at the same instant.
     pending_seq: u64,
     /// Credits held toward the downstream peer (switch ingress buffer or a
-    /// directly attached RNIC's receive buffer).
+    /// directly attached RNIC's receive buffer), one per lane.
     peer_credits: CreditLedger,
     /// Maps outstanding messages to their owning QP (for ACK routing).
     owner: BTreeMap<u64, u32>,
@@ -177,19 +177,31 @@ pub struct Rnic {
 }
 
 impl Rnic {
-    /// Builds an RNIC for `node` with address `lid`. Accepts the device
-    /// configuration by value or pre-shared in an [`Arc`] — a fabric hands
-    /// every node the same allocation.
+    /// Builds an RNIC for `node` with address `lid`, its injection queues
+    /// and credit ledgers sized by the fabric's lane count `lanes` (not
+    /// the configuration's `vls`). Accepts the device configuration by
+    /// value or pre-shared in an [`Arc`] — a fabric hands every node the
+    /// same allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `lanes` covers every VL the RNIC's SL2VL table maps
+    /// to and stays within the 16 VLs of the IB spec.
     pub fn new(
         node: NodeId,
         lid: Lid,
         cfg: impl Into<Arc<RnicConfig>>,
+        lanes: u8,
         link: &LinkConfig,
         rng: SimRng,
     ) -> Self {
         let cfg = cfg.into();
+        assert!(
+            lanes > cfg.sl2vl.max_vl() && lanes <= VirtualLane::MAX + 1,
+            "{lanes} lanes cannot carry the RNIC's SL2VL table (highest VL {})",
+            cfg.sl2vl.max_vl()
+        );
         let data_rate = link.data_rate();
-        let vls = cfg.vls;
         Rnic {
             loop_rate: data_rate.scaled(cfg.loopback_factor),
             pcie_rate: cfg.pcie_rate,
@@ -206,10 +218,10 @@ impl Rnic {
             tx_ready_horizon: SimTime::ZERO,
             rx_deliver_horizon: SimTime::ZERO,
             ack_horizon: SimTime::ZERO,
-            txq: TxQueue::new(vls),
+            txq: TxQueue::new(lanes),
             pending_tx: BinaryHeap::new(),
             pending_seq: 0,
-            peer_credits: CreditLedger::unlimited(vls),
+            peer_credits: CreditLedger::unlimited(lanes),
             owner: BTreeMap::new(),
             rx_accum: BTreeMap::new(),
             stats: RnicStats::default(),
@@ -237,14 +249,32 @@ impl Rnic {
         self.stats
     }
 
+    /// Lanes the RNIC was built with: the fabric's lane count.
+    pub fn lanes(&self) -> u8 {
+        self.peer_credits.lanes()
+    }
+
     /// Installs the credit grant advertised by the attached peer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the ledger's lane count differs from the RNIC's: both
+    /// ends of a link must size their credits by the fabric's one count.
     pub fn set_peer_credits(&mut self, ledger: CreditLedger) {
+        assert_eq!(
+            ledger.lanes(),
+            self.lanes(),
+            "a {}-lane ledger on a {}-lane RNIC",
+            ledger.lanes(),
+            self.lanes()
+        );
         self.peer_credits = ledger;
     }
 
-    /// The receive-buffer grant this RNIC advertises to its peer.
+    /// The receive-buffer grant this RNIC advertises to its peer, one per
+    /// lane.
     pub fn advertised_credits(&self) -> CreditLedger {
-        CreditLedger::new(self.cfg.vls, self.cfg.rx_buffer_bytes)
+        CreditLedger::new(self.lanes(), self.cfg.rx_buffer_bytes)
     }
 
     /// Creates a queue pair.
@@ -913,6 +943,7 @@ mod tests {
                     NodeId::new(node),
                     Lid::new(node),
                     cfg.rnic.clone(),
+                    cfg.rnic.sl2vl.lanes(),
                     &cfg.link,
                     SimRng::new(node as u64),
                 ),
@@ -1278,7 +1309,8 @@ mod tests {
     #[test]
     fn credits_block_wire_until_replenished() {
         let mut p = Pump::new(1);
-        p.rnic.set_peer_credits(CreditLedger::new(9, 4_148));
+        let lanes = p.rnic.lanes();
+        p.rnic.set_peer_credits(CreditLedger::new(lanes, 4_148));
         let qp = p.rnic.create_qp(Transport::Rc);
         let wrs = vec![send_wr(1, 4096, 2), send_wr(2, 4096, 2)];
         let mut actions = Vec::new();

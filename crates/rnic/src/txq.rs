@@ -15,7 +15,8 @@ struct TxEntry {
 }
 
 /// The RNIC's wire-injection stage: a high-priority ACK queue plus one
-/// FIFO per virtual lane for data packets.
+/// FIFO per lane for data packets (the fabric's lane count, not the
+/// port's configured VLs).
 ///
 /// ACKs are tiny and latency-critical for the requester's completion path,
 /// so real RNICs inject them ahead of queued data; the model does the same.
@@ -31,7 +32,7 @@ struct TxEntry {
 /// ```
 /// use rperf_rnic::TxQueue;
 ///
-/// let q = TxQueue::new(9);
+/// let q = TxQueue::new(1);
 /// assert!(q.is_empty());
 /// assert_eq!(q.len(), 0);
 /// ```
@@ -43,11 +44,11 @@ pub struct TxQueue {
 }
 
 impl TxQueue {
-    /// Creates queues for `vls` virtual lanes.
-    pub fn new(vls: u8) -> Self {
+    /// Creates queues for `lanes` virtual lanes.
+    pub fn new(lanes: u8) -> Self {
         TxQueue {
             acks: VecDeque::new(),
-            data: (0..vls).map(|_| VecDeque::new()).collect(),
+            data: vec![VecDeque::new(); usize::from(lanes)],
             cursor: 0,
         }
     }
@@ -62,7 +63,7 @@ impl TxQueue {
     ///
     /// # Panics
     ///
-    /// Panics if `vl` is beyond the configured lane count.
+    /// Panics if `vl` is beyond the lane count.
     pub fn push_data(&mut self, vl: VirtualLane, packet: PacketRef, wire: u64) {
         self.data[vl.index()].push_back(TxEntry { packet, vl, wire });
     }
@@ -107,9 +108,9 @@ impl TxQueue {
         None
     }
 
-    /// Queued data packets on one lane.
+    /// Queued data packets on one lane (0 beyond the lanes).
     pub fn data_depth(&self, vl: VirtualLane) -> usize {
-        self.data[vl.index()].len()
+        self.data.get(vl.index()).map_or(0, VecDeque::len)
     }
 
     /// Queued ACKs.
@@ -238,6 +239,16 @@ mod tests {
         assert_eq!(q.data_depth(VirtualLane::new(1)), 1);
         assert_eq!(q.data_depth(VirtualLane::new(0)), 0);
         assert_eq!(q.len(), 2);
+    }
+
+    #[test]
+    fn depth_beyond_the_lanes_is_zero() {
+        let mut slab = PacketSlab::new();
+        let mut q = TxQueue::new(1);
+        push_data(&mut q, &mut slab, 0, data(1));
+        assert_eq!(q.data_depth(VirtualLane::new(0)), 1);
+        assert_eq!(q.data_depth(VirtualLane::new(1)), 0);
+        assert_eq!(q.data_depth(VirtualLane::new(15)), 0);
     }
 
     #[test]

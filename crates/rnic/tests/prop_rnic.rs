@@ -50,10 +50,12 @@ fn pump(
 
 fn rnic_under_test() -> Rnic {
     let cfg = ClusterConfig::omnet_simulator();
+    let lanes = cfg.rnic.sl2vl.lanes();
     Rnic::new(
         NodeId::new(1),
         Lid::new(1),
         cfg.rnic,
+        lanes,
         &cfg.link,
         SimRng::new(3),
     )

@@ -483,6 +483,7 @@ mod tests {
         assert_eq!(q.now(), SimTime::from_ns(5));
     }
 
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "scheduled in the past")]
     fn scheduling_in_the_past_panics_in_debug() {

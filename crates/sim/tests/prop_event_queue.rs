@@ -180,6 +180,7 @@ proptest! {
 }
 
 /// The wheel keeps the heap's past-scheduling contract: debug builds panic.
+#[cfg(debug_assertions)]
 #[test]
 #[should_panic(expected = "scheduled in the past")]
 fn wheel_panics_on_past_schedule_like_heap() {
@@ -190,6 +191,7 @@ fn wheel_panics_on_past_schedule_like_heap() {
 }
 
 /// And so does the oracle itself (documents that both sides enforce it).
+#[cfg(debug_assertions)]
 #[test]
 #[should_panic(expected = "scheduled in the past")]
 fn heap_panics_on_past_schedule() {

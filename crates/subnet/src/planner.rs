@@ -25,10 +25,13 @@ pub struct SubnetPlan {
     /// Forwarding tables, dense by host: `routes[sw][host]` is the egress
     /// port switch `sw` uses for `lids[host]`.
     pub routes: Vec<Vec<PortId>>,
-    /// Trunk distances toward each switch that hosts endpoints:
-    /// `dist_to[dst][sw]` is the number of trunks from `sw` to `dst`
-    /// (empty for switches without hosts).
-    dist_to: Vec<Vec<u32>>,
+    /// Trunk distances toward each switch that hosts endpoints, one row
+    /// of an entry per switch for each, all in one buffer: entry `sw` of
+    /// row `dist_row[dst]` is the number of trunks from `sw` to `dst`.
+    dist_to: Vec<u32>,
+    /// Row of each switch in `dist_to` (`u32::MAX` for switches without
+    /// hosts, which no route ends at).
+    dist_row: Vec<u32>,
 }
 
 impl SubnetPlan {
@@ -45,7 +48,8 @@ impl SubnetPlan {
         if a == b {
             0
         } else {
-            self.dist_to[sw_b][sw_a] + 1
+            let row = self.dist_row[sw_b] as usize * self.dist_row.len();
+            self.dist_to[row + sw_a] + 1
         }
     }
 }
@@ -146,7 +150,9 @@ fn cable(spec: &TopologySpec, ports_per_switch: u8) -> Result<Cabling, SubnetErr
         neigh.sort_by_key(|&(n, p)| (n, p.raw()));
     }
 
-    if let Some(switch) = distances(&adjacency, 0).iter().position(|&d| d == u32::MAX) {
+    let mut dist = vec![0; n_sw];
+    distances(&adjacency, 0, &mut dist, &mut VecDeque::new());
+    if let Some(switch) = dist.iter().position(|&d| d == u32::MAX) {
         return Err(SubnetError::Disconnected { switch });
     }
     Ok((host_ports, trunk_ports, adjacency))
@@ -188,17 +194,31 @@ pub fn plan(spec: &TopologySpec, ports_per_switch: u8) -> Result<SubnetPlan, Sub
         hosts_on[sw].push(host);
     }
 
+    // One distance row per destination switch, all in one buffer, and
+    // one BFS queue shared by every search.
+    let mut dist_row = vec![u32::MAX; n_sw];
+    let mut rows = 0;
+    for (row, dst_hosts) in dist_row.iter_mut().zip(&hosts_on) {
+        if !dst_hosts.is_empty() {
+            *row = rows;
+            rows += 1;
+        }
+    }
+    let mut dist_to = vec![0; rows as usize * n_sw];
+    let mut queue = VecDeque::with_capacity(n_sw);
+
     // Forwarding tables, one destination switch at a time: its own
     // hosts leave by their ports; every other switch sends them to the
     // LID-selected port among those whose neighbour is one hop closer.
     let mut routes = vec![vec![PortId::new(0); hosts]; n_sw];
-    let mut dist_to = vec![Vec::new(); n_sw];
     let mut toward = Vec::new();
     for (dst, dst_hosts) in hosts_on.iter().enumerate() {
         if dst_hosts.is_empty() {
             continue;
         }
-        let dist = distances(&adjacency, dst);
+        let row = dist_row[dst] as usize * n_sw;
+        let dist = &mut dist_to[row..row + n_sw];
+        distances(&adjacency, dst, dist, &mut queue);
         for (sw, table) in routes.iter_mut().enumerate() {
             if sw == dst {
                 for &h in dst_hosts {
@@ -217,7 +237,6 @@ pub fn plan(spec: &TopologySpec, ports_per_switch: u8) -> Result<SubnetPlan, Sub
                 table[h] = toward[lids[h].index() % toward.len()];
             }
         }
-        dist_to[dst] = dist;
     }
 
     Ok(SubnetPlan {
@@ -226,15 +245,22 @@ pub fn plan(spec: &TopologySpec, ports_per_switch: u8) -> Result<SubnetPlan, Sub
         trunk_ports,
         routes,
         dist_to,
+        dist_row,
     })
 }
 
-/// Trunk distances from `from` to every switch (`u32::MAX` where
-/// unreachable), by BFS.
-fn distances(adjacency: &[Vec<(usize, PortId)>], from: usize) -> Vec<u32> {
-    let mut dist = vec![u32::MAX; adjacency.len()];
+/// Writes the trunk distances from `from` to every switch into `dist`
+/// (`u32::MAX` where unreachable), by BFS through the caller's `queue`.
+fn distances(
+    adjacency: &[Vec<(usize, PortId)>],
+    from: usize,
+    dist: &mut [u32],
+    queue: &mut VecDeque<usize>,
+) {
+    dist.fill(u32::MAX);
     dist[from] = 0;
-    let mut queue = VecDeque::from([from]);
+    queue.clear();
+    queue.push_back(from);
     while let Some(sw) = queue.pop_front() {
         for &(n, _) in &adjacency[sw] {
             if dist[n] == u32::MAX {
@@ -243,7 +269,6 @@ fn distances(adjacency: &[Vec<(usize, PortId)>], from: usize) -> Vec<u32> {
             }
         }
     }
-    dist
 }
 
 #[cfg(test)]

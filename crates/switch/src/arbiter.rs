@@ -34,18 +34,23 @@ pub struct PacketScheduler {
     policy: SchedPolicy,
     ports: u8,
     cursor: u8,
-    /// Bytes served per ingress port (FairShare state).
+    /// Bytes served per ingress port: FairShare state, left empty (and
+    /// unallocated) under the policies that never read it.
     served: Vec<u64>,
 }
 
 impl PacketScheduler {
     /// Creates a scheduler for a switch with `ports` ingress ports.
     pub fn new(policy: SchedPolicy, ports: u8) -> Self {
+        let served = match policy {
+            SchedPolicy::FairShare => vec![0; ports as usize],
+            SchedPolicy::Fcfs | SchedPolicy::RoundRobin => Vec::new(),
+        };
         PacketScheduler {
             policy,
             ports,
             cursor: 0,
-            served: vec![0; ports as usize],
+            served,
         }
     }
 

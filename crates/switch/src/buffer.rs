@@ -131,11 +131,11 @@ impl VlBuffer {
 /// arbitration round touching 100+ heads pays one pointer chase per slot.
 /// This layout instead walks four contiguous arrays plus a non-empty bitset,
 /// so a round over the whole switch is a handful of cache lines. Slots are
-/// port-major (`slot = port·vls + vl`), matching the scan order the
+/// port-major (`slot = port·lanes + vl`), matching the scan order the
 /// scheduling policies were calibrated against.
 ///
 /// Semantics (admission counting, violation accounting, FIFO order) are
-/// identical to a `ports × vls` matrix of [`VlBuffer`]s — the AoS-vs-SoA
+/// identical to a `ports × lanes` matrix of [`VlBuffer`]s — the AoS-vs-SoA
 /// microbench races the two on the same workload.
 ///
 /// # Examples
@@ -144,13 +144,14 @@ impl VlBuffer {
 /// use rperf_model::{PortId, VirtualLane};
 /// use rperf_switch::VlBufferArray;
 ///
-/// let bank = VlBufferArray::new(12, 9, 32 * 1024);
-/// assert_eq!(bank.slots(), 12 * 9);
+/// let bank = VlBufferArray::new(12, 2, 32 * 1024);
+/// assert_eq!(bank.slots(), 12 * 2);
 /// assert!(bank.head(PortId::new(3), VirtualLane::new(0)).is_none());
+/// assert_eq!(bank.occupancy(PortId::new(3), VirtualLane::new(7)), 0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct VlBufferArray {
-    vls: usize,
+    lanes: usize,
     capacity: u64,
     /// FIFO bodies, port-major. Only push/pop touch these; scans don't.
     queues: Vec<VecDeque<BufEntry>>,
@@ -163,7 +164,6 @@ pub struct VlBufferArray {
     /// Head packet's arrival instant — the FCFS key (undefined while empty).
     head_arrival: Vec<SimTime>,
     occupied: Vec<u64>,
-    max_occupied: Vec<u64>,
     violations: u64,
     /// Bit `slot % 64` of word `slot / 64` set ⇔ the slot's queue is
     /// non-empty. Scans iterate set bits in ascending slot order.
@@ -174,12 +174,12 @@ impl VlBufferArray {
     /// Sentinel in the `head_egress` array marking an empty slot.
     pub const EMPTY: u8 = u8::MAX;
 
-    /// Creates a bank of `ports × vls` empty buffers, each advertising
+    /// Creates a bank of `ports × lanes` empty buffers, each advertising
     /// `capacity` bytes.
-    pub fn new(ports: u8, vls: u8, capacity: u64) -> Self {
-        let slots = ports as usize * vls as usize;
+    pub fn new(ports: u8, lanes: u8, capacity: u64) -> Self {
+        let slots = ports as usize * lanes as usize;
         VlBufferArray {
-            vls: vls as usize,
+            lanes: lanes as usize,
             capacity,
             queues: vec![VecDeque::new(); slots],
             head_egress: vec![Self::EMPTY; slots],
@@ -187,7 +187,6 @@ impl VlBufferArray {
             head_wire: vec![0; slots],
             head_arrival: vec![SimTime::ZERO; slots],
             occupied: vec![0; slots],
-            max_occupied: vec![0; slots],
             violations: 0,
             nonempty: vec![0; slots.div_ceil(64)],
         }
@@ -200,14 +199,15 @@ impl VlBufferArray {
 
     /// Virtual lanes per port (the slot-index stride).
     #[inline]
-    pub fn vls(&self) -> usize {
-        self.vls
+    pub fn lanes(&self) -> usize {
+        self.lanes
     }
 
-    /// Flat slot index of a (port, VL) pair.
+    /// Flat slot index of a (port, VL) pair; `vl` must be one of the lanes.
     #[inline]
     pub fn slot_of(&self, port: PortId, vl: VirtualLane) -> usize {
-        port.index() * self.vls + vl.index()
+        debug_assert!(vl.index() < self.lanes, "{vl} beyond {} lanes", self.lanes);
+        port.index() * self.lanes + vl.index()
     }
 
     /// The non-empty bitset, one bit per slot in ascending slot order.
@@ -250,7 +250,6 @@ impl VlBufferArray {
             self.violations += 1;
         }
         self.occupied[slot] += entry.wire;
-        self.max_occupied[slot] = self.max_occupied[slot].max(self.occupied[slot]);
         if self.queues[slot].is_empty() {
             self.set_head(slot, &entry);
             self.nonempty[slot / 64] |= 1u64 << (slot % 64);
@@ -274,14 +273,19 @@ impl VlBufferArray {
         Some(entry)
     }
 
-    /// The head packet of (`port`, `vl`), if any.
+    /// The head packet of (`port`, `vl`), if any (none beyond the lanes).
     pub fn head(&self, port: PortId, vl: VirtualLane) -> Option<BufEntry> {
-        let slot = self.slot_of(port, vl);
-        self.queues[slot].front().copied()
+        if vl.index() >= self.lanes {
+            return None;
+        }
+        self.queues[self.slot_of(port, vl)].front().copied()
     }
 
-    /// Bytes currently buffered on (`port`, `vl`).
+    /// Bytes currently buffered on (`port`, `vl`); 0 beyond the lanes.
     pub fn occupancy(&self, port: PortId, vl: VirtualLane) -> u64 {
+        if vl.index() >= self.lanes {
+            return 0;
+        }
         self.occupied[self.slot_of(port, vl)]
     }
 
@@ -433,7 +437,7 @@ mod tests {
 
     #[test]
     fn soa_bank_matches_aos_matrix() {
-        // Differential: the SoA bank must agree with a ports × vls matrix
+        // Differential: the SoA bank must agree with a ports × lanes matrix
         // of VlBuffers on occupancy, violations, heads and pop order under
         // a deterministic mixed workload.
         let (ports, vls) = (4u8, 3u8);

@@ -2,6 +2,9 @@
 
 use rperf_model::{PortId, VirtualLane};
 
+/// Lanes a [`CreditLedger`] holds inline: every VL the IB spec defines.
+const MAX_LANES: usize = VirtualLane::MAX as usize + 1;
+
 /// Tracks the flow-control credits a device holds toward *one* downstream
 /// peer, per virtual lane.
 ///
@@ -11,50 +14,64 @@ use rperf_model::{PortId, VirtualLane};
 /// frees them. Conservation is a protocol invariant:
 /// `initial = available + in flight downstream`.
 ///
+/// The counters live inline, one pair per VL the spec defines, so a
+/// ledger never touches the heap; lanes at or beyond
+/// [`CreditLedger::lanes`] hold no grant and answer 0.
+///
 /// # Examples
 ///
 /// ```
 /// use rperf_model::VirtualLane;
 /// use rperf_switch::CreditLedger;
 ///
-/// let mut c = CreditLedger::new(9, 32 * 1024);
+/// let mut c = CreditLedger::new(1, 32 * 1024);
 /// let vl0 = VirtualLane::new(0);
 /// assert!(c.consume(vl0, 4148));
 /// assert_eq!(c.available(vl0), 32 * 1024 - 4148);
 /// c.replenish(vl0, 4148);
 /// assert_eq!(c.available(vl0), 32 * 1024);
+/// assert_eq!(c.available(VirtualLane::new(1)), 0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct CreditLedger {
-    initial: Vec<u64>,
-    available: Vec<u64>,
+    lanes: u8,
+    initial: [u64; MAX_LANES],
+    available: [u64; MAX_LANES],
 }
 
 impl CreditLedger {
-    /// Creates a ledger for `vls` lanes, each granted `bytes_per_vl`.
-    pub fn new(vls: u8, bytes_per_vl: u64) -> Self {
+    /// Creates a ledger for `lanes` lanes, each granted `bytes_per_vl`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes` exceeds the 16 VLs of the IB spec.
+    pub fn new(lanes: u8, bytes_per_vl: u64) -> Self {
+        let n = usize::from(lanes);
+        assert!(
+            n <= MAX_LANES,
+            "{lanes} lanes exceed the {MAX_LANES} IB VLs"
+        );
+        let mut grant = [0; MAX_LANES];
+        grant[..n].fill(bytes_per_vl);
         CreditLedger {
-            initial: vec![bytes_per_vl; vls as usize],
-            available: vec![bytes_per_vl; vls as usize],
+            lanes,
+            initial: grant,
+            available: grant,
         }
     }
 
     /// Creates a ledger with unlimited credits (for modelling a link with
     /// no flow control, e.g. delivery into an infinite sink).
-    pub fn unlimited(vls: u8) -> Self {
-        Self::new(vls, u64::MAX / 2)
+    pub fn unlimited(lanes: u8) -> Self {
+        Self::new(lanes, u64::MAX / 2)
     }
 
-    /// Number of lanes tracked.
-    pub fn vls(&self) -> u8 {
-        self.available.len() as u8
+    /// Number of lanes granted.
+    pub fn lanes(&self) -> u8 {
+        self.lanes
     }
 
-    /// Credits currently available on `vl`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vl` is beyond the configured lane count.
+    /// Credits currently available on `vl` (0 beyond the granted lanes).
     pub fn available(&self, vl: VirtualLane) -> u64 {
         self.available[vl.index()]
     }
@@ -101,12 +118,13 @@ impl CreditLedger {
 
 /// Struct-of-arrays credit bank for a whole switch: the per-VL counters of
 /// every egress port's downstream ledger laid out in two flat arrays
-/// (`initial`, `available`), indexed `port · vls + vl`.
+/// (`initial`, `available`), indexed `port · lanes + vl`.
 ///
 /// Behaviourally identical to a `Vec<CreditLedger>` — consume refuses
-/// without spending, replenish clamps to the initial grant — but the
-/// credit-availability checks inside an arbitration round read a contiguous
-/// row instead of chasing a ledger object per port.
+/// without spending, replenish clamps to the initial grant, queries
+/// beyond the lanes answer 0 — but the credit-availability checks inside
+/// an arbitration round read a contiguous row instead of chasing a ledger
+/// object per port.
 ///
 /// # Examples
 ///
@@ -114,7 +132,7 @@ impl CreditLedger {
 /// use rperf_model::{PortId, VirtualLane};
 /// use rperf_switch::CreditMatrix;
 ///
-/// let mut m = CreditMatrix::new(12, 9, 32 * 1024);
+/// let mut m = CreditMatrix::new(12, 1, 32 * 1024);
 /// let (p, vl) = (PortId::new(4), VirtualLane::new(0));
 /// assert!(m.consume(p, vl, 4148));
 /// assert_eq!(m.available(p, vl), 32 * 1024 - 4148);
@@ -123,39 +141,51 @@ impl CreditLedger {
 /// ```
 #[derive(Debug, Clone)]
 pub struct CreditMatrix {
-    vls: usize,
+    lanes: usize,
     initial: Vec<u64>,
     available: Vec<u64>,
 }
 
 impl CreditMatrix {
-    /// Creates a matrix for `ports` egress ports × `vls` lanes, each slot
-    /// granted `bytes_per_vl`.
-    pub fn new(ports: u8, vls: u8, bytes_per_vl: u64) -> Self {
-        let slots = ports as usize * vls as usize;
+    /// Creates a matrix for `ports` egress ports × `lanes` lanes, each
+    /// slot granted `bytes_per_vl`.
+    pub fn new(ports: u8, lanes: u8, bytes_per_vl: u64) -> Self {
+        let slots = ports as usize * lanes as usize;
         CreditMatrix {
-            vls: vls as usize,
+            lanes: lanes as usize,
             initial: vec![bytes_per_vl; slots],
             available: vec![bytes_per_vl; slots],
         }
     }
 
     /// Lanes per port.
-    pub fn vls(&self) -> u8 {
-        self.vls as u8
+    pub fn lanes(&self) -> u8 {
+        self.lanes as u8
     }
 
     #[inline]
     fn idx(&self, port: PortId, vl: VirtualLane) -> usize {
-        port.index() * self.vls + vl.index()
+        debug_assert!(vl.index() < self.lanes, "{vl} beyond {} lanes", self.lanes);
+        port.index() * self.lanes + vl.index()
     }
 
     /// Overwrites one port's row from a [`CreditLedger`] (used when the
     /// downstream peer's advertisement differs from switch-buffer symmetry,
     /// e.g. a host RNIC).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the ledger's lane count differs from the matrix's: both
+    /// ends of a link must size their credits by the fabric's one count.
     pub fn set_port(&mut self, port: PortId, ledger: &CreditLedger) {
-        debug_assert_eq!(usize::from(ledger.vls()), self.vls);
-        for v in 0..ledger.vls().min(self.vls as u8) {
+        assert_eq!(
+            usize::from(ledger.lanes()),
+            self.lanes,
+            "a {}-lane ledger on a {}-lane port",
+            ledger.lanes(),
+            self.lanes
+        );
+        for v in 0..ledger.lanes() {
             let vl = VirtualLane::new(v);
             let i = self.idx(port, vl);
             self.initial[i] = ledger.available(vl) + ledger.in_flight(vl);
@@ -163,9 +193,11 @@ impl CreditMatrix {
         }
     }
 
-    /// Credits currently available on (`port`, `vl`).
-    #[inline]
+    /// Credits currently available on (`port`, `vl`); 0 beyond the lanes.
     pub fn available(&self, port: PortId, vl: VirtualLane) -> u64 {
+        if vl.index() >= self.lanes {
+            return 0;
+        }
         self.available[self.idx(port, vl)]
     }
 
@@ -205,8 +237,12 @@ impl CreditMatrix {
         self.available[i] = (self.available[i] + bytes).min(self.initial[i]);
     }
 
-    /// Bytes currently in flight (consumed but not yet replenished).
+    /// Bytes currently in flight (consumed but not yet replenished); 0
+    /// beyond the lanes.
     pub fn in_flight(&self, port: PortId, vl: VirtualLane) -> u64 {
+        if vl.index() >= self.lanes {
+            return 0;
+        }
         let i = self.idx(port, vl);
         self.initial[i] - self.available[i]
     }
@@ -299,6 +335,27 @@ mod tests {
         assert_eq!(m.available(PortId::new(1), VirtualLane::new(1)), 4_148);
         // The untouched port keeps the constructor grant.
         assert_eq!(m.available(PortId::new(0), VirtualLane::new(0)), 9_999);
+    }
+
+    #[test]
+    fn queries_beyond_the_lanes_answer_zero() {
+        let c = CreditLedger::new(1, 1_000);
+        let vl5 = VirtualLane::new(5);
+        assert_eq!(c.lanes(), 1);
+        assert_eq!(c.available(vl5), 0);
+        assert_eq!(c.in_flight(vl5), 0);
+        assert!(!c.can_send(vl5, 1));
+        // In the flat layout (port 0, VL5) would alias (port 5, VL0).
+        let m = CreditMatrix::new(6, 1, 1_000);
+        assert_eq!(m.available(PortId::new(0), vl5), 0);
+        assert_eq!(m.in_flight(PortId::new(0), vl5), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "a 9-lane ledger on a 1-lane port")]
+    fn set_port_rejects_a_ledger_of_another_lane_count() {
+        let mut m = CreditMatrix::new(2, 1, 1_000);
+        m.set_port(PortId::new(0), &CreditLedger::new(9, 1_000));
     }
 
     #[test]

@@ -86,7 +86,7 @@ pub struct Switch {
     /// Input buffers: struct-of-arrays bank, slots port-major.
     buffers: VlBufferArray,
     /// Credits held toward the peer downstream of each egress port,
-    /// flattened `egress × vl`.
+    /// flattened `egress × lane`.
     down_credits: CreditMatrix,
     vlarbs: Vec<VlArbiter>,
     scheds: Vec<PacketScheduler>,
@@ -98,46 +98,54 @@ pub struct Switch {
     /// (slot) order. Scratch reused across rounds; cleared lazily at the
     /// start of the next round so every exit path stays cheap.
     cand_vls: Vec<VirtualLane>,
-    /// Per-VL candidate `(ingress, arrival)` lists, indexed by VL. Only the
-    /// lists named in `cand_vls` are populated.
+    /// Per-lane candidate `(ingress, arrival)` lists, indexed by VL, each
+    /// grown on first use. Only the lists named in `cand_vls` are
+    /// populated.
     cand_lists: Vec<Vec<(PortId, SimTime)>>,
 }
 
 impl Switch {
-    /// Builds a switch from its configuration and the attached link's data
-    /// rate. Downstream credit ledgers default to one input-buffer grant
-    /// per VL (symmetric switches); override per port with
-    /// [`Switch::set_downstream_credits`] for host-facing ports.
+    /// Builds a switch from its configuration, the fabric's lane count
+    /// and the attached link's data rate. Every VL-indexed structure —
+    /// input buffers, downstream credits, arbitration scratch — holds
+    /// `lanes` lanes, not the configuration's `vls`: no packet can sit on
+    /// a lane no SL2VL table maps to. Downstream credit ledgers default to
+    /// one input-buffer grant per lane (symmetric switches); override per
+    /// port with [`Switch::set_downstream_credits`] for host-facing ports.
     ///
     /// The configuration is taken as (or promoted to) an [`Arc`], so a
-    /// fabric instantiating many identical switches shares one allocation.
-    pub fn new(cfg: impl Into<Arc<SwitchConfig>>, data_rate: LinkRate, rng: SimRng) -> Self {
+    /// fabric instantiating many identical switches shares one allocation
+    /// — the VL arbitration tables included.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `lanes` covers every VL the switch's SL2VL table maps
+    /// to and stays within the 16 VLs of the IB spec.
+    pub fn new(
+        cfg: impl Into<Arc<SwitchConfig>>,
+        lanes: u8,
+        data_rate: LinkRate,
+        rng: SimRng,
+    ) -> Self {
         let cfg = cfg.into();
+        assert!(
+            lanes > cfg.sl2vl.max_vl() && lanes <= VirtualLane::MAX + 1,
+            "{lanes} lanes cannot carry the switch's SL2VL table (highest VL {})",
+            cfg.sl2vl.max_vl()
+        );
         let ports = cfg.ports as usize;
-        let vls = cfg.vls;
-        let buffers = VlBufferArray::new(cfg.ports, vls, cfg.input_buffer_bytes);
-        let down_credits = CreditMatrix::new(cfg.ports, vls, cfg.input_buffer_bytes);
-        // One shared arbitration table for all ports instead of a deep
-        // clone per port.
-        let vlarb_cfg = Arc::new(cfg.vlarb.clone());
-        let vlarbs = (0..ports)
-            .map(|_| VlArbiter::new(vlarb_cfg.clone()))
-            .collect();
-        let scheds = (0..ports)
-            .map(|_| PacketScheduler::new(cfg.policy, cfg.ports))
-            .collect();
         Switch {
             data_rate,
-            buffers,
-            down_credits,
-            vlarbs,
-            scheds,
+            buffers: VlBufferArray::new(cfg.ports, lanes, cfg.input_buffer_bytes),
+            down_credits: CreditMatrix::new(cfg.ports, lanes, cfg.input_buffer_bytes),
+            vlarbs: vec![VlArbiter::new(&cfg.vlarb); ports],
+            scheds: vec![PacketScheduler::new(cfg.policy, cfg.ports); ports],
             busy_until: vec![SimTime::ZERO; ports],
             fwd: ForwardingTable::new(),
             rng,
             stats: SwitchStats::default(),
-            cand_vls: Vec::with_capacity(vls as usize),
-            cand_lists: (0..vls).map(|_| Vec::with_capacity(ports)).collect(),
+            cand_vls: Vec::new(),
+            cand_lists: vec![Vec::new(); usize::from(lanes)],
             cfg,
         }
     }
@@ -145,6 +153,11 @@ impl Switch {
     /// Number of ports.
     pub fn ports(&self) -> u8 {
         self.cfg.ports
+    }
+
+    /// Lanes per port: the fabric's lane count the switch was built with.
+    pub fn lanes(&self) -> u8 {
+        self.down_credits.lanes()
     }
 
     /// The switch configuration.
@@ -171,6 +184,10 @@ impl Switch {
     /// Replaces the credit ledger toward the peer on `port` (call when the
     /// peer's advertisement differs from switch-buffer symmetry, e.g. a
     /// host RNIC).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the ledger's lane count differs from the switch's.
     pub fn set_downstream_credits(&mut self, port: PortId, ledger: CreditLedger) {
         self.down_credits.set_port(port, &ledger);
     }
@@ -182,7 +199,7 @@ impl Switch {
         s
     }
 
-    /// Bytes buffered on one (ingress, VL) pair.
+    /// Bytes buffered on one (ingress, VL) pair; 0 beyond the lanes.
     pub fn occupancy(&self, ingress: PortId, vl: VirtualLane) -> u64 {
         self.buffers.occupancy(ingress, vl)
     }
@@ -306,7 +323,7 @@ impl Switch {
                 cand_lists,
                 ..
             } = self;
-            let vls = buffers.vls();
+            let lanes = buffers.lanes();
             for (w, &word) in buffers.nonempty_words().iter().enumerate() {
                 let mut word = word;
                 while word != 0 {
@@ -324,7 +341,7 @@ impl Switch {
                         });
                         continue;
                     }
-                    let vl = VirtualLane::new((slot % vls) as u8);
+                    let vl = VirtualLane::new((slot % lanes) as u8);
                     if !down_credits.can_send(egress, vl, buffers.head_wire(slot)) {
                         credit_blocked = true;
                         continue;
@@ -333,12 +350,15 @@ impl Switch {
                     if list.is_empty() {
                         cand_vls.push(vl);
                     }
-                    list.push((PortId::new((slot / vls) as u8), buffers.head_arrival(slot)));
+                    list.push((
+                        PortId::new((slot / lanes) as u8),
+                        buffers.head_arrival(slot),
+                    ));
                 }
             }
         }
 
-        let Some(vl) = self.vlarbs[e].choose(&self.cand_vls) else {
+        let Some(vl) = self.vlarbs[e].choose(&self.cfg.vlarb, &self.cand_vls) else {
             if credit_blocked {
                 self.stats.credit_stalls += 1;
             }
@@ -368,7 +388,7 @@ impl Switch {
         let size = entry.wire;
         let consumed = self.down_credits.consume(egress, vl, size);
         debug_assert!(consumed, "candidate was filtered by credit availability");
-        self.vlarbs[e].account(vl, size);
+        self.vlarbs[e].account(&self.cfg.vlarb, vl, size);
         self.scheds[e].account(ingress, size);
 
         let serialize = self.data_rate.serialize_time(size);
@@ -423,7 +443,8 @@ mod tests {
         let mut cfg = ClusterConfig::omnet_simulator().switch;
         cfg.policy = policy;
         let rate = ClusterConfig::omnet_simulator().link.data_rate();
-        let mut sw = Switch::new(cfg, rate, SimRng::new(1));
+        let lanes = cfg.sl2vl.lanes();
+        let mut sw = Switch::new(cfg, lanes, rate, SimRng::new(1));
         for lid in 0..7u16 {
             sw.set_route(Lid::new(lid), PortId::new(lid as u8));
         }
@@ -594,8 +615,9 @@ mod tests {
     fn dispatch_blocked_without_credits_resumes_on_replenish() {
         let mut slab = PacketSlab::new();
         let mut sw = test_switch(SchedPolicy::Fcfs);
-        // Downstream grants exactly one 4148 B packet of credit on VL0.
-        sw.set_downstream_credits(PortId::new(0), CreditLedger::new(9, 4_148));
+        // Downstream grants exactly one 4148 B packet of credit on VL0, in
+        // a ledger of the switch's own lane count.
+        sw.set_downstream_credits(PortId::new(0), CreditLedger::new(sw.lanes(), 4_148));
         arrive(
             &mut sw,
             &mut slab,
@@ -648,7 +670,7 @@ mod tests {
         let mut cfg = ClusterConfig::omnet_simulator().with_dedicated_sl().switch;
         cfg.policy = SchedPolicy::Fcfs;
         let rate = ClusterConfig::omnet_simulator().link.data_rate();
-        let mut sw = Switch::new(cfg, rate, SimRng::new(2));
+        let mut sw = Switch::new(cfg, 2, rate, SimRng::new(2));
         sw.set_route(Lid::new(0), PortId::new(0));
 
         // Older low-priority packet and newer high-priority packet, both
@@ -730,5 +752,41 @@ mod tests {
         assert_eq!(sw.occupancy(PortId::new(1), VirtualLane::new(0)), 4148);
         assert_eq!(sw.occupancy(PortId::new(2), VirtualLane::new(0)), 0);
         assert_eq!(sw.total_buffered(), 4148);
+    }
+
+    #[test]
+    fn state_is_sized_by_the_lanes_not_the_configured_vls() {
+        let sw = test_switch(SchedPolicy::Fcfs);
+        assert_eq!(sw.config().vls, 9);
+        assert_eq!(
+            sw.lanes(),
+            1,
+            "the default SL2VL table maps every SL to VL0"
+        );
+    }
+
+    #[test]
+    fn occupancy_beyond_the_lanes_is_zero() {
+        let mut slab = PacketSlab::new();
+        let mut sw = test_switch(SchedPolicy::Fcfs);
+        // One lane per port: (port 0, VL5) would alias (port 5, VL0) in
+        // the flat slot layout.
+        arrive(
+            &mut sw,
+            &mut slab,
+            SimTime::ZERO,
+            PortId::new(5),
+            pkt(1, 0, 4096, 0),
+        );
+        assert_eq!(sw.occupancy(PortId::new(5), VirtualLane::new(0)), 4148);
+        assert_eq!(sw.occupancy(PortId::new(0), VirtualLane::new(5)), 0);
+        assert_eq!(sw.occupancy(PortId::new(5), VirtualLane::new(15)), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot carry the switch's SL2VL table")]
+    fn too_few_lanes_for_the_sl2vl_table_panic() {
+        let cfg = ClusterConfig::omnet_simulator().with_dedicated_sl();
+        let _ = Switch::new(cfg.switch, 1, cfg.link.data_rate(), SimRng::new(1));
     }
 }

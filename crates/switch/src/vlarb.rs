@@ -1,7 +1,5 @@
 //! IB-spec virtual-lane arbitration.
 
-use std::sync::Arc;
-
 use rperf_model::config::{VlArbConfig, VlArbEntry};
 use rperf_model::VirtualLane;
 
@@ -21,6 +19,10 @@ const WEIGHT_UNIT: u64 = 64;
 /// traffic is waiting). This is the starvation-avoidance mechanism whose
 /// latency side effect the paper calls out in Section VIII-C.
 ///
+/// The arbiter holds only its port's cursors and budget. The tables are
+/// passed to every call: a fabric's switches share one switch
+/// configuration, so every port of every switch reads the same tables.
+///
 /// # Examples
 ///
 /// ```
@@ -28,15 +30,15 @@ const WEIGHT_UNIT: u64 = 64;
 /// use rperf_model::VirtualLane;
 /// use rperf_switch::VlArbiter;
 ///
-/// let mut arb = VlArbiter::new(VlArbConfig::dedicated_high_vl1());
+/// let tables = VlArbConfig::dedicated_high_vl1();
+/// let mut arb = VlArbiter::new(&tables);
 /// let vl0 = VirtualLane::new(0);
 /// let vl1 = VirtualLane::new(1);
 /// // VL1 is high priority: chosen whenever it has traffic and budget.
-/// assert_eq!(arb.choose(&[vl0, vl1]), Some(vl1));
+/// assert_eq!(arb.choose(&tables, &[vl0, vl1]), Some(vl1));
 /// ```
 #[derive(Debug, Clone)]
 pub struct VlArbiter {
-    cfg: Arc<VlArbConfig>,
     /// Remaining consecutive high-priority bytes before a forced low turn.
     high_budget: u64,
     /// Set when the budget ran out and a low-priority turn is owed.
@@ -113,15 +115,10 @@ fn entry_budget(e: &VlArbEntry) -> u64 {
 }
 
 impl VlArbiter {
-    /// Creates an arbiter from the port's arbitration tables. Accepts the
-    /// tables by value or pre-shared in an [`Arc`] — a switch hands every
-    /// port the same allocation.
-    pub fn new(cfg: impl Into<Arc<VlArbConfig>>) -> Self {
-        let cfg = cfg.into();
-        let high_budget = Self::budget_of(&cfg);
+    /// Creates an arbiter for a port arbitrating by `cfg`'s tables.
+    pub fn new(cfg: &VlArbConfig) -> Self {
         VlArbiter {
-            cfg,
-            high_budget,
+            high_budget: Self::budget_of(cfg),
             must_serve_low: false,
             high_cursor: TableCursor::new(),
             low_cursor: TableCursor::new(),
@@ -138,49 +135,44 @@ impl VlArbiter {
         }
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &VlArbConfig {
-        &self.cfg
-    }
-
     /// Chooses the VL to serve next among `candidates` (VLs that have an
-    /// eligible head packet *and* downstream credits). Returns `None` if no
-    /// candidate appears in either table.
-    pub fn choose(&mut self, candidates: &[VirtualLane]) -> Option<VirtualLane> {
-        let high_has = candidates.iter().any(|vl| self.cfg.is_high(*vl));
+    /// eligible head packet *and* downstream credits), by the tables in
+    /// `cfg`. Returns `None` if no candidate appears in either table.
+    pub fn choose(&mut self, cfg: &VlArbConfig, candidates: &[VirtualLane]) -> Option<VirtualLane> {
+        let high_has = candidates.iter().any(|vl| cfg.is_high(*vl));
         let low_has = candidates
             .iter()
-            .any(|vl| self.cfg.low.iter().any(|e| e.vl == *vl));
+            .any(|vl| cfg.low.iter().any(|e| e.vl == *vl));
 
         if high_has && !(self.must_serve_low && low_has) {
-            return self.high_cursor.pick(&self.cfg.high, candidates);
+            return self.high_cursor.pick(&cfg.high, candidates);
         }
         if low_has {
-            return self.low_cursor.pick(&self.cfg.low, candidates);
+            return self.low_cursor.pick(&cfg.low, candidates);
         }
         if high_has {
             // A low turn was owed but no low traffic exists: stay work-
             // conserving and serve high anyway.
-            return self.high_cursor.pick(&self.cfg.high, candidates);
+            return self.high_cursor.pick(&cfg.high, candidates);
         }
         None
     }
 
     /// Records that `bytes` were transmitted on `vl`, updating priority
-    /// budgets and weighted-RR state.
-    pub fn account(&mut self, vl: VirtualLane, bytes: u64) {
-        if self.cfg.is_high(vl) {
-            self.high_cursor.account(&self.cfg.high, vl, bytes);
-            if self.cfg.limit_high != u8::MAX {
+    /// budgets and weighted-RR state by the tables in `cfg`.
+    pub fn account(&mut self, cfg: &VlArbConfig, vl: VirtualLane, bytes: u64) {
+        if cfg.is_high(vl) {
+            self.high_cursor.account(&cfg.high, vl, bytes);
+            if cfg.limit_high != u8::MAX {
                 self.high_budget = self.high_budget.saturating_sub(bytes);
                 if self.high_budget == 0 {
                     self.must_serve_low = true;
                 }
             }
         } else {
-            self.low_cursor.account(&self.cfg.low, vl, bytes);
+            self.low_cursor.account(&cfg.low, vl, bytes);
             self.must_serve_low = false;
-            self.high_budget = Self::budget_of(&self.cfg);
+            self.high_budget = Self::budget_of(cfg);
         }
     }
 }
@@ -195,64 +187,70 @@ mod tests {
 
     #[test]
     fn default_config_serves_vl0() {
-        let mut arb = VlArbiter::new(VlArbConfig::default());
-        assert_eq!(arb.choose(&[vl(0)]), Some(vl(0)));
-        assert_eq!(arb.choose(&[]), None);
+        let cfg = VlArbConfig::default();
+        let mut arb = VlArbiter::new(&cfg);
+        assert_eq!(arb.choose(&cfg, &[vl(0)]), Some(vl(0)));
+        assert_eq!(arb.choose(&cfg, &[]), None);
     }
 
     #[test]
     fn unknown_vl_is_never_chosen() {
-        let mut arb = VlArbiter::new(VlArbConfig::default());
+        let cfg = VlArbConfig::default();
+        let mut arb = VlArbiter::new(&cfg);
         // VL5 appears in no table.
-        assert_eq!(arb.choose(&[vl(5)]), None);
+        assert_eq!(arb.choose(&cfg, &[vl(5)]), None);
     }
 
     #[test]
     fn high_priority_wins_when_budget_available() {
-        let mut arb = VlArbiter::new(VlArbConfig::dedicated_high_vl1());
-        assert_eq!(arb.choose(&[vl(0), vl(1)]), Some(vl(1)));
+        let cfg = VlArbConfig::dedicated_high_vl1();
+        let mut arb = VlArbiter::new(&cfg);
+        assert_eq!(arb.choose(&cfg, &[vl(0), vl(1)]), Some(vl(1)));
     }
 
     #[test]
     fn limit_high_forces_low_turn() {
-        let mut arb = VlArbiter::new(VlArbConfig::dedicated_high_vl1()); // 4 KB limit
-                                                                         // Send 16 × 256 B high packets (4096 B): budget exhausts.
+        let cfg = VlArbConfig::dedicated_high_vl1(); // 4 KB limit
+        let mut arb = VlArbiter::new(&cfg);
+        // Send 16 × 256 B high packets (4096 B): budget exhausts.
         for _ in 0..16 {
-            assert_eq!(arb.choose(&[vl(0), vl(1)]), Some(vl(1)));
-            arb.account(vl(1), 256);
+            assert_eq!(arb.choose(&cfg, &[vl(0), vl(1)]), Some(vl(1)));
+            arb.account(&cfg, vl(1), 256);
         }
         // Now one low-priority turn is owed.
-        assert_eq!(arb.choose(&[vl(0), vl(1)]), Some(vl(0)));
-        arb.account(vl(0), 4096);
+        assert_eq!(arb.choose(&cfg, &[vl(0), vl(1)]), Some(vl(0)));
+        arb.account(&cfg, vl(0), 4096);
         // Budget replenished: high again.
-        assert_eq!(arb.choose(&[vl(0), vl(1)]), Some(vl(1)));
+        assert_eq!(arb.choose(&cfg, &[vl(0), vl(1)]), Some(vl(1)));
     }
 
     #[test]
     fn owed_low_turn_skipped_if_no_low_traffic() {
-        let mut arb = VlArbiter::new(VlArbConfig::dedicated_high_vl1());
-        arb.account(vl(1), 4096); // exhaust the budget
-                                  // Only high traffic present: stay work-conserving.
-        assert_eq!(arb.choose(&[vl(1)]), Some(vl(1)));
+        let cfg = VlArbConfig::dedicated_high_vl1();
+        let mut arb = VlArbiter::new(&cfg);
+        arb.account(&cfg, vl(1), 4096); // exhaust the budget
+                                        // Only high traffic present: stay work-conserving.
+        assert_eq!(arb.choose(&cfg, &[vl(1)]), Some(vl(1)));
     }
 
     #[test]
     fn unlimited_high_never_yields() {
         let mut cfg = VlArbConfig::dedicated_high_vl1();
         cfg.limit_high = u8::MAX;
-        let mut arb = VlArbiter::new(cfg);
+        let mut arb = VlArbiter::new(&cfg);
         for _ in 0..1000 {
-            assert_eq!(arb.choose(&[vl(0), vl(1)]), Some(vl(1)));
-            arb.account(vl(1), 4096);
+            assert_eq!(arb.choose(&cfg, &[vl(0), vl(1)]), Some(vl(1)));
+            arb.account(&cfg, vl(1), 4096);
         }
     }
 
     #[test]
     fn low_only_traffic_served_continuously() {
-        let mut arb = VlArbiter::new(VlArbConfig::dedicated_high_vl1());
+        let cfg = VlArbConfig::dedicated_high_vl1();
+        let mut arb = VlArbiter::new(&cfg);
         for _ in 0..100 {
-            assert_eq!(arb.choose(&[vl(0)]), Some(vl(0)));
-            arb.account(vl(0), 4096);
+            assert_eq!(arb.choose(&cfg, &[vl(0)]), Some(vl(0)));
+            arb.account(&cfg, vl(0), 4096);
         }
     }
 
@@ -272,12 +270,12 @@ mod tests {
             ],
             limit_high: 0,
         };
-        let mut arb = VlArbiter::new(cfg);
+        let mut arb = VlArbiter::new(&cfg);
         let mut picks = Vec::new();
         for _ in 0..8 {
-            let chosen = arb.choose(&[vl(0), vl(1)]).unwrap();
+            let chosen = arb.choose(&cfg, &[vl(0), vl(1)]).unwrap();
             picks.push(chosen.raw());
-            arb.account(chosen, 64);
+            arb.account(&cfg, chosen, 64);
         }
         let zeros = picks.iter().filter(|&&p| p == 0).count();
         let ones = picks.iter().filter(|&&p| p == 1).count();

@@ -54,10 +54,11 @@ impl Harness {
             c
         };
         let buffer = cfg.input_buffer_bytes;
-        let vls = cfg.vls;
+        let lanes = cfg.sl2vl.lanes();
         let ports = cfg.ports;
         let mut sw = Switch::new(
             cfg,
+            lanes,
             ClusterConfig::omnet_simulator().link.data_rate(),
             SimRng::new(7),
         );
@@ -67,7 +68,9 @@ impl Harness {
         Harness {
             sw,
             slab: PacketSlab::new(),
-            up_credits: (0..ports).map(|_| CreditLedger::new(vls, buffer)).collect(),
+            up_credits: (0..ports)
+                .map(|_| CreditLedger::new(lanes, buffer))
+                .collect(),
             wakes: BinaryHeap::new(),
             forwarded: Vec::new(),
         }
