@@ -3,9 +3,9 @@
 
 CARGO ?= cargo
 
-.PHONY: ci fmt lint lint-invariants build test benchmark-test bench bench-smoke bench-bless report quick-report scenario-smoke clos-smoke perf-gate serve serve-smoke
+.PHONY: ci fmt lint lint-invariants build test test-release benchmark-test determinism-smoke bench bench-smoke bench-bless report quick-report scenario-smoke clos-smoke perf-gate serve serve-smoke
 
-ci: fmt lint lint-invariants build test benchmark-test clos-smoke perf-gate
+ci: fmt lint lint-invariants build test test-release benchmark-test determinism-smoke perf-gate scenario-smoke clos-smoke serve-smoke
 
 fmt:
 	$(CARGO) fmt --all --check
@@ -30,11 +30,29 @@ build:
 test:
 	$(CARGO) test -q --workspace
 
+# The simulator crates' tests again in release, where the debug-only
+# checks are compiled out (their should_panic tests are gated on
+# debug_assertions): what a figure run executes must pass them too.
+test-release:
+	$(CARGO) test -q --release -p rperf-sim -p rperf-model -p rperf-switch -p rperf-rnic -p rperf-fabric
+
 # The repository benchmark (benchmark/, see its README) is a workspace of
 # its own that `test` never compiles; build and test it here so a change
 # to an API its harness calls fails in CI, not in the benchmark run.
 benchmark-test:
 	$(CARGO) test -q --offline --manifest-path benchmark/Cargo.toml
+
+# The quick report at --jobs 1 and --jobs 4 must print the same tables
+# and count the same events of every kind for every figure.
+determinism-smoke:
+	mkdir -p /tmp/jobs1 /tmp/jobs4
+	$(CARGO) run --release -p rperf-bench --bin report -- --quick --jobs 1 --out /tmp/jobs1/EXPERIMENTS.md
+	$(CARGO) run --release -p rperf-bench --bin report -- --quick --jobs 4 --out /tmp/jobs4/EXPERIMENTS.md
+	diff /tmp/jobs1/EXPERIMENTS.md /tmp/jobs4/EXPERIMENTS.md
+	python3 -c 'import json, sys; \
+	a, b = (json.load(open(f"/tmp/jobs{j}/BENCH_report.json"))["figures"] for j in (1, 4)); \
+	kinds = lambda figs: {f["id"]: f["events_by_kind"] for f in figs}; \
+	sys.exit(0 if kinds(a) == kinds(b) else "per-kind event counts differ between jobs=1 and jobs=4")'
 
 bench:
 	$(CARGO) bench --workspace

@@ -2,18 +2,18 @@
 //! to measurements.
 //!
 //! [`execute`] builds the fabric for the spec's topology via
-//! [`FabricBuilder`], attaches one application per role through the
-//! workload factory, runs the simulation over the spec's window and
-//! collects a per-role [`RoleReport`]. Every experiment in the suite —
-//! each paper figure, the CLI subcommands, and arbitrary user-written
-//! scenario files — goes through this function, so there is exactly one
-//! place that turns a traffic matrix into applications.
+//! [`FabricBuilder`], builds one application per role (`build_app`), runs
+//! the simulation over the spec's window and collects a per-role
+//! [`RoleReport`]. Every experiment in the suite — each paper figure, the
+//! CLI subcommands, and arbitrary user-written scenario files — goes
+//! through this function, so there is exactly one place that turns a
+//! traffic matrix into applications.
 
 use rperf_fabric::{FabricBuilder, Sim};
 use rperf_model::ClusterConfig;
 use rperf_sim::{RunOutcome, SimDuration, SimTime};
 use rperf_stats::{json, LatencySummary};
-use rperf_workloads::{build_workload, Bsg, ClosedLoopPing, PretendLsg, Sink, WorkloadRole};
+use rperf_workloads::{Bsg, BsgConfig, ClosedLoopPing, LsgConfig, PretendLsg, Sink};
 
 use crate::perftest::{PerftestClient, PerftestConfig, PingPongServer};
 use crate::qperf::{QperfClient, QperfConfig, QperfReport};
@@ -183,38 +183,28 @@ fn build_app(spec: &ScenarioSpec, r: &RoleSpec, seed: u64) -> Box<dyn rperf_fabr
         )),
         Role::Lsg {
             target, payload, ..
-        } => build_workload(
-            &WorkloadRole::Lsg {
-                target: *target,
-                payload: *payload,
-                sl,
-            },
-            spec.warmup,
-        ),
+        } => Box::new(ClosedLoopPing::new(
+            LsgConfig::new(*target)
+                .with_payload(*payload)
+                .with_sl(sl)
+                .with_warmup(spec.warmup),
+        )),
         Role::Bsg {
             target,
             payload,
             window,
             batch,
             ..
-        } => build_workload(
-            &WorkloadRole::Bsg {
-                target: *target,
-                payload: *payload,
-                window: *window,
-                batch: *batch,
-                sl,
-            },
-            spec.warmup,
-        ),
-        Role::PretendLsg { target, chunk, .. } => build_workload(
-            &WorkloadRole::PretendLsg {
-                target: *target,
-                chunk: *chunk,
-                sl,
-            },
-            spec.warmup,
-        ),
+        } => Box::new(Bsg::new(
+            BsgConfig::new(*target, *payload)
+                .with_window(*window)
+                .with_batch(*batch)
+                .with_sl(sl)
+                .with_warmup(spec.warmup),
+        )),
+        Role::PretendLsg { target, chunk, .. } => {
+            Box::new(PretendLsg::new(*target, *chunk, sl, spec.warmup))
+        }
         Role::Perftest { peer, payload } => Box::new(PerftestClient::new(
             PerftestConfig::new(*peer)
                 .with_payload(*payload)
@@ -230,7 +220,7 @@ fn build_app(spec: &ScenarioSpec, r: &RoleSpec, seed: u64) -> Box<dyn rperf_fabr
                 .with_payload(*payload)
                 .with_warmup(spec.warmup),
         )),
-        Role::Sink => build_workload(&WorkloadRole::Sink, spec.warmup),
+        Role::Sink => Box::new(Sink::new()),
     }
 }
 

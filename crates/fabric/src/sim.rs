@@ -276,7 +276,6 @@ impl Sim {
     pub fn new(fabric: Fabric) -> Self {
         let Fabric {
             cfg,
-            lanes: _,
             rnics,
             clocks,
             switches,

@@ -92,14 +92,15 @@ pub enum Endpoint {
 /// Every VL-indexed structure of every device — switch input buffers and
 /// credits, RNIC injection queues and ledgers — is sized by one lane
 /// count per fabric ([`Fabric::lanes`]), so both ends of every link agree
-/// on it.
+/// on it. Packets carry the VL their injecting RNIC took from the
+/// configuration's one SL2VL table, and every hop buffers and credits
+/// them on it.
 ///
 /// Use the constructors ([`Fabric::direct_pair`], [`Fabric::single_switch`],
 /// [`Fabric::two_switch`]) or [`FabricBuilder`] for per-node overrides.
 #[derive(Debug)]
 pub struct Fabric {
     pub(crate) cfg: Arc<ClusterConfig>,
-    pub(crate) lanes: u8,
     pub(crate) rnics: Vec<Rnic>,
     pub(crate) clocks: Vec<TscClock>,
     pub(crate) switches: Vec<Switch>,
@@ -157,11 +158,10 @@ impl Fabric {
         &self.cfg
     }
 
-    /// Lanes per port on every device: 1 + the highest VL any switch or
-    /// RNIC SL2VL table maps to — 1 for shared-SL runs, 2 with a
-    /// dedicated SL. The configured `vls` only bounds the tables.
+    /// Lanes per port on every device: 1 + the highest VL the SL2VL table
+    /// maps to — 1 for shared-SL runs, 2 with a dedicated SL.
     pub fn lanes(&self) -> u8 {
-        self.lanes
+        self.cfg.sl2vl.lanes()
     }
 
     /// The LID of a node.
@@ -227,21 +227,12 @@ impl FabricBuilder {
             .unwrap_or_else(|| Arc::clone(shared))
     }
 
-    /// The fabric's lane count (see [`Fabric::lanes`]), over the switch
-    /// table, the shared RNIC table and every per-node override.
-    fn lanes(&self) -> u8 {
-        let rnic_tables = std::iter::once(&self.cfg.rnic)
-            .chain(self.rnic_overrides.iter().map(|(_, c)| c))
-            .map(|c| c.sl2vl.lanes());
-        rnic_tables.fold(self.cfg.switch.sl2vl.lanes(), u8::max)
-    }
-
     /// The grant a switch input buffer advertises: one buffer per lane.
-    fn switch_grant(&self, lanes: u8) -> CreditLedger {
-        CreditLedger::new(lanes, self.cfg.switch.input_buffer_bytes)
+    fn switch_grant(&self) -> CreditLedger {
+        CreditLedger::new(self.cfg.sl2vl.lanes(), self.cfg.switch.input_buffer_bytes)
     }
 
-    fn make_nodes(&self, count: usize, lanes: u8, rng: &mut SimRng) -> (Vec<Rnic>, Vec<TscClock>) {
+    fn make_nodes(&self, count: usize, rng: &mut SimRng) -> (Vec<Rnic>, Vec<TscClock>) {
         // All non-overridden nodes share one config allocation.
         let shared = Arc::new(self.cfg.rnic.clone());
         let mut rnics = Vec::with_capacity(count);
@@ -252,7 +243,7 @@ impl FabricBuilder {
                 NodeId::new(i as u16),
                 Lid::new(i as u16 + 1),
                 cfg,
-                lanes,
+                self.cfg.sl2vl,
                 &self.cfg.link,
                 rng.fork(100 + i as u64),
             ));
@@ -307,9 +298,8 @@ impl FabricBuilder {
 
     /// Builds the back-to-back two-host fabric.
     pub fn direct_pair(self) -> Fabric {
-        let lanes = self.lanes();
         let mut rng = SimRng::new(self.seed);
-        let (mut rnics, clocks) = self.make_nodes(2, lanes, &mut rng);
+        let (mut rnics, clocks) = self.make_nodes(2, &mut rng);
         // Each RNIC holds credits for the peer's receive buffer.
         let grant0 = rnics[1].advertised_credits();
         let grant1 = rnics[0].advertised_credits();
@@ -317,7 +307,6 @@ impl FabricBuilder {
         rnics[1].set_peer_credits(grant1);
         Fabric {
             cfg: Arc::new(self.cfg),
-            lanes,
             rnics,
             clocks,
             switches: Vec::new(),
@@ -334,16 +323,16 @@ impl FabricBuilder {
             nodes,
             self.cfg.switch.ports
         );
-        let lanes = self.lanes();
+        let lanes = self.cfg.sl2vl.lanes();
         let mut rng = SimRng::new(self.seed);
-        let (mut rnics, clocks) = self.make_nodes(nodes, lanes, &mut rng);
+        let (mut rnics, clocks) = self.make_nodes(nodes, &mut rng);
         let mut sw = Switch::new(
             self.switch_cfg(),
             lanes,
             self.cfg.link.data_rate(),
             rng.fork(999),
         );
-        let grant = self.switch_grant(lanes);
+        let grant = self.switch_grant();
         let mut switch_ports = vec![None; self.cfg.switch.ports as usize];
         for (i, rnic) in rnics.iter_mut().enumerate() {
             let port = PortId::new(i as u8);
@@ -357,7 +346,6 @@ impl FabricBuilder {
                 .map(|i| Endpoint::SwitchPort(0, PortId::new(i as u8)))
                 .collect(),
             cfg: Arc::new(self.cfg),
-            lanes,
             rnics,
             clocks,
             switches: vec![sw],
@@ -377,11 +365,11 @@ impl FabricBuilder {
     pub fn from_spec(self, spec: &TopologySpec) -> Fabric {
         let subnet = plan(spec, self.cfg.switch.ports)
             .unwrap_or_else(|e| panic!("unplannable topology: {e}"));
-        let lanes = self.lanes();
+        let lanes = self.cfg.sl2vl.lanes();
         let mut rng = SimRng::new(self.seed);
-        let (mut rnics, clocks) = self.make_nodes(spec.hosts(), lanes, &mut rng);
+        let (mut rnics, clocks) = self.make_nodes(spec.hosts(), &mut rng);
         let ports = self.cfg.switch.ports as usize;
-        let grant = self.switch_grant(lanes);
+        let grant = self.switch_grant();
 
         let sw_cfg = self.switch_cfg();
         let mut switches: Vec<Switch> = (0..spec.switches())
@@ -418,7 +406,6 @@ impl FabricBuilder {
 
         Fabric {
             cfg: Arc::new(self.cfg),
-            lanes,
             rnics,
             clocks,
             switches,
@@ -434,15 +421,15 @@ impl FabricBuilder {
         assert!(downstream < ports, "too many downstream hosts");
         let trunk = PortId::new(self.cfg.switch.ports - 1);
 
-        let lanes = self.lanes();
+        let lanes = self.cfg.sl2vl.lanes();
         let mut rng = SimRng::new(self.seed);
         let total = upstream + downstream;
-        let (mut rnics, clocks) = self.make_nodes(total, lanes, &mut rng);
+        let (mut rnics, clocks) = self.make_nodes(total, &mut rng);
         let sw_cfg = self.switch_cfg();
         let rate = self.cfg.link.data_rate();
         let mut sw0 = Switch::new(Arc::clone(&sw_cfg), lanes, rate, rng.fork(998));
         let mut sw1 = Switch::new(sw_cfg, lanes, rate, rng.fork(997));
-        let grant = self.switch_grant(lanes);
+        let grant = self.switch_grant();
         let mut ports0 = vec![None; ports];
         let mut ports1 = vec![None; ports];
         let mut rnic_peer = Vec::with_capacity(total);
@@ -482,7 +469,6 @@ impl FabricBuilder {
 
         Fabric {
             cfg: Arc::new(self.cfg),
-            lanes,
             rnics,
             clocks,
             switches: vec![sw0, sw1],

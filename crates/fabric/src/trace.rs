@@ -7,6 +7,8 @@
 //! gone?" for a single probe (the question behind the paper's Section
 //! III, citing Zilberman et al.).
 
+use std::collections::BTreeSet;
+
 use rperf_model::ids::PacketId;
 use rperf_model::PortId;
 use rperf_sim::SimTime;
@@ -106,18 +108,19 @@ impl Tracer {
 
     /// Every packet id seen, in first-appearance order.
     pub fn packets(&self) -> Vec<PacketId> {
-        let mut seen = Vec::new();
+        let mut seen = BTreeSet::new();
+        let mut order = Vec::new();
         for r in &self.records {
             let p = match r.event {
                 TraceEvent::SwitchIngress { packet, .. }
                 | TraceEvent::HostArrival { packet, .. } => packet,
                 TraceEvent::Completion { .. } => continue,
             };
-            if !seen.contains(&p) {
-                seen.push(p);
+            if seen.insert(p) {
+                order.push(p);
             }
         }
-        seen
+        order
     }
 
     /// Hop count (switch ingresses) of one packet's journey.
@@ -178,6 +181,23 @@ mod tests {
         assert_eq!(t.hop_count(p1), 1);
         assert_eq!(t.packets(), vec![p1, p2]);
         let _ = rec(0, TraceEvent::Completion { node: 0, wr_id: 0 });
+    }
+
+    #[test]
+    fn packets_keep_first_appearance_order() {
+        let mut t = Tracer::new(16);
+        for (at, id) in [(1, 9), (2, 3), (3, 9), (4, 5), (5, 3)] {
+            t.record(
+                SimTime::from_ns(at),
+                TraceEvent::HostArrival {
+                    node: 0,
+                    packet: PacketId::new(id),
+                    payload: 0,
+                },
+            );
+        }
+        let ids: Vec<u64> = t.packets().iter().map(|p| p.raw()).collect();
+        assert_eq!(ids, vec![9, 3, 5]);
     }
 
     #[test]

@@ -200,12 +200,14 @@ mod tests {
     use rperf_sim::{SimDuration, SimTime};
     use rperf_verbs::{CqeOpcode, RecvWr, SendWr, WrId};
 
-    /// Sends one RC SEND at start; records completion times.
+    /// Posts `count` RC SENDs with one doorbell at start; records when
+    /// the last one completed.
     struct OneShot {
         target: usize,
         payload: u64,
+        count: u64,
         sl: ServiceLevel,
-        qp: Option<QpNum>,
+        completed: u64,
         send_done: Option<SimTime>,
     }
 
@@ -214,8 +216,9 @@ mod tests {
             OneShot {
                 target,
                 payload,
+                count: 1,
                 sl: ServiceLevel::new(0),
-                qp: None,
+                completed: 0,
                 send_done: None,
             }
         }
@@ -224,15 +227,20 @@ mod tests {
     impl App for OneShot {
         fn start(&mut self, ctx: &mut Ctx<'_>) {
             let qp = ctx.create_qp(Transport::Rc);
-            self.qp = Some(qp);
-            let wr = SendWr::new(WrId(1), Verb::Send, self.payload)
-                .to(ctx.lid_of(self.target), QpNum::new(1))
-                .with_sl(self.sl);
-            ctx.post_send(qp, wr).unwrap();
+            let dst = ctx.lid_of(self.target);
+            let wrs = (0..self.count)
+                .map(|i| {
+                    SendWr::new(WrId(i), Verb::Send, self.payload)
+                        .to(dst, QpNum::new(1))
+                        .with_sl(self.sl)
+                })
+                .collect();
+            ctx.post_send_batch(qp, wrs).unwrap();
         }
 
         fn on_cqe(&mut self, ctx: &mut Ctx<'_>, cqe: Cqe) {
             if cqe.opcode == CqeOpcode::Send {
+                self.completed += 1;
                 self.send_done = Some(ctx.now());
             }
         }
@@ -324,21 +332,21 @@ mod tests {
         );
     }
 
-    /// The switch table reaches VL2 while the RNIC tables stop at VL1: the
-    /// fabric still has one lane count, the RNICs' included, and a SEND
-    /// the switch maps to VL2 is buffered there and delivered. (One SEND:
-    /// the switch returns credit on its own table's lane, not the lane
-    /// the sender spent, so with unmatched tables a longer burst stalls.)
+    /// The fabric's one table maps SL2 to VL2: the sender stamps a 30 ×
+    /// 4 KB SEND burst with VL2, the switch buffers it there (never on
+    /// VL0) and both receivers return every credit on VL2, so all 30
+    /// messages arrive. A credit returned on any other lane leaks VL2's
+    /// grant, and the link stalls once the switch's VL2 buffer is spent
+    /// (after 7 of these messages).
     #[test]
-    fn differing_sl2vl_tables_share_one_lane_count() {
-        let mut cfg = ClusterConfig::omnet_simulator().with_dedicated_sl();
+    fn a_burst_on_a_mapped_lane_is_buffered_and_credited_on_it() {
+        let mut cfg = ClusterConfig::omnet_simulator();
         let (sl2, vl2) = (ServiceLevel::new(2), VirtualLane::new(2));
-        cfg.switch.sl2vl = cfg.switch.sl2vl.with(sl2, vl2);
+        cfg.sl2vl = cfg.sl2vl.with(sl2, vl2);
         cfg.switch.vlarb.low.push(VlArbEntry {
             vl: vl2,
             weight: 64,
         });
-        assert_eq!(cfg.rnic.sl2vl.lanes(), 2);
         let fabric = Fabric::single_switch(cfg, 2, 7);
         assert_eq!(fabric.lanes(), 3);
         assert_eq!(fabric.switch(0).lanes(), 3);
@@ -346,24 +354,24 @@ mod tests {
 
         let mut sim = Sim::new(fabric);
         let mut sender = OneShot::new(1, 4096);
+        sender.count = 30;
         sender.sl = sl2;
         sim.add_app(0, Box::new(sender));
         sim.add_app(1, Box::new(Sink::new()));
         sim.start();
-        // Step through the packet's stay in the switch's input buffer.
+        // Step through the burst's stay in the switch's input buffer.
+        let ingress = PortId::new(0);
         let mut seen_on_vl2 = false;
         let mut t = SimTime::ZERO;
-        while t < SimTime::from_us(5) {
-            t += SimDuration::from_ns(10);
+        while t < SimTime::from_us(200) {
+            t += SimDuration::from_ns(50);
             sim.run_until(t);
-            let ingress = PortId::new(0);
             seen_on_vl2 |= sim.switch(0).occupancy(ingress, vl2) > 0;
             assert_eq!(sim.switch(0).occupancy(ingress, VirtualLane::new(0)), 0);
         }
-        assert!(seen_on_vl2, "the SEND never sat on the switch's VL2");
-        sim.run_to_quiescence();
-        assert_eq!(sim.app_as::<Sink>(1).bytes, 4096);
-        assert!(sim.app_as::<OneShot>(0).send_done.is_some());
+        assert!(seen_on_vl2, "the burst never sat on the switch's VL2");
+        assert_eq!(sim.app_as::<Sink>(1).recvs, 30);
+        assert_eq!(sim.app_as::<OneShot>(0).completed, 30);
     }
 
     #[test]

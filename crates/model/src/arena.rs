@@ -40,12 +40,12 @@ struct Slot {
 /// ```
 /// use rperf_model::arena::PacketSlab;
 /// # use rperf_model::wire::{Packet, PacketKind};
-/// # use rperf_model::ids::{FlowId, Lid, MsgId, PacketId, QpNum, ServiceLevel};
+/// # use rperf_model::ids::{FlowId, Lid, MsgId, PacketId, QpNum, ServiceLevel, VirtualLane};
 /// # use rperf_sim::SimTime;
 /// # fn mk() -> Packet {
 /// #     Packet { id: PacketId::new(1), flow: FlowId::new(0), msg: MsgId::new(0),
 /// #         src: Lid::new(1), dst: Lid::new(2), dst_qp: QpNum::new(7),
-/// #         sl: ServiceLevel::new(0), kind: PacketKind::Ack, payload: 0,
+/// #         sl: ServiceLevel::new(0), vl: VirtualLane::new(0), kind: PacketKind::Ack, payload: 0,
 /// #         overhead: 36, injected_at: SimTime::ZERO }
 /// # }
 /// let mut slab = PacketSlab::new();
@@ -190,7 +190,7 @@ impl PacketSlab {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::{FlowId, Lid, MsgId, PacketId, QpNum, ServiceLevel};
+    use crate::ids::{FlowId, Lid, MsgId, PacketId, QpNum, ServiceLevel, VirtualLane};
     use crate::wire::PacketKind;
     use rperf_sim::SimTime;
 
@@ -203,6 +203,7 @@ mod tests {
             dst: Lid::new(2),
             dst_qp: QpNum::new(7),
             sl: ServiceLevel::new(0),
+            vl: VirtualLane::new(0),
             kind: PacketKind::Ack,
             payload: 0,
             overhead: 36,

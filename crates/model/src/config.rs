@@ -96,7 +96,7 @@ pub enum SchedPolicy {
 }
 
 /// A Service-Level → Virtual-Lane mapping table (one per port direction in
-/// real switches; one per device here).
+/// real switches; one per fabric here, [`ClusterConfig::sl2vl`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Sl2VlTable {
     map: [u8; 16],
@@ -212,8 +212,6 @@ impl VlArbConfig {
 pub struct SwitchConfig {
     /// Number of ports (SX6012: 12 QSFP ports).
     pub ports: u8,
-    /// Number of data VLs (SX6012: 9).
-    pub vls: u8,
     /// Advertised input-buffer capacity per (ingress port, VL), in bytes.
     ///
     /// The real switch has megabytes of packet memory, but the *credit
@@ -234,8 +232,6 @@ pub struct SwitchConfig {
     pub jitter: Option<JitterConfig>,
     /// Packet scheduling policy of the output arbiters.
     pub policy: SchedPolicy,
-    /// SL → VL mapping.
-    pub sl2vl: Sl2VlTable,
     /// VL arbitration tables.
     pub vlarb: VlArbConfig,
 }
@@ -291,10 +287,6 @@ pub struct RnicConfig {
     /// Large enough that the destination RNIC is never the converged-traffic
     /// bottleneck (the paper's backlog lives in the switch).
     pub rx_buffer_bytes: u64,
-    /// Number of data VLs on the RNIC port.
-    pub vls: u8,
-    /// SL → VL mapping for injection.
-    pub sl2vl: Sl2VlTable,
     /// Responder-side processing variability (applied to ACK turnaround
     /// and receive handling). This is the spread that existing tools cannot
     /// subtract and that gives even back-to-back RNICs a ~30 ns tail.
@@ -336,11 +328,20 @@ pub struct HostConfig {
     pub sw_spike_max: SimDuration,
 }
 
+/// Data VLs per port on the paper's gear (SX6012 and ConnectX-4: 9): the
+/// bound [`ClusterConfig::validate`] checks the SL2VL table and the VL
+/// arbitration entries against.
+pub const DATA_VLS: u8 = 9;
+
 /// The complete cluster parameter set.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterConfig {
     /// Link parameters.
     pub link: LinkConfig,
+    /// SL → VL mapping, one table for the whole fabric: the injecting RNIC
+    /// stamps each packet's VL from it ([`crate::Packet::vl`]), and every
+    /// hop buffers and credits the packet on that lane.
+    pub sl2vl: Sl2VlTable,
     /// Switch parameters.
     pub switch: SwitchConfig,
     /// RNIC parameters.
@@ -359,9 +360,9 @@ impl ClusterConfig {
         };
         ClusterConfig {
             link,
+            sl2vl: Sl2VlTable::all_to_vl0(),
             switch: SwitchConfig {
                 ports: 12,
-                vls: 9,
                 input_buffer_bytes: 36 * 1024,
                 pipeline_latency: SimDuration::from_ns(193),
                 arb_scan_per_port: SimDuration::from_ns(10),
@@ -372,7 +373,6 @@ impl ClusterConfig {
                     spike_max: SimDuration::from_ns(110),
                 }),
                 policy: SchedPolicy::Fcfs,
-                sl2vl: Sl2VlTable::all_to_vl0(),
                 vlarb: VlArbConfig::default(),
             },
             rnic: RnicConfig {
@@ -391,8 +391,6 @@ impl ClusterConfig {
                 rx_per_packet: SimDuration::from_ns(22),
                 mtu: 4096,
                 rx_buffer_bytes: 128 * 1024,
-                vls: 9,
-                sl2vl: Sl2VlTable::all_to_vl0(),
                 rx_jitter: Some(JitterConfig {
                     base_max: SimDuration::from_ns(4),
                     spike_prob: 0.05,
@@ -433,40 +431,25 @@ impl ClusterConfig {
     }
 
     /// Configures the dedicated-SL QoS setup of Section VIII-C: SL1 → VL1
-    /// at high arbitration priority on both RNICs and switch; SL0 → VL0
-    /// low priority.
+    /// at high arbitration priority; SL0 → VL0 low priority.
     pub fn with_dedicated_sl(mut self) -> Self {
-        let table = Sl2VlTable::all_to_vl0().with(ServiceLevel::new(1), VirtualLane::new(1));
-        self.switch.sl2vl = table;
-        self.rnic.sl2vl = table;
+        self.sl2vl = Sl2VlTable::all_to_vl0().with(ServiceLevel::new(1), VirtualLane::new(1));
         self.switch.vlarb = VlArbConfig::dedicated_high_vl1();
         self
     }
 
-    /// Validates internal consistency (table VLs within the configured VL
-    /// count, non-empty arbitration tables, sane probabilities).
+    /// Validates internal consistency (table and arbitration VLs within
+    /// the port's [`DATA_VLS`], non-empty arbitration tables, sane
+    /// probabilities).
     ///
     /// # Errors
     ///
     /// Returns a human-readable description of the first inconsistency.
     pub fn validate(&self) -> Result<(), String> {
-        if self.switch.vls < 2 || self.switch.vls > 16 {
+        if self.sl2vl.max_vl() >= DATA_VLS {
             return Err(format!(
-                "IB requires 2..=16 VLs per port, switch has {}",
-                self.switch.vls
+                "SL2VL table references a VL beyond the port's {DATA_VLS} VLs"
             ));
-        }
-        if self.rnic.vls < 2 || self.rnic.vls > 16 {
-            return Err(format!(
-                "IB requires 2..=16 VLs per port, RNIC has {}",
-                self.rnic.vls
-            ));
-        }
-        if self.switch.sl2vl.max_vl() >= self.switch.vls {
-            return Err("switch SL2VL table references a VL beyond the port's VL count".into());
-        }
-        if self.rnic.sl2vl.max_vl() >= self.rnic.vls {
-            return Err("RNIC SL2VL table references a VL beyond the port's VL count".into());
         }
         if self.switch.vlarb.high.is_empty() && self.switch.vlarb.low.is_empty() {
             return Err("VL arbitration tables are both empty".into());
@@ -478,10 +461,10 @@ impl ClusterConfig {
             .iter()
             .chain(self.switch.vlarb.low.iter())
         {
-            if e.vl.raw() >= self.switch.vls {
+            if e.vl.raw() >= DATA_VLS {
                 return Err(format!(
-                    "VLArb entry references {} beyond the port's {} VLs",
-                    e.vl, self.switch.vls
+                    "VLArb entry references {} beyond the port's {DATA_VLS} VLs",
+                    e.vl
                 ));
             }
         }
@@ -539,14 +522,8 @@ mod tests {
     #[test]
     fn dedicated_sl_builder_wires_both_sides() {
         let c = ClusterConfig::hardware().with_dedicated_sl();
-        assert_eq!(
-            c.switch.sl2vl.vl_for(ServiceLevel::new(1)),
-            VirtualLane::new(1)
-        );
-        assert_eq!(
-            c.rnic.sl2vl.vl_for(ServiceLevel::new(1)),
-            VirtualLane::new(1)
-        );
+        assert_eq!(c.sl2vl.vl_for(ServiceLevel::new(1)), VirtualLane::new(1));
+        assert_eq!(c.sl2vl.vl_for(ServiceLevel::new(0)), VirtualLane::new(0));
         assert!(c.switch.vlarb.is_high(VirtualLane::new(1)));
         assert!(!c.switch.vlarb.is_high(VirtualLane::new(0)));
     }
@@ -554,27 +531,27 @@ mod tests {
     #[test]
     fn validation_catches_bad_sl2vl() {
         let mut c = ClusterConfig::hardware();
-        c.switch.sl2vl = Sl2VlTable::all_to_vl0().with(ServiceLevel::new(3), VirtualLane::new(12));
+        c.sl2vl = Sl2VlTable::all_to_vl0().with(ServiceLevel::new(3), VirtualLane::new(12));
         assert!(c.validate().is_err());
     }
 
     #[test]
-    fn validation_bounds_both_vl_counts_to_the_ib_range() {
-        for vls in [0u8, 1, 17, u8::MAX] {
-            let mut c = ClusterConfig::hardware();
-            c.rnic.vls = vls;
-            let err = c.validate().unwrap_err();
-            assert!(err.contains("RNIC has"), "{err}");
-            let mut c = ClusterConfig::hardware();
-            c.switch.vls = vls;
-            assert!(c.validate().unwrap_err().contains("switch has"));
-        }
-        for vls in [2u8, 16] {
-            let mut c = ClusterConfig::hardware();
-            c.rnic.vls = vls;
-            c.switch.vls = vls;
-            c.validate().unwrap();
-        }
+    fn validation_bounds_the_table_and_the_arbiter_by_the_data_vls() {
+        let top = VirtualLane::new(DATA_VLS - 1);
+        let beyond = VirtualLane::new(DATA_VLS);
+        let mut c = ClusterConfig::hardware();
+        c.sl2vl = c.sl2vl.with(ServiceLevel::new(3), top);
+        c.switch.vlarb.low.push(VlArbEntry { vl: top, weight: 1 });
+        c.validate().unwrap();
+        let mut bad = c.clone();
+        bad.sl2vl = bad.sl2vl.with(ServiceLevel::new(3), beyond);
+        assert!(bad.validate().unwrap_err().contains("SL2VL table"));
+        let mut bad = c;
+        bad.switch.vlarb.high.push(VlArbEntry {
+            vl: beyond,
+            weight: 1,
+        });
+        assert!(bad.validate().unwrap_err().contains("VLArb entry"));
     }
 
     #[test]

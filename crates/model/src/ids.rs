@@ -100,8 +100,8 @@ id_type!(
 
 /// An InfiniBand Service Level (0–15), carried in the packet header.
 ///
-/// SLs are the application-visible priority abstraction; switches map them
-/// to virtual lanes via their SL2VL tables.
+/// SLs are the application-visible priority abstraction; the injecting RNIC
+/// maps them to virtual lanes via the fabric's SL2VL table.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ServiceLevel(u8);
 

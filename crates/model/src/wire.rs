@@ -3,7 +3,7 @@
 
 use rperf_sim::SimTime;
 
-use crate::ids::{FlowId, Lid, MsgId, PacketId, QpNum, ServiceLevel};
+use crate::ids::{FlowId, Lid, MsgId, PacketId, QpNum, ServiceLevel, VirtualLane};
 
 /// The RDMA operation type ("verb") of a message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -171,6 +171,10 @@ pub struct Packet {
     pub dst_qp: QpNum,
     /// Service level carried in the header.
     pub sl: ServiceLevel,
+    /// Virtual lane the injecting RNIC chose from the fabric's SL2VL table.
+    /// Every hop buffers the packet on this lane and returns its credit on
+    /// it: the lane the sender spent is the lane that gets it back.
+    pub vl: VirtualLane,
     /// Packet type.
     pub kind: PacketKind,
     /// Payload bytes in this packet (0 for ACK / ReadRequest).
@@ -201,6 +205,7 @@ mod tests {
             dst: Lid::new(2),
             dst_qp: QpNum::new(7),
             sl: ServiceLevel::new(0),
+            vl: VirtualLane::new(0),
             kind,
             payload,
             overhead,

@@ -73,7 +73,7 @@ proptest! {
             prop_assert_eq!(vl.raw(), expected);
         }
         let mut cfg = ClusterConfig::hardware();
-        cfg.switch.sl2vl = t;
+        cfg.sl2vl = t;
         prop_assert!(cfg.validate().is_ok());
     }
 

@@ -5,11 +5,10 @@ use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
 
 use rperf_model::arena::{PacketRef, PacketSlab};
-use rperf_model::config::{LinkConfig, RnicConfig};
+use rperf_model::config::{LinkConfig, RnicConfig, Sl2VlTable};
 use rperf_model::ids::PacketId;
 use rperf_model::{
-    FlowId, Lid, LinkRate, MsgId, NodeId, Packet, PacketKind, QpNum, ServiceLevel, Transport, Verb,
-    VirtualLane,
+    FlowId, Lid, LinkRate, MsgId, NodeId, Packet, PacketKind, QpNum, Transport, Verb, VirtualLane,
 };
 use rperf_sim::{SimDuration, SimRng, SimTime};
 use rperf_switch::CreditLedger;
@@ -133,6 +132,9 @@ pub struct Rnic {
     node: NodeId,
     lid: Lid,
     cfg: Arc<RnicConfig>,
+    /// The fabric's SL2VL table: every packet this RNIC injects carries
+    /// the VL it maps the packet's SL to.
+    sl2vl: Sl2VlTable,
     data_rate: LinkRate,
     loop_rate: LinkRate,
     pcie_rate: LinkRate,
@@ -177,32 +179,24 @@ pub struct Rnic {
 }
 
 impl Rnic {
-    /// Builds an RNIC for `node` with address `lid`, its injection queues
-    /// and credit ledgers sized by the fabric's lane count `lanes` (not
-    /// the configuration's `vls`). Accepts the device configuration by
-    /// value or pre-shared in an [`Arc`] — a fabric hands every node the
-    /// same allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `lanes` covers every VL the RNIC's SL2VL table maps
-    /// to and stays within the 16 VLs of the IB spec.
+    /// Builds an RNIC for `node` with address `lid` that stamps every
+    /// packet it injects with the VL the fabric's `sl2vl` table maps its SL
+    /// to; its injection queues and credit ledgers hold the table's lanes.
+    /// Accepts the device configuration by value or pre-shared in an
+    /// [`Arc`] — a fabric hands every node the same allocation.
     pub fn new(
         node: NodeId,
         lid: Lid,
         cfg: impl Into<Arc<RnicConfig>>,
-        lanes: u8,
+        sl2vl: Sl2VlTable,
         link: &LinkConfig,
         rng: SimRng,
     ) -> Self {
         let cfg = cfg.into();
-        assert!(
-            lanes > cfg.sl2vl.max_vl() && lanes <= VirtualLane::MAX + 1,
-            "{lanes} lanes cannot carry the RNIC's SL2VL table (highest VL {})",
-            cfg.sl2vl.max_vl()
-        );
+        let lanes = sl2vl.lanes();
         let data_rate = link.data_rate();
         Rnic {
+            sl2vl,
             loop_rate: data_rate.scaled(cfg.loopback_factor),
             pcie_rate: cfg.pcie_rate,
             data_rate,
@@ -249,7 +243,8 @@ impl Rnic {
         self.stats
     }
 
-    /// Lanes the RNIC was built with: the fabric's lane count.
+    /// Lanes the RNIC was built with: the fabric's lane count, one past
+    /// the highest VL its SL2VL table maps to.
     pub fn lanes(&self) -> u8 {
         self.peer_credits.lanes()
     }
@@ -327,10 +322,6 @@ impl Rnic {
         PacketId::new(id)
     }
 
-    fn vl_of_sl(&self, sl: ServiceLevel) -> VirtualLane {
-        self.cfg.sl2vl.vl_for(sl)
-    }
-
     fn pcie_time(&self, bytes: u64) -> SimDuration {
         self.pcie_rate.serialize_time(bytes)
     }
@@ -347,12 +338,11 @@ impl Rnic {
     fn schedule_data(
         &mut self,
         at: SimTime,
-        vl: VirtualLane,
         packet: Packet,
         slab: &mut PacketSlab,
         out: &mut Vec<RnicAction>,
     ) {
-        let wire = packet.wire_size();
+        let (vl, wire) = (packet.vl, packet.wire_size());
         let handle = slab.alloc(packet);
         self.schedule_tx(at, PendingTx::Data(vl, handle, wire), out);
     }
@@ -382,7 +372,7 @@ impl Rnic {
             debug_assert!(false, "send queue lost a just-posted WR");
             return Ok(());
         };
-        self.launch_wr(now, wqe_at, qp_num, wr, slab, out);
+        self.launch_wr(wqe_at, qp_num, wr, slab, out);
         Ok(())
     }
 
@@ -419,7 +409,7 @@ impl Rnic {
                 debug_assert!(false, "send queue lost a just-posted WR");
                 break;
             };
-            self.launch_wr(now, wqe_at, qp_num, wr, slab, out);
+            self.launch_wr(wqe_at, qp_num, wr, slab, out);
         }
         Ok(())
     }
@@ -427,7 +417,6 @@ impl Rnic {
     /// Runs one WR through the engine/DMA pipeline.
     fn launch_wr(
         &mut self,
-        posted_at: SimTime,
         wqe_at: SimTime,
         qp_num: QpNum,
         wr: SendWr,
@@ -449,7 +438,7 @@ impl Rnic {
             debug_assert!(false, "launch_wr on unknown QP");
             return;
         };
-        qp.register_outstanding(msg, wr, posted_at);
+        qp.register_outstanding(msg, wr);
         let transport = qp.transport();
 
         if wr.loopback {
@@ -458,6 +447,7 @@ impl Rnic {
         }
 
         let flow = FlowId::new(self.lid.raw() as u32);
+        let vl = self.sl2vl.vl_for(wr.sl);
         let inline = wr.payload <= self.cfg.inline_threshold && wr.verb != Verb::Read;
         // Inlined payloads and READ requests (no local payload) skip the
         // DMA fetch.
@@ -478,13 +468,13 @@ impl Rnic {
                 dst: wr.remote,
                 dst_qp: wr.remote_qp,
                 sl: wr.sl,
+                vl,
                 kind: PacketKind::ReadRequest { bytes: wr.payload },
                 payload: 0,
                 overhead: self.cfg.headers.read_request_overhead(),
                 injected_at: ready,
             };
-            let vl = self.vl_of_sl(wr.sl);
-            self.schedule_data(ready, vl, packet, slab, out);
+            self.schedule_data(ready, packet, slab, out);
             return;
         }
 
@@ -512,6 +502,7 @@ impl Rnic {
                 dst: wr.remote,
                 dst_qp: wr.remote_qp,
                 sl: wr.sl,
+                vl,
                 kind: PacketKind::Data {
                     verb: wr.verb,
                     transport,
@@ -522,8 +513,7 @@ impl Rnic {
                 overhead: self.cfg.headers.data_overhead(wr.verb, transport, first),
                 injected_at: ready,
             };
-            let vl = self.vl_of_sl(wr.sl);
-            self.schedule_data(ready, vl, packet, slab, out);
+            self.schedule_data(ready, packet, slab, out);
         }
     }
 
@@ -738,10 +728,10 @@ impl Rnic {
         self.stats.rx_packets += 1;
         self.stats.rx_payload_bytes += packet.payload;
 
-        // Free the receive buffer once the engine is done with the packet.
-        let vl = self.vl_of_sl(packet.sl);
+        // Free the receive buffer once the engine is done with the packet;
+        // the credit goes back on the lane the sender spent.
         out.push(RnicAction::ReturnCredit {
-            vl,
+            vl: packet.vl,
             bytes: packet.wire_size(),
             after: rx_done - now,
         });
@@ -794,6 +784,7 @@ impl Rnic {
         // Responder-side DMA read, then hardware-generated response data
         // (no WQE engine involvement — one-sided semantics, Fig. 1a).
         let n_packets = self.cfg.packets_for(bytes);
+        let vl = self.sl2vl.vl_for(request.sl);
         let mut remaining = bytes;
         let mut cumulative = 0u64;
         for i in 0..n_packets {
@@ -809,6 +800,7 @@ impl Rnic {
                 dst: request.src,
                 dst_qp: QpNum::new(0),
                 sl: request.sl,
+                vl,
                 kind: PacketKind::Data {
                     verb: Verb::Read,
                     transport: Transport::Rc,
@@ -822,8 +814,7 @@ impl Rnic {
                     .data_overhead(Verb::Read, Transport::Rc, i == 0),
                 injected_at: ready,
             };
-            let vl = self.vl_of_sl(request.sl);
-            self.schedule_data(ready, vl, response, slab, out);
+            self.schedule_data(ready, response, slab, out);
         }
     }
 
@@ -865,13 +856,13 @@ impl Rnic {
                 dst: packet.src,
                 dst_qp: QpNum::new(0),
                 sl: packet.sl,
+                vl: self.sl2vl.vl_for(packet.sl),
                 kind: PacketKind::Ack,
                 payload: 0,
                 overhead: self.cfg.headers.ack_overhead(),
                 injected_at: ack_at,
             };
-            let vl = self.vl_of_sl(packet.sl);
-            let wire = ack.wire_size();
+            let (vl, wire) = (ack.vl, ack.wire_size());
             let handle = slab.alloc(ack);
             self.schedule_tx(ack_at, PendingTx::Ack(vl, handle, wire), out);
         }
@@ -918,7 +909,7 @@ fn opcode_of(verb: Verb) -> CqeOpcode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rperf_model::ClusterConfig;
+    use rperf_model::{ClusterConfig, ServiceLevel};
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
@@ -937,13 +928,17 @@ mod tests {
 
     impl Pump {
         fn new(node: u16) -> Self {
+            Self::with_sl2vl(node, Sl2VlTable::all_to_vl0())
+        }
+
+        fn with_sl2vl(node: u16, sl2vl: Sl2VlTable) -> Self {
             let cfg = ClusterConfig::omnet_simulator();
             Pump {
                 rnic: Rnic::new(
                     NodeId::new(node),
                     Lid::new(node),
                     cfg.rnic.clone(),
-                    cfg.rnic.sl2vl.lanes(),
+                    sl2vl,
                     &cfg.link,
                     SimRng::new(node as u64),
                 ),
@@ -1145,6 +1140,7 @@ mod tests {
             dst: Lid::new(2),
             dst_qp: QpNum::new(1),
             sl: ServiceLevel::new(0),
+            vl: VirtualLane::new(0),
             kind: PacketKind::Data {
                 verb: Verb::Write,
                 transport: Transport::Rc,
@@ -1343,6 +1339,7 @@ mod tests {
             dst: Lid::new(2),
             dst_qp: QpNum::new(1),
             sl: ServiceLevel::new(0),
+            vl: VirtualLane::new(0),
             kind: PacketKind::Data {
                 verb: Verb::Send,
                 transport: Transport::Rc,
@@ -1360,6 +1357,63 @@ mod tests {
         assert_eq!(vl, VirtualLane::new(0));
         assert_eq!(bytes, 116);
         assert!(when >= t + p.rnic.config().rx_per_packet);
+    }
+
+    #[test]
+    fn credit_returns_on_the_vl_the_packet_carries() {
+        // The table maps SL0 to VL0, but the sender spent a VL2 credit.
+        let table = Sl2VlTable::all_to_vl0().with(ServiceLevel::new(2), VirtualLane::new(2));
+        let mut p = Pump::with_sl2vl(2, table);
+        let qp = p.rnic.create_qp(Transport::Rc);
+        p.rnic.post_recv(qp, RecvWr::new(WrId(0), 4096));
+        let packet = Packet {
+            id: PacketId::new(1),
+            flow: FlowId::new(0),
+            msg: MsgId::new((9u64 << 40) | 3),
+            src: Lid::new(1),
+            dst: Lid::new(2),
+            dst_qp: qp,
+            sl: ServiceLevel::new(0),
+            vl: VirtualLane::new(2),
+            kind: PacketKind::Data {
+                verb: Verb::Send,
+                transport: Transport::Rc,
+                index: 0,
+                last: true,
+            },
+            payload: 4096,
+            overhead: 52,
+            injected_at: SimTime::ZERO,
+        };
+        p.deliver(SimTime::from_ns(10), packet);
+        let lanes: Vec<VirtualLane> = p.credits_returned.iter().map(|c| c.1).collect();
+        assert_eq!(lanes, vec![VirtualLane::new(2)]);
+        // The ACK this RNIC injects is stamped from the table: SL0 → VL0.
+        p.run();
+        let (_, ack, _) = &p.transmitted[0];
+        assert!(matches!(ack.kind, PacketKind::Ack));
+        assert_eq!(ack.vl, VirtualLane::new(0));
+    }
+
+    #[test]
+    fn injected_packets_carry_the_tables_vl_for_their_sl() {
+        let table = Sl2VlTable::all_to_vl0().with(ServiceLevel::new(1), VirtualLane::new(1));
+        let mut p = Pump::with_sl2vl(1, table);
+        assert_eq!(p.rnic.lanes(), 2);
+        let qp = p.rnic.create_qp(Transport::Rc);
+        for (id, sl) in [(1, 1), (2, 0)] {
+            let wr = send_wr(id, 10_000, 2).with_sl(ServiceLevel::new(sl));
+            p.post(SimTime::ZERO, qp, wr).unwrap();
+        }
+        let read = SendWr::new(WrId(3), Verb::Read, 64)
+            .to(Lid::new(2), QpNum::new(1))
+            .with_sl(ServiceLevel::new(1));
+        p.post(SimTime::ZERO, qp, read).unwrap();
+        p.run();
+        assert_eq!(p.transmitted.len(), 7);
+        for (_, packet, _) in &p.transmitted {
+            assert_eq!(packet.vl.raw(), packet.sl.raw(), "{packet:?}");
+        }
     }
 
     #[test]

@@ -50,12 +50,11 @@ fn pump(
 
 fn rnic_under_test() -> Rnic {
     let cfg = ClusterConfig::omnet_simulator();
-    let lanes = cfg.rnic.sl2vl.lanes();
     Rnic::new(
         NodeId::new(1),
         Lid::new(1),
         cfg.rnic,
-        lanes,
+        cfg.sl2vl,
         &cfg.link,
         SimRng::new(3),
     )

@@ -8,7 +8,6 @@
 //!   style) with configurable relative precision, built for recording
 //!   picosecond RTT samples and extracting arbitrary percentiles.
 //! * [`BandwidthMeter`] — byte accounting over an interval, reporting Gbps.
-//! * [`Welford`] — numerically stable running mean / variance.
 //! * [`LatencySummary`] — the percentile digest every experiment reports.
 //! * [`Series`], [`Figure`] — labelled data series matching the paper's
 //!   figures, with Markdown rendering for EXPERIMENTS.md.
@@ -34,10 +33,8 @@ pub mod json;
 mod meter;
 mod series;
 mod summary;
-mod welford;
 
 pub use histogram::LatencyHistogram;
 pub use meter::{BandwidthMeter, GBPS};
 pub use series::{Figure, Series};
 pub use summary::LatencySummary;
-pub use welford::Welford;

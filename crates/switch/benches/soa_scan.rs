@@ -45,6 +45,7 @@ fn entry(slab: &mut PacketSlab, rng: &mut Lcg, ports: u8, t: u64) -> BufEntry {
         dst: Lid::new(2),
         dst_qp: QpNum::new(0),
         sl: ServiceLevel::new(0),
+        vl: VirtualLane::new(0),
         kind: PacketKind::Data {
             verb: Verb::Send,
             transport: Transport::Rc,

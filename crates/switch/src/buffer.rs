@@ -326,6 +326,7 @@ mod tests {
             dst: Lid::new(2),
             dst_qp: QpNum::new(0),
             sl: ServiceLevel::new(0),
+            vl: VirtualLane::new(0),
             kind: PacketKind::Data {
                 verb: Verb::Send,
                 transport: Transport::Rc,

@@ -108,19 +108,15 @@ impl Switch {
     /// Builds a switch from its configuration, the fabric's lane count
     /// and the attached link's data rate. Every VL-indexed structure —
     /// input buffers, downstream credits, arbitration scratch — holds
-    /// `lanes` lanes, not the configuration's `vls`: no packet can sit on
-    /// a lane no SL2VL table maps to. Downstream credit ledgers default to
-    /// one input-buffer grant per lane (symmetric switches); override per
-    /// port with [`Switch::set_downstream_credits`] for host-facing ports.
+    /// `lanes` lanes: one past the highest VL the fabric's SL2VL table
+    /// maps to, so every VL a packet can carry has one. Downstream
+    /// credit ledgers default to one input-buffer grant per lane
+    /// (symmetric switches); override per port with
+    /// [`Switch::set_downstream_credits`] for host-facing ports.
     ///
     /// The configuration is taken as (or promoted to) an [`Arc`], so a
     /// fabric instantiating many identical switches shares one allocation
     /// — the VL arbitration tables included.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `lanes` covers every VL the switch's SL2VL table maps
-    /// to and stays within the 16 VLs of the IB spec.
     pub fn new(
         cfg: impl Into<Arc<SwitchConfig>>,
         lanes: u8,
@@ -128,11 +124,6 @@ impl Switch {
         rng: SimRng,
     ) -> Self {
         let cfg = cfg.into();
-        assert!(
-            lanes > cfg.sl2vl.max_vl() && lanes <= VirtualLane::MAX + 1,
-            "{lanes} lanes cannot carry the switch's SL2VL table (highest VL {})",
-            cfg.sl2vl.max_vl()
-        );
         let ports = cfg.ports as usize;
         Switch {
             data_rate,
@@ -216,8 +207,9 @@ impl Switch {
 
     /// A packet's first bit has arrived on `ingress` at `now`.
     ///
-    /// The packet is admitted to its VL's input buffer (the upstream sender
-    /// spent a credit for it) and becomes eligible for arbitration after
+    /// The packet is admitted to the input buffer of the VL it carries (the
+    /// upstream sender spent a credit on that lane for it, and the credit
+    /// goes back on it at dispatch) and becomes eligible for arbitration after
     /// the ingress pipeline latency plus per-packet jitter (cut-through:
     /// eligibility does not wait for the last bit; at equal port rates the
     /// egress can never underrun).
@@ -243,7 +235,7 @@ impl Switch {
             .fwd
             .route(p.dst)
             .unwrap_or_else(|| panic!("no route for {} in switch forwarding table", p.dst));
-        let vl = self.cfg.sl2vl.vl_for(p.sl);
+        let vl = p.vl;
         let wire = p.wire_size();
         let jitter = match &self.cfg.jitter {
             Some(j) => j.sample(&mut self.rng),
@@ -435,15 +427,18 @@ impl Switch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rperf_model::config::{ClusterConfig, SchedPolicy};
+    use rperf_model::config::{ClusterConfig, SchedPolicy, VlArbEntry};
     use rperf_model::ids::PacketId;
     use rperf_model::{FlowId, MsgId, Packet, PacketKind, QpNum, ServiceLevel, Transport, Verb};
 
     fn test_switch(policy: SchedPolicy) -> Switch {
         let mut cfg = ClusterConfig::omnet_simulator().switch;
         cfg.policy = policy;
+        routed_switch(cfg, 1)
+    }
+
+    fn routed_switch(cfg: SwitchConfig, lanes: u8) -> Switch {
         let rate = ClusterConfig::omnet_simulator().link.data_rate();
-        let lanes = cfg.sl2vl.lanes();
         let mut sw = Switch::new(cfg, lanes, rate, SimRng::new(1));
         for lid in 0..7u16 {
             sw.set_route(Lid::new(lid), PortId::new(lid as u8));
@@ -451,7 +446,9 @@ mod tests {
         sw
     }
 
-    fn pkt(id: u64, dst: u16, payload: u64, sl: u8) -> Packet {
+    /// A packet on SL `lane`, stamped with VL `lane` (the mapping of the
+    /// dedicated-SL table for SL0 and SL1).
+    fn pkt(id: u64, dst: u16, payload: u64, lane: u8) -> Packet {
         Packet {
             id: PacketId::new(id),
             flow: FlowId::new(0),
@@ -459,7 +456,8 @@ mod tests {
             src: Lid::new(6),
             dst: Lid::new(dst),
             dst_qp: QpNum::new(0),
-            sl: ServiceLevel::new(sl),
+            sl: ServiceLevel::new(lane),
+            vl: VirtualLane::new(lane),
             kind: PacketKind::Data {
                 verb: Verb::Send,
                 transport: Transport::Rc,
@@ -755,17 +753,6 @@ mod tests {
     }
 
     #[test]
-    fn state_is_sized_by_the_lanes_not_the_configured_vls() {
-        let sw = test_switch(SchedPolicy::Fcfs);
-        assert_eq!(sw.config().vls, 9);
-        assert_eq!(
-            sw.lanes(),
-            1,
-            "the default SL2VL table maps every SL to VL0"
-        );
-    }
-
-    #[test]
     fn occupancy_beyond_the_lanes_is_zero() {
         let mut slab = PacketSlab::new();
         let mut sw = test_switch(SchedPolicy::Fcfs);
@@ -784,9 +771,27 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cannot carry the switch's SL2VL table")]
-    fn too_few_lanes_for_the_sl2vl_table_panic() {
-        let cfg = ClusterConfig::omnet_simulator().with_dedicated_sl();
-        let _ = Switch::new(cfg.switch, 1, cfg.link.data_rate(), SimRng::new(1));
+    fn a_packet_is_buffered_and_credited_on_the_vl_it_carries() {
+        let mut slab = PacketSlab::new();
+        let (vl0, vl2) = (VirtualLane::new(0), VirtualLane::new(2));
+        let mut cfg = ClusterConfig::omnet_simulator().switch;
+        cfg.vlarb.low.push(VlArbEntry {
+            vl: vl2,
+            weight: 64,
+        });
+        let mut sw = routed_switch(cfg, 3);
+        // SL0, which every table here maps to VL0, carried on VL2.
+        let mut p = pkt(1, 0, 4096, 0);
+        p.vl = vl2;
+        let a = arrive(&mut sw, &mut slab, SimTime::ZERO, PortId::new(1), p);
+        assert_eq!(sw.occupancy(PortId::new(1), vl2), 4148);
+        assert_eq!(sw.occupancy(PortId::new(1), vl0), 0);
+        let actions = wake(&mut sw, wake_of(&a), PortId::new(0));
+        assert_eq!(transmit_id(&actions, &slab), Some(PacketId::new(1)));
+        let credit = actions.iter().find_map(|a| match a {
+            SwitchAction::ReturnCredit { ingress, vl, bytes } => Some((*ingress, *vl, *bytes)),
+            _ => None,
+        });
+        assert_eq!(credit, Some((PortId::new(1), vl2, 4148)));
     }
 }

@@ -10,10 +10,12 @@
 //!
 //! The switch is **input-buffered**: every ingress port has one FIFO per
 //! virtual lane ([`VlBuffer`]), sized by the credit advertisement made to
-//! the upstream sender. Packets are admitted on arrival (credits guarantee
-//! space — a violation is a protocol bug and is counted), become *eligible*
-//! after the ingress pipeline latency plus per-packet µarch jitter, and
-//! wait for the output arbiter of their destination port.
+//! the upstream sender. Packets are admitted on arrival to the FIFO of the
+//! VL they carry (credits guarantee space — a violation is a protocol bug
+//! and is counted), become *eligible* after the ingress pipeline latency
+//! plus per-packet µarch jitter, and wait for the output arbiter of their
+//! destination port. The injecting RNIC stamped that VL from the fabric's
+//! SL2VL table; the switch maps no SL itself.
 //!
 //! Each egress port runs a two-level arbiter:
 //!

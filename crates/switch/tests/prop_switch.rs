@@ -23,6 +23,7 @@ fn packet(id: u64, dst: u16, payload: u64) -> Packet {
         dst: Lid::new(dst),
         dst_qp: QpNum::new(1),
         sl: ServiceLevel::new(0),
+        vl: VirtualLane::new(0),
         kind: PacketKind::Data {
             verb: Verb::Send,
             transport: Transport::Rc,
@@ -54,7 +55,7 @@ impl Harness {
             c
         };
         let buffer = cfg.input_buffer_bytes;
-        let lanes = cfg.sl2vl.lanes();
+        let lanes = ClusterConfig::omnet_simulator().sl2vl.lanes();
         let ports = cfg.ports;
         let mut sw = Switch::new(
             cfg,

@@ -1,6 +1,4 @@
-//! Completion queues.
-
-use std::collections::VecDeque;
+//! Completion queue entries.
 
 use rperf_model::QpNum;
 use rperf_sim::SimTime;
@@ -20,7 +18,8 @@ pub enum CqeOpcode {
     Recv,
 }
 
-/// A completion queue entry, DMA-written by the RNIC and polled by software.
+/// A completion queue entry, DMA-written by the RNIC and delivered to the
+/// application that owns the queue pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cqe {
     /// The identifier of the completed work request.
@@ -34,109 +33,4 @@ pub struct Cqe {
     /// Simulated instant at which the CQE became visible in host memory
     /// (i.e. after the RNIC's completion DMA write).
     pub visible_at: SimTime,
-}
-
-/// A software-visible completion queue.
-///
-/// The RNIC pushes entries ([`CompletionQueue::push`]); the application
-/// drains them ([`CompletionQueue::poll`]). Entries pop in the order the
-/// RNIC delivered them, which for a single QP follows IB's ordered
-/// completion semantics.
-///
-/// # Examples
-///
-/// ```
-/// use rperf_sim::SimTime;
-/// use rperf_model::QpNum;
-/// use rperf_verbs::{CompletionQueue, Cqe, CqeOpcode, WrId};
-///
-/// let mut cq = CompletionQueue::new();
-/// cq.push(Cqe {
-///     wr_id: WrId(1),
-///     qp: QpNum::new(0),
-///     opcode: CqeOpcode::Send,
-///     bytes: 64,
-///     visible_at: SimTime::from_ns(100),
-/// });
-/// assert_eq!(cq.poll().unwrap().wr_id, WrId(1));
-/// assert!(cq.poll().is_none());
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct CompletionQueue {
-    entries: VecDeque<Cqe>,
-    total_pushed: u64,
-    max_depth: usize,
-}
-
-impl CompletionQueue {
-    /// Creates an empty completion queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Delivers a completion (RNIC side).
-    pub fn push(&mut self, cqe: Cqe) {
-        self.entries.push_back(cqe);
-        self.total_pushed += 1;
-        self.max_depth = self.max_depth.max(self.entries.len());
-    }
-
-    /// Retrieves the oldest completion, if any (application side).
-    pub fn poll(&mut self) -> Option<Cqe> {
-        self.entries.pop_front()
-    }
-
-    /// Entries currently waiting.
-    pub fn depth(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Total completions ever delivered.
-    pub fn total_pushed(&self) -> u64 {
-        self.total_pushed
-    }
-
-    /// High-water mark of queue depth.
-    pub fn max_depth(&self) -> usize {
-        self.max_depth
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn cqe(id: u64, t: u64) -> Cqe {
-        Cqe {
-            wr_id: WrId(id),
-            qp: QpNum::new(0),
-            opcode: CqeOpcode::Send,
-            bytes: 0,
-            visible_at: SimTime::from_ns(t),
-        }
-    }
-
-    #[test]
-    fn fifo_order() {
-        let mut cq = CompletionQueue::new();
-        cq.push(cqe(1, 10));
-        cq.push(cqe(2, 20));
-        assert_eq!(cq.poll().unwrap().wr_id, WrId(1));
-        assert_eq!(cq.poll().unwrap().wr_id, WrId(2));
-        assert!(cq.poll().is_none());
-    }
-
-    #[test]
-    fn depth_accounting() {
-        let mut cq = CompletionQueue::new();
-        for i in 0..5 {
-            cq.push(cqe(i, i));
-        }
-        assert_eq!(cq.depth(), 5);
-        assert_eq!(cq.max_depth(), 5);
-        cq.poll();
-        assert_eq!(cq.depth(), 4);
-        assert_eq!(cq.max_depth(), 5);
-        assert_eq!(cq.total_pushed(), 5);
-    }
 }

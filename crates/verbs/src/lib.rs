@@ -6,14 +6,16 @@
 //! * [`SendWr`] / [`RecvWr`] — work requests, with the verb/transport
 //!   validity matrix of Section II (UD supports only two-sided verbs; RC
 //!   supports SEND/RECV, WRITE and READ).
-//! * [`QueuePair`] — per-QP queues and requester/responder protocol state
-//!   (outstanding messages, completion rules per Fig. 1 of the paper).
-//! * [`CompletionQueue`] / [`Cqe`] — the asynchronous completion channel
-//!   applications poll.
+//! * [`QueuePair`] — per-QP send and receive queues and the requester's
+//!   outstanding messages.
+//! * [`Cqe`] — a completion entry; the fabric delivers each to its
+//!   application as an event.
 //!
-//! The *timing* of every transition lives in `rperf-rnic`; this crate owns
-//! the *semantics* (what completes when, and with which ordering
-//! guarantees), so the protocol rules are testable without a simulator.
+//! What completes when — the execution paths of Fig. 1 of the paper (UD
+//! SEND on wire exit, RC SEND and WRITE on the ACK, READ once the response
+//! data lands) — lives in `rperf-rnic`, with its timing; this crate
+//! validates work requests and keeps the queues, so those rules are
+//! testable without a simulator.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,7 +25,7 @@ mod error;
 mod qp;
 mod wr;
 
-pub use cq::{CompletionQueue, Cqe, CqeOpcode};
+pub use cq::{Cqe, CqeOpcode};
 pub use error::VerbsError;
-pub use qp::{CompletionRule, OutstandingMsg, QueuePair};
+pub use qp::{OutstandingMsg, QueuePair};
 pub use wr::{RecvWr, SendWr, WrId};

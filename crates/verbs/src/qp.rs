@@ -2,27 +2,13 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use rperf_model::{MsgId, QpNum, Transport, Verb};
-use rperf_sim::SimTime;
+use rperf_model::{MsgId, QpNum, Transport};
 
 use crate::error::VerbsError;
 use crate::wr::{RecvWr, SendWr};
 
 /// IB's maximum message size (2 GB).
 pub const MAX_MESSAGE_BYTES: u64 = 1 << 31;
-
-/// When the requester-side CQE for a work request may be generated —
-/// the execution-path distinctions of Fig. 1 in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CompletionRule {
-    /// As soon as the last packet is on the wire (UD SEND, Fig. 1c).
-    OnWireExit,
-    /// When the transport-level ACK returns (RC SEND and WRITE,
-    /// Fig. 1b/1d).
-    OnAck,
-    /// When the response data has been DMA-written locally (READ, Fig. 1a).
-    OnDataLanded,
-}
 
 /// A message handed to the RNIC engine and not yet completed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,12 +17,10 @@ pub struct OutstandingMsg {
     pub msg: MsgId,
     /// The originating work request.
     pub wr: SendWr,
-    /// When software posted the request.
-    pub posted_at: SimTime,
 }
 
-/// One side of an RDMA connection: send queue, receive queue and
-/// requester/responder protocol state.
+/// One side of an RDMA connection: send queue, receive queue and the
+/// requester's outstanding messages.
 ///
 /// The queue pair is a *semantic* state machine: the RNIC model drives it
 /// and attaches timing. All transitions validate protocol rules and return
@@ -62,7 +46,6 @@ pub struct QueuePair {
     sq: VecDeque<SendWr>,
     rq: VecDeque<RecvWr>,
     outstanding: BTreeMap<u64, OutstandingMsg>,
-    next_psn: u32,
     posted_sends: u64,
     completed_sends: u64,
 }
@@ -76,7 +59,6 @@ impl QueuePair {
             sq: VecDeque::new(),
             rq: VecDeque::new(),
             outstanding: BTreeMap::new(),
-            next_psn: 0,
             posted_sends: 0,
             completed_sends: 0,
         }
@@ -141,17 +123,10 @@ impl QueuePair {
         self.outstanding.len()
     }
 
-    /// Allocates the next packet sequence number range for `n` packets.
-    pub fn take_psns(&mut self, n: u32) -> u32 {
-        let first = self.next_psn;
-        self.next_psn = self.next_psn.wrapping_add(n);
-        first
-    }
-
     /// Registers a message the engine has started transmitting.
-    pub fn register_outstanding(&mut self, msg: MsgId, wr: SendWr, posted_at: SimTime) {
+    pub fn register_outstanding(&mut self, msg: MsgId, wr: SendWr) {
         self.outstanding
-            .insert(msg.raw(), OutstandingMsg { msg, wr, posted_at });
+            .insert(msg.raw(), OutstandingMsg { msg, wr });
     }
 
     /// Resolves an ACK (or READ-response completion) against an outstanding
@@ -181,16 +156,6 @@ impl QueuePair {
             .ok_or(VerbsError::ReceiverNotReady { qp: self.num })
     }
 
-    /// The requester completion rule for a work request on this QP
-    /// (Fig. 1 of the paper).
-    pub fn completion_rule(&self, wr: &SendWr) -> CompletionRule {
-        match (self.transport, wr.verb) {
-            (Transport::Ud, _) => CompletionRule::OnWireExit,
-            (Transport::Rc, Verb::Read) => CompletionRule::OnDataLanded,
-            (Transport::Rc, _) => CompletionRule::OnAck,
-        }
-    }
-
     /// Total send work requests ever posted.
     pub fn posted_sends(&self) -> u64 {
         self.posted_sends
@@ -206,6 +171,7 @@ impl QueuePair {
 mod tests {
     use super::*;
     use crate::wr::WrId;
+    use rperf_model::Verb;
 
     fn rc_qp() -> QueuePair {
         QueuePair::new(QpNum::new(1), Transport::Rc)
@@ -245,7 +211,7 @@ mod tests {
     fn outstanding_lifecycle() {
         let mut qp = rc_qp();
         let wr = SendWr::new(WrId(9), Verb::Send, 64);
-        qp.register_outstanding(MsgId::new(5), wr, SimTime::from_ns(1));
+        qp.register_outstanding(MsgId::new(5), wr);
         assert_eq!(qp.outstanding(), 1);
         let done = qp.complete(MsgId::new(5)).unwrap();
         assert_eq!(done.wr.wr_id, WrId(9));
@@ -256,11 +222,7 @@ mod tests {
     #[test]
     fn duplicate_ack_is_an_error() {
         let mut qp = rc_qp();
-        qp.register_outstanding(
-            MsgId::new(5),
-            SendWr::new(WrId(1), Verb::Send, 64),
-            SimTime::ZERO,
-        );
+        qp.register_outstanding(MsgId::new(5), SendWr::new(WrId(1), Verb::Send, 64));
         qp.complete(MsgId::new(5)).unwrap();
         assert!(matches!(
             qp.complete(MsgId::new(5)),
@@ -279,34 +241,5 @@ mod tests {
             qp.consume_recv(),
             Err(VerbsError::ReceiverNotReady { .. })
         ));
-    }
-
-    #[test]
-    fn completion_rules_match_fig1() {
-        let rc = rc_qp();
-        let ud = QueuePair::new(QpNum::new(3), Transport::Ud);
-        let send = SendWr::new(WrId(0), Verb::Send, 1);
-        let write = SendWr::new(WrId(0), Verb::Write, 1);
-        let read = SendWr::new(WrId(0), Verb::Read, 1);
-        assert_eq!(ud.completion_rule(&send), CompletionRule::OnWireExit);
-        assert_eq!(rc.completion_rule(&send), CompletionRule::OnAck);
-        assert_eq!(rc.completion_rule(&write), CompletionRule::OnAck);
-        assert_eq!(rc.completion_rule(&read), CompletionRule::OnDataLanded);
-    }
-
-    #[test]
-    fn psn_allocation_is_contiguous() {
-        let mut qp = rc_qp();
-        assert_eq!(qp.take_psns(4), 0);
-        assert_eq!(qp.take_psns(2), 4);
-        assert_eq!(qp.take_psns(1), 6);
-    }
-
-    #[test]
-    fn psn_wraps() {
-        let mut qp = rc_qp();
-        qp.take_psns(u32::MAX);
-        let next = qp.take_psns(2);
-        assert_eq!(next, u32::MAX);
     }
 }

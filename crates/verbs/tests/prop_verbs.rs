@@ -2,7 +2,6 @@
 
 use proptest::prelude::*;
 use rperf_model::{MsgId, QpNum, Transport, Verb};
-use rperf_sim::SimTime;
 use rperf_verbs::{QueuePair, RecvWr, SendWr, WrId};
 
 proptest! {
@@ -33,11 +32,7 @@ proptest! {
         let mut registered = std::collections::BTreeSet::new();
         for &id in &ids {
             if registered.insert(id) {
-                qp.register_outstanding(
-                    MsgId::new(id),
-                    SendWr::new(WrId(id), Verb::Send, 64),
-                    SimTime::ZERO,
-                );
+                qp.register_outstanding(MsgId::new(id), SendWr::new(WrId(id), Verb::Send, 64));
             }
         }
         prop_assert_eq!(qp.outstanding(), registered.len());
@@ -68,18 +63,6 @@ proptest! {
             }
         }
         prop_assert_eq!(got, posts.min(consumes));
-    }
-
-    /// PSN windows never overlap for successive allocations.
-    #[test]
-    fn psn_windows_disjoint(sizes in prop::collection::vec(1u32..1_000, 1..50)) {
-        let mut qp = QueuePair::new(QpNum::new(1), Transport::Rc);
-        let mut expected = 0u32;
-        for &n in &sizes {
-            let first = qp.take_psns(n);
-            prop_assert_eq!(first, expected);
-            expected = expected.wrapping_add(n);
-        }
     }
 
     /// The verb/transport validity matrix is total and matches Section II.

@@ -24,11 +24,9 @@
 mod bsg;
 mod lsg;
 mod placement;
-mod role;
 mod sink;
 
 pub use bsg::{Bsg, BsgConfig, PretendLsg};
 pub use lsg::{ClosedLoopPing, LsgConfig};
 pub use placement::{incast_sources, pair_at_hops};
-pub use role::{build_workload, WorkloadRole};
 pub use sink::Sink;

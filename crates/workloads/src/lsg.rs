@@ -20,21 +20,17 @@ pub struct LsgConfig {
     pub sl: ServiceLevel,
     /// Samples before this instant are discarded (warm-up).
     pub warmup: SimDuration,
-    /// Think time between a completion and the next message (0 = back to
-    /// back).
-    pub think: SimDuration,
 }
 
 impl LsgConfig {
-    /// The paper's LSG: 64-byte messages, SL0, 100 µs warm-up, no think
-    /// time.
+    /// The paper's LSG: 64-byte messages, SL0, 100 µs warm-up, each
+    /// message posted as the previous one completes.
     pub fn new(target: usize) -> Self {
         LsgConfig {
             target,
             payload: 64,
             sl: ServiceLevel::new(0),
             warmup: SimDuration::from_us(100),
-            think: SimDuration::ZERO,
         }
     }
 
@@ -124,14 +120,6 @@ impl App for ClosedLoopPing {
         if now >= SimTime::ZERO + self.cfg.warmup {
             self.hist.record((now - self.posted_at).as_ps());
         }
-        if self.cfg.think == SimDuration::ZERO {
-            self.fire(ctx);
-        } else {
-            ctx.set_timer(self.cfg.think, 0);
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
         self.fire(ctx);
     }
 
@@ -175,25 +163,6 @@ mod tests {
         assert!(
             spread < 200_000,
             "deterministic profile should be tight, spread {spread} ps"
-        );
-    }
-
-    #[test]
-    fn think_time_paces_iterations() {
-        let cfg = ClusterConfig::omnet_simulator();
-        let mut sim = Sim::new(Fabric::single_switch(cfg, 2, 22));
-        let mut lcfg = LsgConfig::new(1).with_warmup(SimDuration::ZERO);
-        lcfg.think = SimDuration::from_us(10);
-        sim.add_app(0, Box::new(ClosedLoopPing::new(lcfg)));
-        sim.add_app(1, Box::new(Sink::new()));
-        sim.start();
-        sim.run_until(SimTime::from_us(1000));
-        let lsg = sim.app_as::<ClosedLoopPing>(0);
-        // ~1000 µs / (10 µs think + ~1–2 µs RTT) ⇒ well under 100.
-        assert!(
-            (50..100).contains(&(lsg.iterations() as i64)),
-            "iterations {}",
-            lsg.iterations()
         );
     }
 }
