@@ -34,7 +34,7 @@ test:
 # checks are compiled out (their should_panic tests are gated on
 # debug_assertions): what a figure run executes must pass them too.
 test-release:
-	$(CARGO) test -q --release -p rperf-sim -p rperf-model -p rperf-switch -p rperf-rnic -p rperf-fabric
+	$(CARGO) test -q --release -p rperf-sim -p rperf-model -p rperf-verbs -p rperf-switch -p rperf-rnic -p rperf-fabric
 
 # The repository benchmark (benchmark/, see its README) is a workspace of
 # its own that `test` never compiles; build and test it here so a change

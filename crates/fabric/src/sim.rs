@@ -40,15 +40,17 @@ use rperf_model::{ClusterConfig, Lid, PacketRef, PortId, QpNum, Transport, Virtu
 use rperf_rnic::{Rnic, RnicAction};
 use rperf_sim::{EventQueue, RunOutcome, SimDuration, SimTime, World};
 use rperf_switch::{Switch, SwitchAction};
-use rperf_verbs::{RecvWr, SendWr, VerbsError};
+use rperf_verbs::{Cqe, RecvWr, SendWr, VerbsError};
 
 use crate::topology::{Endpoint, Fabric};
 use crate::trace::{TraceEvent, Tracer};
 use crate::world::{self, App, FabricEvent, KINDS};
 
-/// Initial capacity of the event queue. It sizes only the timer wheel's
-/// ready lane, which holds one 4 ns bucket and grows on demand; a whole
-/// queue peaks at about a thousand events on converged runs.
+/// Initial capacity of the event queue. It sizes only the first buffer
+/// of the timer wheel's ready lane. A level-0 bucket becomes the lane by
+/// swapping buffers, so after the first refill this allocation serves
+/// as one of the level-0 buckets' buffers, which all grow on demand; a
+/// whole queue peaks at about a thousand events on converged runs.
 const QUEUE_CAPACITY: usize = 1024;
 
 /// Builds the deterministic ordering key of the `ctr`-th event device
@@ -136,14 +138,52 @@ impl Hop {
     }
 }
 
-/// The routing state of a [`Sim`]: its event queue and packet slab, the
-/// emission keys of its devices, and the peer of every cable end. Kept
-/// apart from the devices so a handler can hold one device mutably while
-/// its actions are routed.
+/// Completions between the RNIC action that produced them and the
+/// [`FabricEvent::AppCqe`] that delivers them: the event carries a slot
+/// index, so a 32-byte [`Cqe`] never inflates every event-queue entry.
+/// Freed slots are reused, so the slab holds at most as many completions
+/// as were ever pending at once.
+#[derive(Debug, Default)]
+struct CqeSlab {
+    slots: Vec<Cqe>,
+    free: Vec<u32>,
+}
+
+impl CqeSlab {
+    /// Stores `cqe` and returns its slot.
+    #[inline]
+    fn put(&mut self, cqe: Cqe) -> u32 {
+        if let Some(slot) = self.free.pop() {
+            self.slots[slot as usize] = cqe;
+            return slot;
+        }
+        self.slots.push(cqe);
+        (self.slots.len() - 1) as u32
+    }
+
+    /// The completion in `slot`.
+    #[inline]
+    fn get(&self, slot: u32) -> &Cqe {
+        &self.slots[slot as usize]
+    }
+
+    /// Takes the completion out of `slot` and frees the slot.
+    #[inline]
+    fn take(&mut self, slot: u32) -> Cqe {
+        self.free.push(slot);
+        self.slots[slot as usize]
+    }
+}
+
+/// The routing state of a [`Sim`]: its event queue, packet slab and CQE
+/// slab, the emission keys of its devices, and the peer of every cable
+/// end. Kept apart from the devices so a handler can hold one device
+/// mutably while its actions are routed.
 struct Net {
     prop: SimDuration,
     q: EventQueue<FabricEvent>,
     slab: PacketSlab,
+    cqes: CqeSlab,
     rnic_link: Vec<Hop>,
     rnic_key: Vec<KeySlot>,
     /// Per switch, per port (`None` = unconnected).
@@ -167,7 +207,8 @@ impl Net {
                     let at = cqe.visible_at.max(now);
                     let k = self.rnic_key[node].key(now);
                     let node = node as u32;
-                    self.q.schedule(at, k, FabricEvent::AppCqe { node, cqe });
+                    let slot = self.cqes.put(cqe);
+                    self.q.schedule(at, k, FabricEvent::AppCqe { node, slot });
                 }
                 RnicAction::Transmit { packet, serialize } => {
                     // Serialization finishes before the last bit reaches a
@@ -288,6 +329,7 @@ impl Sim {
             prop: cfg.link.propagation,
             q: EventQueue::with_capacity(QUEUE_CAPACITY),
             slab: PacketSlab::new(),
+            cqes: CqeSlab::default(),
             rnic_link: rnic_peer.into_iter().map(Hop::of).collect(),
             rnic_key: (0..nodes).map(KeySlot::new).collect(),
             switch_link: switch_peer
@@ -316,7 +358,7 @@ impl Sim {
     #[inline]
     fn handle_one(&mut self, now: SimTime, event: FabricEvent) {
         if let Some(tracer) = &mut self.tracer {
-            trace(tracer, &self.net.slab, now, &event);
+            trace(tracer, &self.net, now, &event);
         }
         // Split field borrows: the device gets `&mut` while the slab and
         // the scratch action buffer are used alongside it. Hot packet/wake
@@ -380,8 +422,9 @@ impl Sim {
                 self.rnics[n].credit_from_peer(now, vl, bytes, &self.net.slab, &mut self.rnic_out);
                 self.net.route_rnic(n, now, &mut self.rnic_out);
             }
-            FabricEvent::AppCqe { node, cqe } => {
+            FabricEvent::AppCqe { node, slot } => {
                 self.events_by_kind[6] += 1;
+                let cqe = self.net.cqes.take(slot);
                 self.with_app(node as usize, now, |app, ctx| app.on_cqe(ctx, cqe));
             }
             FabricEvent::AppTimer { node, token } => {
@@ -639,9 +682,10 @@ impl Ctx<'_> {
     }
 }
 
-/// Records the traced fields of `event`, copying them out of the slab
-/// before the handlers consume the packet.
-fn trace(tracer: &mut Tracer, slab: &PacketSlab, now: SimTime, event: &FabricEvent) {
+/// Records the traced fields of `event`, copying them out of the slabs
+/// before the handlers consume the packet or the completion.
+fn trace(tracer: &mut Tracer, net: &Net, now: SimTime, event: &FabricEvent) {
+    let slab = &net.slab;
     let record = match *event {
         FabricEvent::SwitchPacket {
             switch,
@@ -664,9 +708,9 @@ fn trace(tracer: &mut Tracer, slab: &PacketSlab, now: SimTime, event: &FabricEve
                 payload: p.payload,
             }
         }
-        FabricEvent::AppCqe { node, ref cqe } => TraceEvent::Completion {
+        FabricEvent::AppCqe { node, slot } => TraceEvent::Completion {
             node: node as usize,
-            wr_id: cqe.wr_id.0,
+            wr_id: net.cqes.get(slot).wr_id.0,
         },
         _ => return,
     };

@@ -16,10 +16,11 @@ use crate::Ctx;
 /// [`rperf_model::PacketSlab`]; the packet body is allocated once at
 /// injection and never copied per hop.
 ///
-/// Node and switch indices are stored as `u32` rather than `usize`: the enum
-/// sits inside every timer-wheel entry, and the narrower fields keep the
-/// hot packet/wake variants to a single cache line's worth of entry
-/// during cascade copies.
+/// The enum sits inside every event-queue entry, so every variant fits
+/// in 16 bytes (asserted below): node and switch indices are `u32` rather
+/// than `usize`, and a completion travels as a `u32` slot in the
+/// simulation's CQE slab instead of as a 32-byte [`Cqe`]. That makes each
+/// entry 40 bytes.
 #[derive(Debug, Clone)]
 pub(crate) enum FabricEvent {
     /// An RNIC's self-scheduled wake-up.
@@ -71,8 +72,9 @@ pub(crate) enum FabricEvent {
     AppCqe {
         /// The node.
         node: u32,
-        /// The completion.
-        cqe: Cqe,
+        /// The completion's slot in the simulation's CQE slab, freed when
+        /// the event is handled.
+        slot: u32,
     },
     /// An application timer fires.
     AppTimer {
@@ -82,6 +84,9 @@ pub(crate) enum FabricEvent {
         token: u64,
     },
 }
+
+const _: () = assert!(std::mem::size_of::<FabricEvent>() == 16);
+const _: () = assert!(rperf_sim::EventQueue::<FabricEvent>::ENTRY_BYTES == 40);
 
 /// Number of [`FabricEvent`] kinds; see [`KIND_NAMES`].
 pub(crate) const KINDS: usize = 8;

@@ -468,6 +468,19 @@ impl ClusterConfig {
                 ));
             }
         }
+        // A switch arbitrates only the VLs its tables list: a packet on
+        // any other VL would sit in its input buffer for the rest of the
+        // run, and its sender would stall once the lane's credits ran out.
+        let vlarb = &self.switch.vlarb;
+        for sl in 0..=ServiceLevel::MAX {
+            let sl = ServiceLevel::new(sl);
+            let vl = self.sl2vl.vl_for(sl);
+            if !vlarb.high.iter().chain(&vlarb.low).any(|e| e.vl == vl) {
+                return Err(format!(
+                    "SL2VL table maps {sl} to {vl}, which no VLArb entry lists"
+                ));
+            }
+        }
         if !(0.0..=1.0).contains(&self.host.sw_spike_prob) {
             return Err("sw_spike_prob must be a probability".into());
         }
@@ -552,6 +565,25 @@ mod tests {
             weight: 1,
         });
         assert!(bad.validate().unwrap_err().contains("VLArb entry"));
+    }
+
+    #[test]
+    fn validation_rejects_a_vl_no_arbitration_table_lists() {
+        let vl2 = VirtualLane::new(2);
+        let mut c = ClusterConfig::hardware();
+        c.sl2vl = c.sl2vl.with(ServiceLevel::new(5), vl2);
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("SL5") && err.contains("VL2"), "{err}");
+        // Listing the VL in either table makes the config valid.
+        let mut low = c.clone();
+        low.switch.vlarb.low.push(VlArbEntry { vl: vl2, weight: 1 });
+        low.validate().unwrap();
+        let mut high = c;
+        high.switch
+            .vlarb
+            .high
+            .push(VlArbEntry { vl: vl2, weight: 1 });
+        high.validate().unwrap();
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Property tests for units, wire formats and configuration.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
-use rperf_model::config::{ClusterConfig, Sl2VlTable};
+use rperf_model::config::{ClusterConfig, Sl2VlTable, VlArbEntry};
 use rperf_model::units::LinkRate;
 use rperf_model::wire::HeaderModel;
 use rperf_model::{ServiceLevel, Transport, Verb, VirtualLane};
@@ -53,8 +55,9 @@ proptest! {
         }
     }
 
-    /// SL2VL tables built from arbitrary assignments stay within range
-    /// and validate against a config with enough VLs.
+    /// SL2VL tables built from arbitrary assignments stay within range,
+    /// validate when every VL they map to is listed for arbitration, and
+    /// fail, naming the VL, when any one of those VLs is not.
     #[test]
     fn sl2vl_assignments_roundtrip(entries in prop::collection::vec((0u8..16, 0u8..9), 0..32)) {
         let mut t = Sl2VlTable::all_to_vl0();
@@ -72,9 +75,25 @@ proptest! {
                 .unwrap();
             prop_assert_eq!(vl.raw(), expected);
         }
+        let mapped: BTreeSet<u8> = (0..=ServiceLevel::MAX)
+            .map(|sl| t.vl_for(ServiceLevel::new(sl)).raw())
+            .collect();
+        let entry = |vl: u8| VlArbEntry { vl: VirtualLane::new(vl), weight: 64 };
         let mut cfg = ClusterConfig::hardware();
         cfg.sl2vl = t;
+        cfg.switch.vlarb.high.clear();
+        cfg.switch.vlarb.low = mapped.iter().map(|&vl| entry(vl)).collect();
         prop_assert!(cfg.validate().is_ok());
+        for &vl in &mapped {
+            let mut bad = cfg.clone();
+            bad.switch.vlarb.low.retain(|e| e.vl.raw() != vl);
+            if bad.switch.vlarb.low.is_empty() {
+                // Keep a table non-empty: list a VL the table does not use.
+                bad.switch.vlarb.low.push(entry((vl + 1) % 9));
+            }
+            let err = bad.validate().unwrap_err();
+            prop_assert!(err.contains(&VirtualLane::new(vl).to_string()), "{err}");
+        }
     }
 
     /// The goodput predictor is always within (0, data-rate].

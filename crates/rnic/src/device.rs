@@ -12,7 +12,7 @@ use rperf_model::{
 };
 use rperf_sim::{SimDuration, SimRng, SimTime};
 use rperf_switch::CreditLedger;
-use rperf_verbs::{Cqe, CqeOpcode, QueuePair, RecvWr, SendWr, VerbsError, WrId};
+use rperf_verbs::{Cqe, CqeOpcode, InFlight, QueuePair, RecvWr, SendWr, VerbsError, WrId};
 
 use crate::txq::TxQueue;
 
@@ -144,7 +144,9 @@ pub struct Rnic {
     /// per-packet and per-WR lookups cost an array index instead of a
     /// tree walk.
     qps: Vec<QueuePair>,
-    next_msg: u64,
+    /// The messages this RNIC's requesters have launched and not yet
+    /// completed; it also mints their ids.
+    in_flight: InFlight,
     next_pkt: u64,
     /// WQE engine busy horizon (the message-rate cap).
     engine_free: SimTime,
@@ -171,8 +173,6 @@ pub struct Rnic {
     /// Credits held toward the downstream peer (switch ingress buffer or a
     /// directly attached RNIC's receive buffer), one per lane.
     peer_credits: CreditLedger,
-    /// Maps outstanding messages to their owning QP (for ACK routing).
-    owner: BTreeMap<u64, u32>,
     /// Payload bytes accumulated per incoming message.
     rx_accum: BTreeMap<u64, u64>,
     stats: RnicStats,
@@ -204,7 +204,7 @@ impl Rnic {
             lid,
             rng,
             qps: Vec::new(),
-            next_msg: 0,
+            in_flight: InFlight::new(node),
             next_pkt: 0,
             engine_free: SimTime::ZERO,
             wire_free: SimTime::ZERO,
@@ -216,7 +216,6 @@ impl Rnic {
             pending_tx: BinaryHeap::new(),
             pending_seq: 0,
             peer_credits: CreditLedger::unlimited(lanes),
-            owner: BTreeMap::new(),
             rx_accum: BTreeMap::new(),
             stats: RnicStats::default(),
             cfg,
@@ -308,12 +307,6 @@ impl Rnic {
             return;
         };
         qp.post_recv(wr);
-    }
-
-    fn alloc_msg(&mut self) -> MsgId {
-        let id = ((self.node.raw() as u64) << 40) | self.next_msg;
-        self.next_msg += 1;
-        MsgId::new(id)
     }
 
     fn alloc_pkt(&mut self) -> PacketId {
@@ -432,14 +425,11 @@ impl Rnic {
         let engine_done = engine_start + self.cfg.engine_time(n_packets);
         self.engine_free = engine_done;
 
-        let msg = self.alloc_msg();
-        self.owner.insert(msg.raw(), qp_num.raw());
-        let Some(qp) = self.qp_slot_mut(qp_num.raw()) else {
+        let Some(transport) = self.qp_slot(qp_num.raw()).map(QueuePair::transport) else {
             debug_assert!(false, "launch_wr on unknown QP");
             return;
         };
-        qp.register_outstanding(msg, wr);
-        let transport = qp.transport();
+        let msg = self.in_flight.open(qp_num, wr);
 
         if wr.loopback {
             self.launch_loopback(engine_done, qp_num, transport, msg, wr, out);
@@ -543,20 +533,15 @@ impl Rnic {
 
         // Requester completion: internal turnaround plays the ACK's role.
         let visible = delivered + self.cfg.loopback_turnaround + self.cfg.dma_write_latency;
-        let Some(qp) = self.qp_slot_mut(qp_num.raw()) else {
-            debug_assert!(false, "loopback completion on unknown QP");
+        if self.in_flight.close(msg).is_none() {
+            debug_assert!(false, "loopback message was never opened");
             return;
-        };
-        let Ok(done) = qp.complete(msg) else {
-            debug_assert!(false, "loopback message was never registered");
-            return;
-        };
-        self.owner.remove(&msg.raw());
+        }
         self.stats.loopbacks += 1;
-        if done.wr.signaled {
+        if wr.signaled {
             out.push(RnicAction::Complete {
                 cqe: Cqe {
-                    wr_id: done.wr.wr_id,
+                    wr_id: wr.wr_id,
                     qp: qp_num,
                     opcode: opcode_of(wr.verb),
                     bytes: wr.payload,
@@ -670,24 +655,16 @@ impl Rnic {
     }
 
     fn complete_requester(&mut self, msg: MsgId, base: SimTime, out: &mut Vec<RnicAction>) {
-        let Some(qp_raw) = self.owner.remove(&msg.raw()) else {
+        let Some((qp, wr)) = self.in_flight.close(msg) else {
             return;
         };
-        let qp_num = QpNum::new(qp_raw);
-        let Some(qp) = self.qp_slot_mut(qp_raw) else {
-            debug_assert!(false, "owner table references unknown QP {qp_raw}");
-            return;
-        };
-        let Ok(done) = qp.complete(msg) else {
-            return;
-        };
-        if done.wr.signaled {
+        if wr.signaled {
             out.push(RnicAction::Complete {
                 cqe: Cqe {
-                    wr_id: done.wr.wr_id,
-                    qp: qp_num,
-                    opcode: opcode_of(done.wr.verb),
-                    bytes: done.wr.payload,
+                    wr_id: wr.wr_id,
+                    qp,
+                    opcode: opcode_of(wr.verb),
+                    bytes: wr.payload,
                     visible_at: base + self.cfg.dma_write_latency,
                 },
             });
@@ -761,7 +738,7 @@ impl Rnic {
                     Some(acc) => acc + packet.payload,
                     None => packet.payload,
                 };
-                if self.owner.contains_key(&packet.msg.raw()) {
+                if self.in_flight.contains(packet.msg) {
                     // READ response data landing at the requester (Fig. 1a):
                     // complete once the payload DMA write finishes.
                     let landed = rx_done + self.cfg.dma_write_latency + self.pcie_time(total);
@@ -1123,7 +1100,8 @@ mod tests {
             .completions
             .iter()
             .any(|c| c.opcode == CqeOpcode::Send && c.wr_id == WrId(1)));
-        assert_eq!(a.rnic.qp(qp_a).outstanding(), 0);
+        assert!(a.rnic.in_flight.is_empty());
+        assert_eq!(a.rnic.in_flight.span(), 0);
         assert!(a.slab.is_empty() && b.slab.is_empty(), "no leaked handles");
     }
 
@@ -1426,6 +1404,6 @@ mod tests {
         p.run();
         assert!(p.transmitted.is_empty());
         assert!(p.slab.is_empty());
-        assert_eq!(p.rnic.qp(qp).outstanding(), 0);
+        assert!(p.rnic.in_flight.is_empty());
     }
 }

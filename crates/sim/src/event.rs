@@ -141,16 +141,39 @@ impl<E> Level<E> {
     }
 }
 
+/// One scheduled event. The 128-bit key is stored as two `u64` halves,
+/// compared high then low — the same order as the `u128` — so the entry
+/// needs only 8-byte alignment: 24 bytes plus the event, where a `u128`
+/// field would pad it to a multiple of 16.
 #[derive(Debug)]
 struct Entry<E> {
     at: SimTime,
-    key: u128,
+    key_hi: u64,
+    key_lo: u64,
     event: E,
+}
+
+impl<E> Entry<E> {
+    #[inline]
+    fn new(at: SimTime, key: u128, event: E) -> Self {
+        Entry {
+            at,
+            key_hi: (key >> 64) as u64,
+            key_lo: key as u64,
+            event,
+        }
+    }
+
+    /// The pop-order sort key: time, then the emission key.
+    #[inline]
+    fn order(&self) -> (SimTime, u64, u64) {
+        (self.at, self.key_hi, self.key_lo)
+    }
 }
 
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.key == other.key
+        self.order() == other.order()
     }
 }
 
@@ -166,14 +189,15 @@ impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // `early` is a max-heap; reverse so the earliest (and, within a
         // timestamp, the lowest-key) entry is the maximum.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.key.cmp(&self.key))
+        other.order().cmp(&self.order())
     }
 }
 
 impl<E> EventQueue<E> {
+    /// Bytes one pending event occupies in the queue: the event, its time
+    /// and its key. A 16-byte event makes a 40-byte entry.
+    pub const ENTRY_BYTES: usize = std::mem::size_of::<Entry<E>>();
+
     /// Creates an empty queue positioned at `t = 0`.
     pub fn new() -> Self {
         Self::with_capacity(0)
@@ -181,9 +205,10 @@ impl<E> EventQueue<E> {
 
     /// Creates an empty queue whose ready lane can hold `capacity` events
     /// before reallocating. Simulations schedule and pop millions of events
-    /// through a queue that rarely exceeds a few thousand entries; sizing
-    /// the near-future lane once up front keeps reallocation out of the hot
-    /// pop/push loop.
+    /// through a queue that rarely exceeds a few thousand entries. The
+    /// lane and the level-0 buckets trade buffers as buckets become
+    /// current, so after the first such refill this allocation serves
+    /// one of the buckets; every buffer keeps what it has grown to.
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
             ready: VecDeque::with_capacity(capacity),
@@ -251,7 +276,7 @@ impl<E> EventQueue<E> {
             self.now
         );
         self.len += 1;
-        let entry = Entry { at, key, event };
+        let entry = Entry::new(at, key, event);
         let tick = tick_of(at);
         if tick <= self.cur_tick {
             // The wheel has already rotated past this tick (every event
@@ -261,7 +286,7 @@ impl<E> EventQueue<E> {
             // would break the lane's sort goes to the overflow heap, which
             // tolerates any order.
             match self.ready.back() {
-                Some(back) if (entry.at, entry.key) < (back.at, back.key) => self.early.push(entry),
+                Some(back) if entry.order() < back.order() => self.early.push(entry),
                 _ => self.ready.push_back(entry),
             }
         } else if self.ready.is_empty() && self.early.is_empty() {
@@ -288,7 +313,7 @@ impl<E> EventQueue<E> {
         // (every wheel entry is strictly later than both); same-time ties
         // between the two resolve by key.
         let from_early = match (self.ready.front(), self.early.peek()) {
-            (Some(r), Some(e)) => (e.at, e.key) < (r.at, r.key),
+            (Some(r), Some(e)) => e.order() < r.order(),
             (None, Some(_)) => true,
             _ => false,
         };
@@ -372,10 +397,13 @@ impl<E> EventQueue<E> {
                     self.level_mask &= !1u16;
                 }
                 self.cur_tick = (self.cur_tick & !SLOT_MASK) | s as u64;
+                // The bucket becomes the ready lane by swapping buffers
+                // (`VecDeque::from(Vec)` is O(1)), and the empty lane's
+                // allocation becomes the slot's: no entry is copied.
                 let mut bucket = std::mem::take(&mut self.levels[0].slots[s]);
-                bucket.sort_unstable_by_key(|e| (e.at, e.key));
-                self.ready.extend(bucket.drain(..));
-                self.levels[0].slots[s] = bucket; // hand the allocation back
+                bucket.sort_unstable_by_key(Entry::order);
+                let lane = std::mem::replace(&mut self.ready, VecDeque::from(bucket));
+                self.levels[0].slots[s] = Vec::from(lane);
                 return;
             }
 
@@ -434,7 +462,7 @@ impl<E> EventQueue<E> {
             if !self.ready.is_empty() {
                 self.ready
                     .make_contiguous()
-                    .sort_unstable_by_key(|e| (e.at, e.key));
+                    .sort_unstable_by_key(Entry::order);
                 return;
             }
         }
@@ -603,6 +631,34 @@ mod tests {
         q.schedule(t, (1 << 64) | u128::from(u64::MAX), "early-emitted");
         assert_eq!(q.pop().unwrap().1, "early-emitted");
         assert_eq!(q.pop().unwrap().1, "late-emitted");
+    }
+
+    #[test]
+    fn a_16_byte_event_makes_a_40_byte_entry() {
+        assert_eq!(EventQueue::<[u64; 2]>::ENTRY_BYTES, 40);
+        assert_eq!(EventQueue::<()>::ENTRY_BYTES, 24);
+    }
+
+    #[test]
+    fn key_halves_order_like_the_u128() {
+        // Keys that differ only in the low half, only in the high half,
+        // and across the halves' boundary, scheduled in reverse.
+        let keys = [
+            0u128,
+            1,
+            u128::from(u64::MAX),
+            1 << 64,
+            (1 << 64) | 1,
+            u128::MAX - 1,
+            u128::MAX,
+        ];
+        let mut q = EventQueue::new();
+        let t = SimTime::from_ns(3);
+        for (i, &k) in keys.iter().enumerate().rev() {
+            q.schedule(t, k, i);
+        }
+        let order: Vec<usize> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, (0..keys.len()).collect::<Vec<_>>());
     }
 
     #[test]

@@ -22,12 +22,6 @@ pub enum VerbsError {
         /// The destination queue pair.
         qp: QpNum,
     },
-    /// A completion or ACK referenced a message the QP does not consider
-    /// outstanding — a protocol bug.
-    UnknownMessage {
-        /// The destination queue pair.
-        qp: QpNum,
-    },
     /// The payload exceeds what a single work request may carry.
     PayloadTooLarge {
         /// Requested bytes.
@@ -48,9 +42,6 @@ impl fmt::Display for VerbsError {
             }
             VerbsError::ReceiverNotReady { qp } => {
                 write!(f, "no receive work request posted on {qp}")
-            }
-            VerbsError::UnknownMessage { qp } => {
-                write!(f, "completion for unknown message on {qp}")
             }
             VerbsError::PayloadTooLarge { requested, limit } => {
                 write!(

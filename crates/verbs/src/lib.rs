@@ -6,8 +6,9 @@
 //! * [`SendWr`] / [`RecvWr`] — work requests, with the verb/transport
 //!   validity matrix of Section II (UD supports only two-sided verbs; RC
 //!   supports SEND/RECV, WRITE and READ).
-//! * [`QueuePair`] — per-QP send and receive queues and the requester's
-//!   outstanding messages.
+//! * [`QueuePair`] — per-QP send and receive queues.
+//! * [`InFlight`] — the requester's in-flight messages, one dense table
+//!   per RNIC: it mints message ids and resolves each completion once.
 //! * [`Cqe`] — a completion entry; the fabric delivers each to its
 //!   application as an event.
 //!
@@ -22,10 +23,12 @@
 
 mod cq;
 mod error;
+mod inflight;
 mod qp;
 mod wr;
 
 pub use cq::{Cqe, CqeOpcode};
 pub use error::VerbsError;
-pub use qp::{OutstandingMsg, QueuePair};
+pub use inflight::InFlight;
+pub use qp::QueuePair;
 pub use wr::{RecvWr, SendWr, WrId};

@@ -1,8 +1,8 @@
 //! Queue pairs and transport protocol state.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
-use rperf_model::{MsgId, QpNum, Transport};
+use rperf_model::{QpNum, Transport};
 
 use crate::error::VerbsError;
 use crate::wr::{RecvWr, SendWr};
@@ -10,17 +10,9 @@ use crate::wr::{RecvWr, SendWr};
 /// IB's maximum message size (2 GB).
 pub const MAX_MESSAGE_BYTES: u64 = 1 << 31;
 
-/// A message handed to the RNIC engine and not yet completed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OutstandingMsg {
-    /// Fabric-wide message id.
-    pub msg: MsgId,
-    /// The originating work request.
-    pub wr: SendWr,
-}
-
-/// One side of an RDMA connection: send queue, receive queue and the
-/// requester's outstanding messages.
+/// One side of an RDMA connection: its send and receive queues. The
+/// messages its sends launched are tracked per RNIC, in
+/// [`crate::InFlight`].
 ///
 /// The queue pair is a *semantic* state machine: the RNIC model drives it
 /// and attaches timing. All transitions validate protocol rules and return
@@ -45,9 +37,6 @@ pub struct QueuePair {
     transport: Transport,
     sq: VecDeque<SendWr>,
     rq: VecDeque<RecvWr>,
-    outstanding: BTreeMap<u64, OutstandingMsg>,
-    posted_sends: u64,
-    completed_sends: u64,
 }
 
 impl QueuePair {
@@ -58,9 +47,6 @@ impl QueuePair {
             transport,
             sq: VecDeque::new(),
             rq: VecDeque::new(),
-            outstanding: BTreeMap::new(),
-            posted_sends: 0,
-            completed_sends: 0,
         }
     }
 
@@ -94,7 +80,6 @@ impl QueuePair {
             });
         }
         self.sq.push_back(wr);
-        self.posted_sends += 1;
         Ok(())
     }
 
@@ -118,33 +103,6 @@ impl QueuePair {
         self.rq.len()
     }
 
-    /// Outstanding (sent, unacknowledged) messages.
-    pub fn outstanding(&self) -> usize {
-        self.outstanding.len()
-    }
-
-    /// Registers a message the engine has started transmitting.
-    pub fn register_outstanding(&mut self, msg: MsgId, wr: SendWr) {
-        self.outstanding
-            .insert(msg.raw(), OutstandingMsg { msg, wr });
-    }
-
-    /// Resolves an ACK (or READ-response completion) against an outstanding
-    /// message.
-    ///
-    /// # Errors
-    ///
-    /// [`VerbsError::UnknownMessage`] if the message was never registered —
-    /// a duplicate or misrouted ACK.
-    pub fn complete(&mut self, msg: MsgId) -> Result<OutstandingMsg, VerbsError> {
-        let out = self
-            .outstanding
-            .remove(&msg.raw())
-            .ok_or(VerbsError::UnknownMessage { qp: self.num })?;
-        self.completed_sends += 1;
-        Ok(out)
-    }
-
     /// Consumes a pre-posted RECV for an incoming SEND.
     ///
     /// # Errors
@@ -154,16 +112,6 @@ impl QueuePair {
         self.rq
             .pop_front()
             .ok_or(VerbsError::ReceiverNotReady { qp: self.num })
-    }
-
-    /// Total send work requests ever posted.
-    pub fn posted_sends(&self) -> u64 {
-        self.posted_sends
-    }
-
-    /// Total send work requests ever completed.
-    pub fn completed_sends(&self) -> u64 {
-        self.completed_sends
     }
 }
 
@@ -205,29 +153,6 @@ mod tests {
             .post_send(SendWr::new(WrId(1), Verb::Send, MAX_MESSAGE_BYTES + 1))
             .unwrap_err();
         assert!(matches!(err, VerbsError::PayloadTooLarge { .. }));
-    }
-
-    #[test]
-    fn outstanding_lifecycle() {
-        let mut qp = rc_qp();
-        let wr = SendWr::new(WrId(9), Verb::Send, 64);
-        qp.register_outstanding(MsgId::new(5), wr);
-        assert_eq!(qp.outstanding(), 1);
-        let done = qp.complete(MsgId::new(5)).unwrap();
-        assert_eq!(done.wr.wr_id, WrId(9));
-        assert_eq!(qp.outstanding(), 0);
-        assert_eq!(qp.completed_sends(), 1);
-    }
-
-    #[test]
-    fn duplicate_ack_is_an_error() {
-        let mut qp = rc_qp();
-        qp.register_outstanding(MsgId::new(5), SendWr::new(WrId(1), Verb::Send, 64));
-        qp.complete(MsgId::new(5)).unwrap();
-        assert!(matches!(
-            qp.complete(MsgId::new(5)),
-            Err(VerbsError::UnknownMessage { .. })
-        ));
     }
 
     #[test]
