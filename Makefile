@@ -34,7 +34,7 @@ test:
 # checks are compiled out (their should_panic tests are gated on
 # debug_assertions): what a figure run executes must pass them too.
 test-release:
-	$(CARGO) test -q --release -p rperf-sim -p rperf-model -p rperf-verbs -p rperf-switch -p rperf-rnic -p rperf-fabric
+	$(CARGO) test -q --release -p rperf-sim -p rperf-model -p rperf-verbs -p rperf-switch -p rperf-rnic -p rperf-subnet -p rperf-fabric
 
 # The repository benchmark (benchmark/, see its README) is a workspace of
 # its own that `test` never compiles; build and test it here so a change
@@ -43,16 +43,21 @@ benchmark-test:
 	$(CARGO) test -q --offline --manifest-path benchmark/Cargo.toml
 
 # The quick report at --jobs 1 and --jobs 4 must print the same tables
-# and count the same events of every kind for every figure.
+# and count the same events of every kind for every figure, and the
+# jobs-1 run must reproduce the committed EXPERIMENTS.md and the
+# committed BENCH_report.json's per-kind counts: a change that moves a
+# result regenerates both files.
 determinism-smoke:
 	mkdir -p /tmp/jobs1 /tmp/jobs4
 	$(CARGO) run --release -p rperf-bench --bin report -- --quick --jobs 1 --out /tmp/jobs1/EXPERIMENTS.md
 	$(CARGO) run --release -p rperf-bench --bin report -- --quick --jobs 4 --out /tmp/jobs4/EXPERIMENTS.md
 	diff /tmp/jobs1/EXPERIMENTS.md /tmp/jobs4/EXPERIMENTS.md
+	diff /tmp/jobs1/EXPERIMENTS.md EXPERIMENTS.md
 	python3 -c 'import json, sys; \
-	a, b = (json.load(open(f"/tmp/jobs{j}/BENCH_report.json"))["figures"] for j in (1, 4)); \
+	a, b, c = (json.load(open(f))["figures"] for f in ("/tmp/jobs1/BENCH_report.json", "/tmp/jobs4/BENCH_report.json", "BENCH_report.json")); \
 	kinds = lambda figs: {f["id"]: f["events_by_kind"] for f in figs}; \
-	sys.exit(0 if kinds(a) == kinds(b) else "per-kind event counts differ between jobs=1 and jobs=4")'
+	sys.exit("per-kind event counts differ between jobs=1 and jobs=4" if kinds(a) != kinds(b) else \
+	"per-kind event counts differ from the committed BENCH_report.json" if kinds(a) != kinds(c) else 0)'
 
 bench:
 	$(CARGO) bench --workspace
@@ -66,17 +71,15 @@ quick-report:
 	$(CARGO) run --release -p rperf-bench --bin report -- --quick --jobs $(shell nproc)
 
 # CI smoke: report on the reduced (--quick) point set, single job for
-# determinism, then the dispatch-layer microbenches (link delivery
-# through the fabric; AoS vs SoA buffer scans at 8/36/64 ports) and
-# the set-up layer's numbers (route planning and fabric build for fat
-# trees of 16, 128 and 1024 hosts).
+# determinism, then the dispatch-layer microbench (link delivery
+# through the fabric) and the set-up layer's numbers (route planning
+# and fabric build for fat trees of 16, 128 and 1024 hosts).
 # Fails if any packet handle leaks; BENCH_report.json is uploaded as a
 # workflow artifact.
 bench-smoke:
 	$(CARGO) run --release -p rperf-bench --bin report -- --quick --jobs 1
 	$(CARGO) bench -p rperf-fabric --bench link_delivery
 	$(CARGO) bench -p rperf-fabric --bench fabric_build
-	$(CARGO) bench -p rperf-switch --bench soa_scan
 
 # Re-blesses the perf baseline: discards BENCH_baseline.json and
 # rebuilds it as the per-figure slowest wall time over BLESS_RUNS quick

@@ -132,7 +132,7 @@ fn main() {
 /// returns (real LSG p50 µs, pretend goodput Gbps).
 fn converged_with_pretend_engine(effort: &Effort, engine_ns: u64) -> (f64, f64) {
     use rperf::{RPerf, RPerfConfig};
-    use rperf_fabric::{FabricBuilder, Sim};
+    use rperf_fabric::{FabricBuilder, Sim, Topology};
     use rperf_model::ServiceLevel;
     use rperf_workloads::{Bsg, BsgConfig, Sink};
 
@@ -143,7 +143,7 @@ fn converged_with_pretend_engine(effort: &Effort, engine_ns: u64) -> (f64, f64) 
     hot.wqe_engine = SimDuration::from_ns(engine_ns);
     let fabric = FabricBuilder::new(cfg, 1)
         .with_rnic_override(4, hot)
-        .single_switch(7);
+        .build(&Topology::SingleSwitch { hosts: 7 });
     let mut sim = Sim::new(fabric);
     for b in 0..4 {
         sim.add_app(

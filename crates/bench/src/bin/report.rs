@@ -659,37 +659,6 @@ fn main() {
          baseline-tool latencies sit ~10–20 % under the published values.\n"
     );
 
-    // Static snapshot, not measured by this run: EXPERIMENTS.md is
-    // byte-diffed between jobs=1 and jobs=4 CI runs, so no live timing
-    // may appear here. PR 1/PR 3 figures were recorded on the reference
-    // machine at those commits; the PR 7 column is the blessed
-    // per-figure floor (min over 3 runs, BENCH_baseline.json). Live
-    // numbers for the current build are in BENCH_report.json.
-    let _ = writeln!(
-        md,
-        "## Performance trajectory (quick report, jobs=1, Mevents/s)\n\n\
-         Reference-machine snapshots across the optimization PRs: PR 1\n\
-         (first full report), PR 3 (flat event dispatch + timer wheel),\n\
-         PR 7 (batched delivery, SoA switch buffers, dense QP table,\n\
-         busy-wire wake fast path, min-tick cascade jump). The PR 7\n\
-         column is the conservative blessed floor — the per-figure\n\
-         minimum over three runs that `make bench-bless` committed to\n\
-         `BENCH_baseline.json`; single runs on an idle box reach\n\
-         20–24 Mevents/s aggregate.\n\n\
-         | figure | PR 1 | PR 3 | PR 7 (blessed floor) |\n\
-         |---|---|---|---|\n\
-         | fig4 | 6.08 | 6.25 | 16.39 |\n\
-         | fig5 | 6.04 | 10.43 | 19.54 |\n\
-         | fig6 | 6.87 | 6.24 | 17.02 |\n\
-         | fig7 | 4.89 | 9.79 | 15.72 |\n\
-         | fig8_fig9 | 4.21 | 5.27 | 9.55 |\n\
-         | fig10 | 4.93 | 9.69 | 18.81 |\n\
-         | fig11 | 5.54 | 4.74 | 13.10 |\n\
-         | fig12 | 5.28 | 4.67 | 13.05 |\n\
-         | fig13 | 5.33 | 5.38 | 14.71 |\n\
-         | **aggregate** | **5.06** | **9.65** | **18.53** |\n"
-    );
-
     let _ = writeln!(
         md,
         "## Cached vs cold results (rperf-serve)\n\n\

@@ -321,21 +321,17 @@ impl ScenarioSpec {
                 rperf_subnet::MAX_HOSTS
             ));
         }
-        // The builder's demands on all but a fat tree (whose builder raises
-        // the port budget to its radix), on the racks' `TopologySpec` forms.
-        let ports = || self.profile.cluster_config().switch.ports;
-        match &self.topology {
-            Topology::DirectPair | Topology::FatTree(_) => Ok(()),
-            Topology::SingleSwitch { hosts } => {
-                check(&TopologySpec::single_switch(*hosts), ports())
-            }
-            Topology::TwoSwitch {
-                upstream,
-                downstream,
-            } => check(&TopologySpec::chain(2, &[*upstream, *downstream]), ports()),
-            Topology::Spec(spec) => check(spec, ports()),
+        // The planner's checks on the graph the builder wires. A fat tree
+        // is checked by its parameters above: its builder raises the port
+        // budget to its radix, and its graph is generated only when built.
+        let planned = match &self.topology {
+            Topology::FatTree(_) => None,
+            topo => topo.to_spec(),
+        };
+        if let Some(spec) = planned {
+            let ports = self.profile.cluster_config().switch.ports;
+            check(&spec, ports).map_err(|e| e.to_string())?;
         }
-        .map_err(|e| e.to_string())?;
         if self.roles.is_empty() {
             return Err("a scenario needs at least one role".into());
         }

@@ -23,7 +23,7 @@ fn bench_build(c: &mut Criterion) {
     let cfg = ClusterConfig::hardware();
     for (name, ft) in FABRICS {
         let spec = ft.spec();
-        // The budget `FabricBuilder::fattree` plans against.
+        // The budget `FabricBuilder::build` plans a fat tree against.
         let ports = cfg.switch.ports.max(ft.radix() as u8);
         c.bench_function(&format!("fabric_build/plan_{name}"), |b| {
             b.iter(|| black_box(rperf_subnet::plan(&spec, ports)))

@@ -1,15 +1,21 @@
 //! Fabric assembly: links, topologies and the event world that wires
 //! hosts, RNICs and switches into a running cluster.
 //!
-//! The paper's three experimental platforms are expressed as topology
-//! constructors:
+//! The paper's three experimental platforms are [`Topology`] variants,
+//! all built by [`FabricBuilder::build`]:
 //!
-//! * [`Fabric::direct_pair`] — two RNICs cabled back-to-back (the
+//! * [`Topology::DirectPair`] — two RNICs cabled back-to-back (the
 //!   "without switch" baseline of Section VI-A).
-//! * [`Fabric::single_switch`] — the rack: up to 12 hosts behind one ToR
+//! * [`Topology::SingleSwitch`] — the rack: up to 12 hosts behind one ToR
 //!   switch (Sections VI–VIII).
-//! * [`Fabric::two_switch`] — the multi-hop topology of Section VIII-B:
+//! * [`Topology::TwoSwitch`] — the multi-hop topology of Section VIII-B:
 //!   two switches in series with hosts on both.
+//!
+//! The back-to-back pair is cabled directly. Every switched topology,
+//! the two racks and the chains, stars and fat trees beyond the paper
+//! alike, is wired from its subnet-planner graph ([`Topology::to_spec`]).
+//! [`Fabric::direct_pair`], [`Fabric::single_switch`] and
+//! [`Fabric::from_spec`] are shorthands for the common shapes.
 //!
 //! ## Event semantics
 //!

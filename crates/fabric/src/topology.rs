@@ -1,5 +1,6 @@
 //! Fabric construction and device wiring.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use rperf_host::TscClock;
@@ -11,23 +12,23 @@ use rperf_subnet::{plan, FatTreeParams, TopologySpec};
 use rperf_switch::{CreditLedger, ForwardingTable, Switch};
 
 /// A topology selector covering every fabric shape the suite builds,
-/// unifying the dedicated constructors and the planned multi-switch path
 /// behind one entry point ([`FabricBuilder::build`]).
 ///
-/// The dedicated variants keep their historical RNG fork constants
-/// (`single_switch` forks at 999, `two_switch` at 998/997, planned specs
-/// at 900 + index), so a scenario expressed through [`Topology`] is
-/// bit-identical to one built through the matching constructor.
+/// The back-to-back pair is cabled directly; every switched topology is
+/// wired by the subnet planner from its [`Topology::to_spec`] graph. The
+/// two racks are spec-grammar sugar for that graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Topology {
     /// Two hosts cabled back-to-back (no switch).
     DirectPair,
-    /// `hosts` hosts behind a single ToR switch.
+    /// `hosts` hosts behind a single ToR switch: the planned
+    /// [`TopologySpec::single_switch`].
     SingleSwitch {
         /// Number of hosts on the switch.
         hosts: usize,
     },
-    /// Two switches in series (the paper's multi-hop setup).
+    /// Two switches in series (the paper's multi-hop setup): the planned
+    /// two-switch [`TopologySpec::chain`].
     TwoSwitch {
         /// Hosts on switch 0.
         upstream: usize,
@@ -70,6 +71,39 @@ impl Topology {
             Topology::FatTree(ft) => ft.switches(),
         }
     }
+
+    /// The switch graph the planner wires: the rack lowers to
+    /// `TopologySpec::single_switch(hosts)`, the two switches in series
+    /// to `TopologySpec::chain(2, &[upstream, downstream])`, a fat tree
+    /// to its generated graph. `None` for the back-to-back pair, which
+    /// has no switch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fat-tree parameters fail [`FatTreeParams::validate`].
+    pub fn to_spec(&self) -> Option<Cow<'_, TopologySpec>> {
+        Some(match self {
+            Topology::DirectPair => return None,
+            Topology::SingleSwitch { hosts } => Cow::Owned(TopologySpec::single_switch(*hosts)),
+            Topology::TwoSwitch {
+                upstream,
+                downstream,
+            } => Cow::Owned(TopologySpec::chain(2, &[*upstream, *downstream])),
+            Topology::Spec(spec) => Cow::Borrowed(spec),
+            Topology::FatTree(ft) => Cow::Owned(ft.spec()),
+        })
+    }
+}
+
+/// The RNG fork salt of switch `index`: the racks keep the salts their
+/// dedicated constructors once used (999; 998 then 997), so their runs
+/// stay bit-identical, and every other switch forks at 900 + index.
+fn switch_salt(topo: &Topology, index: usize) -> u64 {
+    match topo {
+        Topology::SingleSwitch { .. } => 999,
+        Topology::TwoSwitch { .. } => 998 - index as u64,
+        _ => 900 + index as u64,
+    }
 }
 
 /// What sits on the other end of a cable.
@@ -96,8 +130,9 @@ pub enum Endpoint {
 /// configuration's one SL2VL table, and every hop buffers and credits
 /// them on it.
 ///
-/// Use the constructors ([`Fabric::direct_pair`], [`Fabric::single_switch`],
-/// [`Fabric::two_switch`]) or [`FabricBuilder`] for per-node overrides.
+/// Build one with [`FabricBuilder`], or for the common shapes with the
+/// shorthands [`Fabric::direct_pair`], [`Fabric::single_switch`] and
+/// [`Fabric::from_spec`].
 #[derive(Debug)]
 pub struct Fabric {
     pub(crate) cfg: Arc<ClusterConfig>,
@@ -113,7 +148,7 @@ pub struct Fabric {
 impl Fabric {
     /// Two hosts cabled back-to-back (no switch).
     pub fn direct_pair(cfg: ClusterConfig, seed: u64) -> Fabric {
-        FabricBuilder::new(cfg, seed).direct_pair()
+        FabricBuilder::new(cfg, seed).build(&Topology::DirectPair)
     }
 
     /// `nodes` hosts behind a single ToR switch.
@@ -122,30 +157,20 @@ impl Fabric {
     ///
     /// # Panics
     ///
-    /// Panics if `nodes` exceeds the switch port count.
+    /// Panics if `nodes` is zero or exceeds the switch port count.
     pub fn single_switch(cfg: ClusterConfig, nodes: usize, seed: u64) -> Fabric {
-        FabricBuilder::new(cfg, seed).single_switch(nodes)
+        FabricBuilder::new(cfg, seed).build(&Topology::SingleSwitch { hosts: nodes })
     }
 
     /// Builds a fabric for an arbitrary planned topology (chains, stars,
     /// custom graphs) with default device configurations.
-    pub fn from_spec(cfg: ClusterConfig, spec: &TopologySpec, seed: u64) -> Fabric {
-        FabricBuilder::new(cfg, seed).from_spec(spec)
-    }
-
-    /// Two switches in series: `upstream` hosts on switch 0, `downstream`
-    /// hosts on switch 1, joined by one inter-switch cable (the paper's
-    /// Section VIII-B multi-hop topology).
-    ///
-    /// Nodes `0..upstream` sit on switch 0; nodes `upstream..upstream +
-    /// downstream` on switch 1. The last port of each switch carries the
-    /// inter-switch link.
     ///
     /// # Panics
     ///
-    /// Panics if either side exceeds `ports - 1` hosts.
-    pub fn two_switch(cfg: ClusterConfig, upstream: usize, downstream: usize, seed: u64) -> Fabric {
-        FabricBuilder::new(cfg, seed).two_switch(upstream, downstream)
+    /// Panics if the topology cannot be planned against the configured
+    /// switch port budget.
+    pub fn from_spec(cfg: ClusterConfig, spec: &TopologySpec, seed: u64) -> Fabric {
+        FabricBuilder::new(cfg, seed).build(&Topology::Spec(spec.clone()))
     }
 
     /// Number of hosts.
@@ -227,11 +252,6 @@ impl FabricBuilder {
             .unwrap_or_else(|| Arc::clone(shared))
     }
 
-    /// The grant a switch input buffer advertises: one buffer per lane.
-    fn switch_grant(&self) -> CreditLedger {
-        CreditLedger::new(self.cfg.sl2vl.lanes(), self.cfg.switch.input_buffer_bytes)
-    }
-
     fn make_nodes(&self, count: usize, rng: &mut SimRng) -> (Vec<Rnic>, Vec<TscClock>) {
         // All non-overridden nodes share one config allocation.
         let shared = Arc::new(self.cfg.rnic.clone());
@@ -247,57 +267,39 @@ impl FabricBuilder {
                 &self.cfg.link,
                 rng.fork(100 + i as u64),
             ));
-            clocks.push(
-                TscClock::new(self.cfg.host.tsc_ghz, rng.fork(200 + i as u64).next_u64())
-                    .with_read_cost(self.cfg.host.tsc_read),
-            );
+            clocks.push(TscClock::new(
+                self.cfg.host.tsc_ghz,
+                rng.fork(200 + i as u64).next_u64(),
+            ));
         }
         (rnics, clocks)
     }
 
-    /// One switch-config allocation shared by every switch in the fabric.
-    fn switch_cfg(&self) -> Arc<rperf_model::config::SwitchConfig> {
-        Arc::new(self.cfg.switch.clone())
-    }
-
-    /// Builds the fabric for any [`Topology`], dispatching to the
-    /// matching constructor (and therefore to its RNG fork constants).
-    pub fn build(self, topo: &Topology) -> Fabric {
-        match topo {
-            Topology::DirectPair => self.direct_pair(),
-            Topology::SingleSwitch { hosts } => self.single_switch(*hosts),
-            Topology::TwoSwitch {
-                upstream,
-                downstream,
-            } => self.two_switch(*upstream, *downstream),
-            Topology::Spec(spec) => self.from_spec(spec),
-            Topology::FatTree(ft) => self.fattree(ft),
-        }
-    }
-
-    /// Builds a parameterized fat-tree: generates the switch graph and
-    /// plans it like any other spec, but first raises the per-switch port
-    /// budget to the tree's radix if the configured budget is smaller
-    /// (a k = 8 leaf–spine needs 16-port spines where the paper's
-    /// hardware profile models a 12-port SX6012).
+    /// Builds the fabric for any [`Topology`]. The back-to-back pair is
+    /// cabled directly; every switched topology is planned and wired from
+    /// its [`Topology::to_spec`] graph. A fat tree first raises the port
+    /// budget to its radix if the configured budget is smaller (a k = 8
+    /// leaf–spine needs 16-port spines where the paper's hardware profile
+    /// models a 12-port SX6012).
     ///
     /// # Panics
     ///
-    /// Panics if the parameters fail [`FatTreeParams::validate`] (which
-    /// also bounds the radix by the `u8` port-number space).
-    pub fn fattree(mut self, ft: &FatTreeParams) -> Fabric {
-        let checked = ft.validate();
-        assert!(
-            checked.is_ok(),
-            "invalid fat-tree parameters: {}",
-            checked.unwrap_err()
-        );
-        self.cfg.switch.ports = self.cfg.switch.ports.max(ft.radix() as u8);
-        self.from_spec(&ft.spec())
+    /// Panics if fat-tree parameters fail [`FatTreeParams::validate`]
+    /// (which also bounds the radix by the `u8` port-number space), or if
+    /// the graph cannot be planned against the switch port budget (see
+    /// `rperf_subnet::SubnetError`).
+    pub fn build(mut self, topo: &Topology) -> Fabric {
+        let Some(spec) = topo.to_spec() else {
+            return self.direct_pair();
+        };
+        if let Topology::FatTree(ft) = topo {
+            self.cfg.switch.ports = self.cfg.switch.ports.max(ft.radix() as u8);
+        }
+        self.planned(topo, &spec)
     }
 
-    /// Builds the back-to-back two-host fabric.
-    pub fn direct_pair(self) -> Fabric {
+    /// Cables the back-to-back two-host fabric.
+    fn direct_pair(self) -> Fabric {
         let mut rng = SimRng::new(self.seed);
         let (mut rnics, clocks) = self.make_nodes(2, &mut rng);
         // Each RNIC holds credits for the peer's receive buffer.
@@ -315,70 +317,30 @@ impl FabricBuilder {
         }
     }
 
-    /// Builds the single-switch rack.
-    pub fn single_switch(self, nodes: usize) -> Fabric {
-        assert!(
-            nodes <= self.cfg.switch.ports as usize,
-            "{} nodes exceed the {}-port switch",
-            nodes,
-            self.cfg.switch.ports
-        );
-        let lanes = self.cfg.sl2vl.lanes();
-        let mut rng = SimRng::new(self.seed);
-        let (mut rnics, clocks) = self.make_nodes(nodes, &mut rng);
-        let mut sw = Switch::new(
-            self.switch_cfg(),
-            lanes,
-            self.cfg.link.data_rate(),
-            rng.fork(999),
-        );
-        let grant = self.switch_grant();
-        let mut switch_ports = vec![None; self.cfg.switch.ports as usize];
-        for (i, rnic) in rnics.iter_mut().enumerate() {
-            let port = PortId::new(i as u8);
-            sw.set_route(rnic.lid(), port);
-            sw.set_downstream_credits(port, rnic.advertised_credits());
-            rnic.set_peer_credits(grant.clone());
-            switch_ports[i] = Some(Endpoint::Rnic(i));
-        }
-        Fabric {
-            rnic_peer: (0..nodes)
-                .map(|i| Endpoint::SwitchPort(0, PortId::new(i as u8)))
-                .collect(),
-            cfg: Arc::new(self.cfg),
-            rnics,
-            clocks,
-            switches: vec![sw],
-            switch_peer: vec![switch_ports],
-        }
-    }
-
-    /// Builds a fabric for an arbitrary multi-switch topology, using the
-    /// subnet planner for LID assignment, port allocation and
-    /// shortest-path forwarding — the general form of the constructors
-    /// above.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the topology cannot be planned against the configured
-    /// switch port budget (see `rperf_subnet::SubnetError`).
-    pub fn from_spec(self, spec: &TopologySpec) -> Fabric {
+    /// Wires `topo`'s switch graph `spec`: the subnet planner assigns
+    /// LIDs and ports (hosts take the low ports of their switch in host
+    /// order, trunks the next ones) and computes shortest-path
+    /// forwarding. Switch `i` forks its RNG at `switch_salt(topo, i)`,
+    /// after every node's forks.
+    fn planned(self, topo: &Topology, spec: &TopologySpec) -> Fabric {
         let subnet = plan(spec, self.cfg.switch.ports)
             .unwrap_or_else(|e| panic!("unplannable topology: {e}"));
         let lanes = self.cfg.sl2vl.lanes();
         let mut rng = SimRng::new(self.seed);
         let (mut rnics, clocks) = self.make_nodes(spec.hosts(), &mut rng);
         let ports = self.cfg.switch.ports as usize;
-        let grant = self.switch_grant();
+        // A switch input buffer advertises one buffer per lane.
+        let grant = CreditLedger::new(lanes, self.cfg.switch.input_buffer_bytes);
 
-        let sw_cfg = self.switch_cfg();
+        // One switch-config allocation shared by every switch.
+        let sw_cfg = Arc::new(self.cfg.switch.clone());
         let mut switches: Vec<Switch> = (0..spec.switches())
             .map(|i| {
                 Switch::new(
                     Arc::clone(&sw_cfg),
                     lanes,
                     self.cfg.link.data_rate(),
-                    rng.fork(900 + i as u64),
+                    rng.fork(switch_salt(topo, i)),
                 )
             })
             .collect();
@@ -411,69 +373,6 @@ impl FabricBuilder {
             switches,
             rnic_peer,
             switch_peer,
-        }
-    }
-
-    /// Builds the two-switch multi-hop topology.
-    pub fn two_switch(self, upstream: usize, downstream: usize) -> Fabric {
-        let ports = self.cfg.switch.ports as usize;
-        assert!(upstream < ports, "too many upstream hosts");
-        assert!(downstream < ports, "too many downstream hosts");
-        let trunk = PortId::new(self.cfg.switch.ports - 1);
-
-        let lanes = self.cfg.sl2vl.lanes();
-        let mut rng = SimRng::new(self.seed);
-        let total = upstream + downstream;
-        let (mut rnics, clocks) = self.make_nodes(total, &mut rng);
-        let sw_cfg = self.switch_cfg();
-        let rate = self.cfg.link.data_rate();
-        let mut sw0 = Switch::new(Arc::clone(&sw_cfg), lanes, rate, rng.fork(998));
-        let mut sw1 = Switch::new(sw_cfg, lanes, rate, rng.fork(997));
-        let grant = self.switch_grant();
-        let mut ports0 = vec![None; ports];
-        let mut ports1 = vec![None; ports];
-        let mut rnic_peer = Vec::with_capacity(total);
-
-        for (i, rnic) in rnics.iter_mut().enumerate() {
-            let (sw, sw_idx, port_list, port) = if i < upstream {
-                (&mut sw0, 0usize, &mut ports0, PortId::new(i as u8))
-            } else {
-                (
-                    &mut sw1,
-                    1usize,
-                    &mut ports1,
-                    PortId::new((i - upstream) as u8),
-                )
-            };
-            sw.set_route(rnic.lid(), port);
-            sw.set_downstream_credits(port, rnic.advertised_credits());
-            rnic.set_peer_credits(grant.clone());
-            port_list[port.index()] = Some(Endpoint::Rnic(i));
-            rnic_peer.push(Endpoint::SwitchPort(sw_idx, port));
-        }
-
-        // Remote LIDs route over the trunk; each switch grants the other
-        // one input buffer per lane.
-        for i in 0..total {
-            let lid = Lid::new(i as u16 + 1);
-            if i < upstream {
-                sw1.set_route(lid, trunk);
-            } else {
-                sw0.set_route(lid, trunk);
-            }
-        }
-        sw0.set_downstream_credits(trunk, grant.clone());
-        sw1.set_downstream_credits(trunk, grant);
-        ports0[trunk.index()] = Some(Endpoint::SwitchPort(1, trunk));
-        ports1[trunk.index()] = Some(Endpoint::SwitchPort(0, trunk));
-
-        Fabric {
-            cfg: Arc::new(self.cfg),
-            rnics,
-            clocks,
-            switches: vec![sw0, sw1],
-            rnic_peer,
-            switch_peer: vec![ports0, ports1],
         }
     }
 }
@@ -510,27 +409,7 @@ mod tests {
     }
 
     #[test]
-    fn two_switch_wiring_routes_over_trunk() {
-        let f = Fabric::two_switch(ClusterConfig::hardware(), 3, 4, 1);
-        assert_eq!(f.nodes(), 7);
-        assert_eq!(f.switches_len(), 2);
-        let trunk = PortId::new(11);
-        assert_eq!(
-            f.switch_peer[0][trunk.index()],
-            Some(Endpoint::SwitchPort(1, trunk))
-        );
-        assert_eq!(
-            f.switch_peer[1][trunk.index()],
-            Some(Endpoint::SwitchPort(0, trunk))
-        );
-        // Upstream node 0 is local to switch 0, remote to switch 1.
-        assert_eq!(f.rnic_peer[0], Endpoint::SwitchPort(0, PortId::new(0)));
-        // Downstream node 3 attaches to switch 1 port 0.
-        assert_eq!(f.rnic_peer[3], Endpoint::SwitchPort(1, PortId::new(0)));
-    }
-
-    #[test]
-    #[should_panic(expected = "exceed")]
+    #[should_panic(expected = "unplannable topology")]
     fn too_many_nodes_rejected() {
         let _ = Fabric::single_switch(ClusterConfig::hardware(), 13, 1);
     }
@@ -543,7 +422,7 @@ mod tests {
         special.wqe_engine = rperf_sim::SimDuration::from_ns(70);
         let f = FabricBuilder::new(cfg, 1)
             .with_rnic_override(2, special.clone())
-            .single_switch(4);
+            .build(&Topology::SingleSwitch { hosts: 4 });
         assert_eq!(f.rnic(2).config().wqe_engine, special.wqe_engine);
         assert_ne!(f.rnic(1).config().wqe_engine, special.wqe_engine);
     }
@@ -624,18 +503,33 @@ mod spec_tests {
 
     #[test]
     fn from_spec_reproduces_the_two_switch_wiring() {
-        let cfg = ClusterConfig::hardware();
-        let spec = TopologySpec::chain(2, &[3, 4]);
-        let f = Fabric::from_spec(cfg, &spec, 1);
-        assert_eq!(f.nodes(), 7);
-        assert_eq!(f.switches_len(), 2);
-        // Hosts take the low ports; trunks follow.
-        assert_eq!(f.rnic_peer[0], Endpoint::SwitchPort(0, PortId::new(0)));
-        assert_eq!(f.rnic_peer[3], Endpoint::SwitchPort(1, PortId::new(0)));
-        assert_eq!(
-            f.switch_peer[0][3],
-            Some(Endpoint::SwitchPort(1, PortId::new(4)))
-        );
+        let cfg = ClusterConfig::hardware;
+        let two = Topology::TwoSwitch {
+            upstream: 3,
+            downstream: 4,
+        };
+        for f in [
+            Fabric::from_spec(cfg(), &TopologySpec::chain(2, &[3, 4]), 1),
+            FabricBuilder::new(cfg(), 1).build(&two),
+        ] {
+            assert_eq!(f.nodes(), 7);
+            assert_eq!(f.switches_len(), 2);
+            // Hosts take the low ports; the trunk follows them, on port 3
+            // upstream and port 4 downstream.
+            assert_eq!(f.rnic_peer[0], Endpoint::SwitchPort(0, PortId::new(0)));
+            assert_eq!(f.rnic_peer[3], Endpoint::SwitchPort(1, PortId::new(0)));
+            let (up, down) = (PortId::new(3), PortId::new(4));
+            assert_eq!(f.switch_peer[0][3], Some(Endpoint::SwitchPort(1, down)));
+            assert_eq!(f.switch_peer[1][4], Some(Endpoint::SwitchPort(0, up)));
+            // Upstream node 0 is local to switch 0, remote to switch 1;
+            // downstream node 3 the other way round.
+            assert_eq!(
+                f.switch(0).forwarding().route(f.lid_of(0)),
+                Some(PortId::new(0))
+            );
+            assert_eq!(f.switch(1).forwarding().route(f.lid_of(0)), Some(down));
+            assert_eq!(f.switch(0).forwarding().route(f.lid_of(3)), Some(up));
+        }
     }
 
     #[test]
@@ -650,35 +544,39 @@ mod spec_tests {
     }
 
     #[test]
-    fn build_matches_the_dedicated_constructors() {
+    fn racks_wire_exactly_like_their_spec_forms() {
         let cfg = ClusterConfig::hardware;
         let t = rperf_sim::SimTime::from_us(5);
-        let same = |a: &Fabric, b: &Fabric| {
-            assert_eq!(a.nodes(), b.nodes());
-            assert_eq!(a.switches_len(), b.switches_len());
+        let single = [1, 2, 7, 12].map(|hosts| {
+            (
+                Topology::SingleSwitch { hosts },
+                TopologySpec::single_switch(hosts),
+            )
+        });
+        let two = [(1, 1), (3, 4), (0, 2), (11, 11)].map(|(upstream, downstream)| {
+            (
+                Topology::TwoSwitch {
+                    upstream,
+                    downstream,
+                },
+                TopologySpec::chain(2, &[upstream, downstream]),
+            )
+        });
+        for (rack, spec) in single.into_iter().chain(two) {
+            let a = FabricBuilder::new(cfg(), 7).build(&rack);
+            let b = Fabric::from_spec(cfg(), &spec, 7);
+            assert_eq!(a.rnic_peer, b.rnic_peer, "{rack:?}");
+            assert_eq!(a.switch_peer, b.switch_peer, "{rack:?}");
+            assert_eq!(a.switches_len(), rack.switches());
+            for sw in 0..a.switches_len() {
+                let entries = |f: &Fabric| f.switch(sw).forwarding().entries().collect::<Vec<_>>();
+                assert_eq!(entries(&a), entries(&b), "{rack:?} switch {sw}");
+            }
+            // Node forks come first on every path.
             for i in 0..a.nodes() {
                 assert_eq!(a.clock(i).read(t), b.clock(i).read(t));
             }
-        };
-        same(
-            &FabricBuilder::new(cfg(), 7).build(&Topology::DirectPair),
-            &Fabric::direct_pair(cfg(), 7),
-        );
-        same(
-            &FabricBuilder::new(cfg(), 7).build(&Topology::SingleSwitch { hosts: 5 }),
-            &Fabric::single_switch(cfg(), 5, 7),
-        );
-        same(
-            &FabricBuilder::new(cfg(), 7).build(&Topology::TwoSwitch {
-                upstream: 3,
-                downstream: 4,
-            }),
-            &Fabric::two_switch(cfg(), 3, 4, 7),
-        );
-        same(
-            &FabricBuilder::new(cfg(), 7).build(&Topology::Spec(TopologySpec::chain(2, &[1, 1]))),
-            &Fabric::from_spec(cfg(), &TopologySpec::chain(2, &[1, 1]), 7),
-        );
+        }
     }
 
     #[test]

@@ -21,8 +21,8 @@ impl Tsc {
 ///    so sub-cycle intervals are invisible.
 /// 2. **Read cost** — `rdtsc` (with the serializing fences Intel
 ///    recommends) takes tens of cycles of wall time; the caller observes
-///    the world as of the *start* of the read but cannot issue another
-///    operation until [`TscClock::read_cost`] later.
+///    the world as of the *start* of the read. The host software model
+///    charges the cost (`HostConfig::tsc_read`), not the clock.
 /// 3. **Epoch offset** — each host's counter starts at an arbitrary value,
 ///    so timestamps from different hosts are not comparable. This is why
 ///    RPerf computes RTT from *one* host's clock only (Eq. 1).
@@ -43,7 +43,6 @@ impl Tsc {
 pub struct TscClock {
     ghz: f64,
     epoch_offset_cycles: u64,
-    read_cost: SimDuration,
 }
 
 impl TscClock {
@@ -58,24 +57,7 @@ impl TscClock {
         TscClock {
             ghz,
             epoch_offset_cycles,
-            read_cost: SimDuration::from_ns(8),
         }
-    }
-
-    /// Sets the wall-time cost of one `rdtsc` read (builder style).
-    pub fn with_read_cost(mut self, cost: SimDuration) -> Self {
-        self.read_cost = cost;
-        self
-    }
-
-    /// The counter frequency in GHz.
-    pub fn ghz(&self) -> f64 {
-        self.ghz
-    }
-
-    /// The wall-time cost of one read.
-    pub fn read_cost(&self) -> SimDuration {
-        self.read_cost
     }
 
     /// Reads the counter at simulated instant `now` (cycle-quantized).

@@ -725,8 +725,8 @@ impl Rnic {
             PacketKind::Data {
                 verb,
                 transport,
+                index,
                 last,
-                ..
             } => {
                 if !last {
                     *self.rx_accum.entry(packet.msg.raw()).or_insert(0) += packet.payload;
@@ -734,9 +734,10 @@ impl Rnic {
                 }
                 // Single-packet messages (the common case) never touch the
                 // accumulator map.
-                let total = match self.rx_accum.remove(&packet.msg.raw()) {
-                    Some(acc) => acc + packet.payload,
-                    None => packet.payload,
+                let total = if index == 0 {
+                    packet.payload
+                } else {
+                    packet.payload + self.rx_accum.remove(&packet.msg.raw()).unwrap_or(0)
                 };
                 if self.in_flight.contains(packet.msg) {
                     // READ response data landing at the requester (Fig. 1a):
@@ -1103,6 +1104,40 @@ mod tests {
         assert!(a.rnic.in_flight.is_empty());
         assert_eq!(a.rnic.in_flight.span(), 0);
         assert!(a.slab.is_empty() && b.slab.is_empty(), "no leaked handles");
+    }
+
+    #[test]
+    fn only_multi_packet_messages_accumulate_at_the_receiver() {
+        let mut a = Pump::new(1);
+        let mut b = Pump::new(2);
+        let qp_a = a.rnic.create_qp(Transport::Rc);
+        let qp_b = b.rnic.create_qp(Transport::Rc);
+        for id in [100, 101] {
+            b.rnic.post_recv(qp_b, RecvWr::new(WrId(id), 16_384));
+        }
+        for (id, bytes) in [(1, 10_000), (2, 64)] {
+            let wr = SendWr::new(WrId(id), Verb::Send, bytes).to(Lid::new(2), qp_b);
+            a.post(SimTime::ZERO, qp_a, wr).unwrap();
+        }
+        a.run();
+        // Three packets of the 10,000 B message, then the 64 B one: the
+        // map holds a message only until its last packet lands.
+        let held: Vec<usize> = std::mem::take(&mut a.transmitted)
+            .into_iter()
+            .map(|(tx_at, packet, ser)| {
+                b.deliver(tx_at + ser, packet);
+                b.rnic.rx_accum.len()
+            })
+            .collect();
+        assert_eq!(held, [1, 1, 0, 0]);
+        b.run();
+        let received: Vec<u64> = b
+            .completions
+            .iter()
+            .filter(|c| c.opcode == CqeOpcode::Recv)
+            .map(|c| c.bytes)
+            .collect();
+        assert_eq!(received, [10_000, 64]);
     }
 
     #[test]

@@ -222,12 +222,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Reserves space for at least `additional` more events in the ready
-    /// lane.
-    pub fn reserve(&mut self, additional: usize) {
-        self.ready.reserve(additional);
-    }
-
     /// Number of near-future events the queue can hold without reallocating.
     pub fn capacity(&self) -> usize {
         self.ready.capacity()
@@ -535,10 +529,8 @@ mod tests {
 
     #[test]
     fn with_capacity_presizes_ready_lane() {
-        let mut q: EventQueue<u64> = EventQueue::with_capacity(128);
+        let q: EventQueue<u64> = EventQueue::with_capacity(128);
         assert!(q.capacity() >= 128);
-        q.reserve(512);
-        assert!(q.capacity() >= 512);
     }
 
     #[test]

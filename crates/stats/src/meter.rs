@@ -82,17 +82,6 @@ impl BandwidthMeter {
         bits / secs / GBPS
     }
 
-    /// Message rate in million messages per second over the window ending
-    /// at `end_ps`.
-    pub fn mpps_until(&self, end_ps: u64) -> f64 {
-        let span = end_ps.saturating_sub(self.window_start_ps);
-        if span == 0 {
-            return 0.0;
-        }
-        let secs = span as f64 / 1e12;
-        self.messages as f64 / secs / 1e6
-    }
-
     /// Timestamp of the last recorded delivery.
     pub fn last_record_ps(&self) -> u64 {
         self.last_ps
@@ -129,19 +118,6 @@ mod tests {
         m.open_window(100);
         m.record(100, 10);
         assert_eq!(m.gbps_until(100), 0.0);
-        assert_eq!(m.mpps_until(100), 0.0);
-    }
-
-    #[test]
-    fn mpps_counts_messages() {
-        let mut m = BandwidthMeter::new();
-        for i in 0..1000u64 {
-            m.record(i * 1_000_000, 64);
-        }
-        // 1000 messages over 1 µs window → 1000 Mpps? No: 1000 msgs / 1e-6 s
-        // = 1e9 msg/s = 1000 Mpps.
-        let mpps = m.mpps_until(1_000_000_000);
-        assert!((mpps - 1.0).abs() < 1e-9, "got {mpps}");
     }
 
     #[test]

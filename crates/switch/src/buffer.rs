@@ -25,118 +25,26 @@ pub struct BufEntry {
     pub eligible_at: SimTime,
 }
 
-/// A credit-advertised FIFO for one (ingress port, virtual lane) pair.
-///
-/// Capacity is in wire bytes; occupancy never exceeds the advertisement
-/// because the upstream sender spends a credit before transmitting. An
-/// over-admission is counted (it indicates a flow-control bug upstream)
-/// but still accepted, because IB links are lossless and dropping would
-/// corrupt the protocol state machines above.
-///
-/// # Examples
-///
-/// ```
-/// use rperf_switch::VlBuffer;
-///
-/// let buf = VlBuffer::new(32 * 1024);
-/// assert_eq!(buf.capacity(), 32 * 1024);
-/// assert_eq!(buf.free(), 32 * 1024);
-/// assert!(buf.is_empty());
-/// ```
-#[derive(Debug, Clone)]
-pub struct VlBuffer {
-    queue: VecDeque<BufEntry>,
-    capacity: u64,
-    occupied: u64,
-    max_occupied: u64,
-    violations: u64,
-}
-
-impl VlBuffer {
-    /// Creates an empty buffer advertising `capacity` bytes.
-    pub fn new(capacity: u64) -> Self {
-        VlBuffer {
-            queue: VecDeque::new(),
-            capacity,
-            occupied: 0,
-            max_occupied: 0,
-            violations: 0,
-        }
-    }
-
-    /// Advertised capacity in bytes.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    /// Bytes currently buffered.
-    pub fn occupied(&self) -> u64 {
-        self.occupied
-    }
-
-    /// Bytes of remaining space.
-    pub fn free(&self) -> u64 {
-        self.capacity.saturating_sub(self.occupied)
-    }
-
-    /// Packets currently buffered.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// `true` if no packets are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    /// High-water mark of occupancy.
-    pub fn max_occupied(&self) -> u64 {
-        self.max_occupied
-    }
-
-    /// Number of admissions that exceeded the advertised capacity.
-    pub fn violations(&self) -> u64 {
-        self.violations
-    }
-
-    /// Admits a packet (upstream spent a credit for it).
-    pub fn push(&mut self, entry: BufEntry) {
-        if self.occupied + entry.wire > self.capacity {
-            self.violations += 1;
-        }
-        self.occupied += entry.wire;
-        self.max_occupied = self.max_occupied.max(self.occupied);
-        self.queue.push_back(entry);
-    }
-
-    /// The head packet, if any.
-    pub fn head(&self) -> Option<&BufEntry> {
-        self.queue.front()
-    }
-
-    /// Removes and returns the head packet, freeing its bytes.
-    pub fn pop(&mut self) -> Option<BufEntry> {
-        let entry = self.queue.pop_front()?;
-        self.occupied -= entry.wire;
-        Some(entry)
-    }
-}
-
 /// Struct-of-arrays input-buffer bank for a whole switch: one FIFO per
 /// (ingress port, virtual lane) slot, with the head-of-queue metadata the
 /// arbitration scan reads (egress, eligibility, wire size, arrival) mirrored
 /// into flat per-field arrays.
 ///
-/// [`VlBuffer`] keeps each queue's packets together (array-of-structs); an
-/// arbitration round touching 100+ heads pays one pointer chase per slot.
-/// This layout instead walks four contiguous arrays plus a non-empty bitset,
-/// so a round over the whole switch is a handful of cache lines. Slots are
-/// port-major (`slot = port·lanes + vl`), matching the scan order the
-/// scheduling policies were calibrated against.
+/// Each slot is a credit-advertised FIFO: capacity is in wire bytes, and
+/// occupancy never exceeds the advertisement because the upstream sender
+/// spends a credit before transmitting. An over-admission is counted (it
+/// indicates a flow-control bug upstream) but still accepted, because IB
+/// links are lossless and dropping would corrupt the protocol state
+/// machines above.
 ///
-/// Semantics (admission counting, violation accounting, FIFO order) are
-/// identical to a `ports × lanes` matrix of [`VlBuffer`]s — the AoS-vs-SoA
-/// microbench races the two on the same workload.
+/// An array of per-slot FIFOs (array-of-structs) would make an arbitration
+/// round touching 100+ heads pay one pointer chase per slot. This layout
+/// instead walks four contiguous arrays plus a non-empty bitset, so a round
+/// over the whole switch is a handful of cache lines. Slots are port-major
+/// (`slot = port·lanes + vl`), matching the scan order the scheduling
+/// policies were calibrated against. Its semantics (admission counting,
+/// violation accounting, FIFO order) equal those of a `ports × lanes`
+/// matrix of plain FIFOs, which the unit tests check differentially.
 ///
 /// # Examples
 ///
@@ -242,8 +150,7 @@ impl VlBufferArray {
     }
 
     /// Admits a packet on (`port`, `vl`); the upstream spent a credit.
-    /// Over-capacity admissions are counted but accepted, as in
-    /// [`VlBuffer::push`].
+    /// Over-capacity admissions are counted but accepted.
     pub fn push(&mut self, port: PortId, vl: VirtualLane, entry: BufEntry) {
         let slot = self.slot_of(port, vl);
         if self.occupied[slot] + entry.wire > self.capacity {
@@ -316,6 +223,67 @@ mod tests {
     use rperf_model::{
         FlowId, Lid, MsgId, Packet, PacketKind, QpNum, ServiceLevel, Transport, Verb,
     };
+
+    /// The array-of-structs FIFO for one (port, VL) slot: the oracle the
+    /// struct-of-arrays bank is checked against.
+    struct VlBuffer {
+        queue: VecDeque<BufEntry>,
+        capacity: u64,
+        occupied: u64,
+        max_occupied: u64,
+        violations: u64,
+    }
+
+    impl VlBuffer {
+        fn new(capacity: u64) -> Self {
+            VlBuffer {
+                queue: VecDeque::new(),
+                capacity,
+                occupied: 0,
+                max_occupied: 0,
+                violations: 0,
+            }
+        }
+
+        fn occupied(&self) -> u64 {
+            self.occupied
+        }
+
+        fn free(&self) -> u64 {
+            self.capacity.saturating_sub(self.occupied)
+        }
+
+        fn len(&self) -> usize {
+            self.queue.len()
+        }
+
+        fn max_occupied(&self) -> u64 {
+            self.max_occupied
+        }
+
+        fn violations(&self) -> u64 {
+            self.violations
+        }
+
+        fn push(&mut self, entry: BufEntry) {
+            if self.occupied + entry.wire > self.capacity {
+                self.violations += 1;
+            }
+            self.occupied += entry.wire;
+            self.max_occupied = self.max_occupied.max(self.occupied);
+            self.queue.push_back(entry);
+        }
+
+        fn head(&self) -> Option<&BufEntry> {
+            self.queue.front()
+        }
+
+        fn pop(&mut self) -> Option<BufEntry> {
+            let entry = self.queue.pop_front()?;
+            self.occupied -= entry.wire;
+            Some(entry)
+        }
+    }
 
     fn entry(slab: &mut PacketSlab, bytes: u64, t_ns: u64) -> BufEntry {
         let packet = slab.alloc(Packet {

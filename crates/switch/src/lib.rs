@@ -9,8 +9,8 @@
 //! ## Architecture
 //!
 //! The switch is **input-buffered**: every ingress port has one FIFO per
-//! virtual lane ([`VlBuffer`]), sized by the credit advertisement made to
-//! the upstream sender. Packets are admitted on arrival to the FIFO of the
+//! virtual lane (one bank for the whole switch, [`VlBufferArray`]), sized
+//! by the credit advertisement made to the upstream sender. Packets are admitted on arrival to the FIFO of the
 //! VL they carry (credits guarantee space — a violation is a protocol bug
 //! and is counted), become *eligible* after the ingress pipeline latency
 //! plus per-packet µarch jitter, and wait for the output arbiter of their
@@ -44,7 +44,7 @@ mod tables;
 mod vlarb;
 
 pub use arbiter::PacketScheduler;
-pub use buffer::{BufEntry, VlBuffer, VlBufferArray};
+pub use buffer::{BufEntry, VlBufferArray};
 pub use credits::{CreditLedger, CreditMatrix};
 pub use device::{Switch, SwitchAction, SwitchStats};
 pub use tables::ForwardingTable;
