@@ -3,9 +3,9 @@
 
 CARGO ?= cargo
 
-.PHONY: ci fmt lint lint-invariants build test test-release benchmark-test determinism-smoke bench bench-smoke bench-bless report quick-report scenario-smoke clos-smoke perf-gate serve serve-smoke
+.PHONY: ci fmt lint lint-invariants docs build test test-release benchmark-test determinism-smoke bench bench-smoke bench-bless report quick-report scenario-smoke clos-smoke perf-gate serve serve-smoke
 
-ci: fmt lint lint-invariants build test test-release benchmark-test determinism-smoke perf-gate scenario-smoke clos-smoke serve-smoke
+ci: fmt lint lint-invariants docs build test test-release benchmark-test determinism-smoke perf-gate scenario-smoke clos-smoke serve-smoke
 
 fmt:
 	$(CARGO) fmt --all --check
@@ -20,6 +20,11 @@ lint:
 # artifact next to BENCH_report.json.
 lint-invariants:
 	$(CARGO) run --release -q -p rperf-lint -- --ci
+
+# Every crate's API docs, with rustdoc warnings (a broken intra-doc
+# link, a malformed doc attribute) as errors.
+docs:
+	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --workspace --no-deps --offline
 
 build:
 	$(CARGO) build --release --workspace

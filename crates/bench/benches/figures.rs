@@ -1,75 +1,24 @@
-//! Criterion benchmarks: one per paper figure.
+//! Criterion benchmarks: one per sweep of the figure table.
 //!
-//! Each benchmark runs a scaled-down version of the figure's workload
-//! (single seed, 4 % measurement window) and measures the wall-clock cost
-//! of regenerating the data point — i.e. the simulator's throughput on
-//! that scenario. Run `cargo run --release -p rperf-bench --bin report`
-//! for the full-effort figure data itself.
+//! Each benchmark runs a scaled-down version of the sweep (single seed,
+//! 4 % measurement window) and measures the wall-clock cost of
+//! regenerating its figures — i.e. the simulator's throughput on those
+//! scenarios. Run `cargo run --release -p rperf-bench --bin report` for
+//! the full-effort figure data itself.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rperf_bench::{figures, Effort};
+use rperf_bench::figures::Sweep;
+use rperf_bench::Effort;
 
-fn bench_effort() -> Effort {
-    Effort::bench()
-}
-
-fn fig4(c: &mut Criterion) {
-    c.bench_function("fig4_rperf_latency_sweep", |b| {
-        b.iter(|| figures::fig4(&bench_effort()))
-    });
-}
-
-fn fig5(c: &mut Criterion) {
-    c.bench_function("fig5_bandwidth_sweep", |b| {
-        b.iter(|| figures::fig5(&bench_effort()))
-    });
-}
-
-fn fig6(c: &mut Criterion) {
-    c.bench_function("fig6_baseline_tools_sweep", |b| {
-        b.iter(|| figures::fig6(&bench_effort()))
-    });
-}
-
-fn fig7(c: &mut Criterion) {
-    c.bench_function("fig7_converged_traffic", |b| {
-        b.iter(|| figures::fig7(&bench_effort()))
-    });
-}
-
-fn fig8_9(c: &mut Criterion) {
-    c.bench_function("fig8_fig9_payload_sweep", |b| {
-        b.iter(|| figures::fig8_fig9(&bench_effort()))
-    });
-}
-
-fn fig10(c: &mut Criterion) {
-    c.bench_function("fig10_scheduling_policies", |b| {
-        b.iter(|| figures::fig10(&bench_effort()))
-    });
-}
-
-fn fig11(c: &mut Criterion) {
-    c.bench_function("fig11_multihop", |b| {
-        b.iter(|| figures::fig11(&bench_effort()))
-    });
-}
-
-fn fig12(c: &mut Criterion) {
-    c.bench_function("fig12_qos_setups", |b| {
-        b.iter(|| figures::fig12(&bench_effort()))
-    });
-}
-
-fn fig13(c: &mut Criterion) {
-    c.bench_function("fig13_gaming_shares", |b| {
-        b.iter(|| figures::fig13(&bench_effort()))
-    });
+fn sweeps(c: &mut Criterion) {
+    for sweep in Sweep::all() {
+        c.bench_function(sweep.id, |b| b.iter(|| sweep.run(&Effort::bench())));
+    }
 }
 
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = fig4, fig5, fig6, fig7, fig8_9, fig10, fig11, fig12, fig13
+    targets = sweeps
 }
 criterion_main!(benches);

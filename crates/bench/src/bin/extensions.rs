@@ -8,15 +8,20 @@
 //! ports. This binary reruns Figs. 10 and 11 with all three policies.
 //! Every experiment is a spec table run on the OMNeT profile.
 //!
-//! Usage: `cargo run --release -p rperf-bench --bin extensions [--quick]`
+//! Usage: `cargo run --release -p rperf-bench --bin extensions [--quick]
+//!         [--jobs N]`
+//!
+//! Every table is one `sweep_over_seeds` call, so `--jobs N` fans its
+//! simulations across `N` threads without changing a byte of output.
 
 #![forbid(unsafe_code)]
 
 use rperf::scenario::{converged_outcome, specs};
 use rperf::{execute, DeviceProfile, QosMode, Role, ScenarioOutcome, ScenarioSpec, SlSpec};
-use rperf_bench::Effort;
+use rperf_bench::{mean, sweep_over_seeds, Effort};
 use rperf_fabric::Topology;
 use rperf_model::config::SchedPolicy;
+use rperf_stats::LatencySummary;
 
 const POLICIES: [(&str, SchedPolicy); 3] = [
     ("FCFS", SchedPolicy::Fcfs),
@@ -31,6 +36,11 @@ fn run(effort: &Effort, table: ScenarioSpec, base_ms: f64, seed: u64) -> Scenari
         .with_profile(DeviceProfile::OmnetSimulator)
         .with_duration(effort.window(base_ms));
     execute(&spec, seed)
+}
+
+/// The LSG's RTT in a converged run.
+fn lsg(out: &ScenarioOutcome) -> LatencySummary {
+    converged_outcome(out).lsg.expect("LSG present").summary
 }
 
 /// Asymmetric bulk demand on one switch: two 4096 B flows (nodes 0, 1)
@@ -60,21 +70,21 @@ fn main() {
     println!("## Single hop — Fig. 10 with a third policy (LSG RTT, µs)\n");
     println!("| BSGs | FCFS p50 | RR p50 | FairShare p50 |");
     println!("|---|---|---|---|");
-    for n in 0..=5usize {
-        let mut row = format!("| {n} |");
-        for (_, policy) in POLICIES {
-            let p50 = effort.average(|seed| {
-                let table =
-                    specs::converged(n, 4096, 1, true, QosMode::SharedSl).with_policy(policy);
-                converged_outcome(&run(&effort, table, 30.0, seed))
-                    .lsg
-                    .expect("LSG present")
-                    .summary
-                    .p50_us()
-            });
-            row.push_str(&format!(" {p50:.2} |"));
-        }
-        println!("{row}");
+    let points: Vec<(usize, SchedPolicy)> = (0..=5usize)
+        .flat_map(|n| POLICIES.map(|(_, policy)| (n, policy)))
+        .collect();
+    let p50s = sweep_over_seeds(
+        &effort,
+        &points,
+        |&(n, policy), seed| {
+            let table = specs::converged(n, 4096, 1, true, QosMode::SharedSl).with_policy(policy);
+            lsg(&run(&effort, table, 30.0, seed)).p50_us()
+        },
+        |_, p50| mean(&p50),
+    );
+    for (n, row) in p50s.chunks(POLICIES.len()).enumerate() {
+        let cells: String = row.iter().map(|p50| format!(" {p50:.2} |")).collect();
+        println!("| {n} |{cells}");
     }
     println!();
     println!(
@@ -86,17 +96,18 @@ fn main() {
     println!("## Two hops — Fig. 11 with a third policy (LSG RTT, µs)\n");
     println!("| policy | p50 | p99.9 |");
     println!("|---|---|---|");
-    for (name, policy) in POLICIES {
-        let mut p50_sum = 0.0;
-        let mut p999_sum = 0.0;
-        for &seed in &effort.seeds {
-            let out = converged_outcome(&run(&effort, specs::multihop(policy), 30.0, seed));
-            let lsg = out.lsg.expect("LSG present").summary;
-            p50_sum += lsg.p50_us();
-            p999_sum += lsg.p999_us();
-        }
-        let k = effort.seeds.len() as f64;
-        println!("| {name} | {:.2} | {:.2} |", p50_sum / k, p999_sum / k);
+    let multihop = sweep_over_seeds(
+        &effort,
+        &POLICIES,
+        |&(_, policy), seed| lsg(&run(&effort, specs::multihop(policy), 30.0, seed)),
+        |&(name, _), per_seed| {
+            let p50s: Vec<f64> = per_seed.iter().map(|l| l.p50_us()).collect();
+            let p999s: Vec<f64> = per_seed.iter().map(|l| l.p999_us()).collect();
+            (name, mean(&p50s), mean(&p999s))
+        },
+    );
+    for (name, p50, p999) in multihop {
+        println!("| {name} | {p50:.2} | {p999:.2} |");
     }
     println!();
     println!(
@@ -112,12 +123,20 @@ fn main() {
     // byte-equal shares; RR gives packet-equal shares (biased by size).
     println!("| policy | 4096 B flow | 4096 B flow | 512 B flow |");
     println!("|---|---|---|---|");
-    for (name, policy) in POLICIES {
-        let table = asymmetric_bulk().with_policy(policy);
-        let out = run(&effort, table, 30.0, effort.seeds[0]);
-        let g: Vec<f64> = (0..3)
-            .map(|n| out.gbps(n).expect("bsg on nodes 0-2"))
-            .collect();
+    let first_seed = Effort {
+        seeds: effort.seeds[..1].to_vec(),
+        ..effort.clone()
+    };
+    let shares = sweep_over_seeds(
+        &first_seed,
+        &POLICIES,
+        |&(_, policy), seed| {
+            let out = run(&effort, asymmetric_bulk().with_policy(policy), 30.0, seed);
+            [0, 1, 2].map(|n| out.gbps(n).expect("bsg on nodes 0-2"))
+        },
+        |&(name, _), per_seed| (name, per_seed[0]),
+    );
+    for (name, g) in shares {
         println!("| {name} | {:.1} | {:.1} | {:.1} |", g[0], g[1], g[2]);
     }
     println!();
@@ -129,18 +148,26 @@ fn main() {
     println!("\n## Latency vs hop count (switch-chain extension)\n");
     println!("| switches in path | zero-load p50 (µs) | p50 with 3 tail BSGs (µs) |");
     println!("|---|---|---|");
-    for n_switches in 1..=4usize {
-        let chain_p50 = |bsgs_at_tail, base_ms, seed| {
+    // Per chain length: zero load over a 10 ms window, then three BSGs
+    // at the tail over 20 ms.
+    let points: Vec<(usize, usize, f64)> = (1..=4)
+        .flat_map(|n_switches| [(n_switches, 0, 10.0), (n_switches, 3, 20.0)])
+        .collect();
+    let p50s = sweep_over_seeds(
+        &effort,
+        &points,
+        |&(n_switches, bsgs_at_tail, base_ms), seed| {
             let table = specs::chain_latency(n_switches, bsgs_at_tail);
             run(&effort, table, base_ms, seed)
                 .rperf(0)
                 .expect("rperf on node 0")
                 .summary
                 .p50_us()
-        };
-        let quiet = effort.average(|seed| chain_p50(0, 10.0, seed));
-        let loaded = effort.average(|seed| chain_p50(3, 20.0, seed));
-        println!("| {n_switches} | {quiet:.2} | {loaded:.2} |");
+        },
+        |_, p50| mean(&p50),
+    );
+    for (n_switches, p50) in (1..=4).zip(p50s.chunks(2)) {
+        println!("| {n_switches} | {:.2} | {:.2} |", p50[0], p50[1]);
     }
     println!();
     println!(

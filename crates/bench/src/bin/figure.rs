@@ -9,7 +9,8 @@
 
 #![forbid(unsafe_code)]
 
-use rperf_bench::{figures, Effort};
+use rperf_bench::figures::{self, FigureSpec, Sweep};
+use rperf_bench::Effort;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -61,27 +62,28 @@ fn main() {
         );
         std::process::exit(2);
     };
-    let ids: Vec<&str> = if fig == "all" {
-        figures::FIGURE_IDS.to_vec()
-    } else {
-        vec![fig.as_str()]
-    };
-
-    for id in ids {
-        let Some(figs) = figures::by_id(id, &effort) else {
-            eprintln!("unknown figure id `{id}` (expected 4..13, clos, or all)");
-            std::process::exit(2);
-        };
-        for f in figs {
+    // Each sweep runs once, printing the figures the id selects (`all`:
+    // every figure `figure` addresses, in table order).
+    let sweeps = Sweep::all();
+    let wanted = |f: &FigureSpec| f.cli_id.is_some_and(|id| fig == "all" || id == fig);
+    if !sweeps.iter().any(|s| s.figures.iter().any(wanted)) {
+        eprintln!("unknown figure id `{fig}` (expected 4..13, clos, or all)");
+        std::process::exit(2);
+    }
+    for sweep in sweeps.iter().filter(|s| s.figures.iter().any(wanted)) {
+        for (spec, f) in sweep.figures.iter().zip(sweep.run(&effort)) {
+            if !wanted(spec) {
+                continue;
+            }
             if json {
                 println!("{}", f.to_json());
             } else {
                 println!("{}", f.to_markdown());
             }
-        }
-        if id == "12" && !json {
-            for (i, name) in figures::FIG12_SETUPS.iter().enumerate() {
-                println!("  setup {i} = {name}");
+            if spec.cli_id == Some("12") && !json {
+                for (i, name) in figures::FIG12_SETUPS.iter().enumerate() {
+                    println!("  setup {i} = {name}");
+                }
             }
         }
     }

@@ -30,9 +30,10 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use rperf_bench::{figures, paper, Effort};
+use rperf_bench::figures::{SeriesSpec, Sweep};
+use rperf_bench::Effort;
 use rperf_fabric::KIND_NAMES;
-use rperf_stats::{json, Figure};
+use rperf_stats::{json, Figure, Series};
 
 /// Wall-clock and event-count attribution for one figure sweep.
 struct FigStat {
@@ -56,23 +57,7 @@ impl FigStat {
 const TIMED_RERUN_BELOW_S: f64 = 0.25;
 const TIMED_MAX_RUNS: u32 = 5;
 
-/// The ids `main` times, in report order: the rows of BENCH_report.json,
-/// each of which `--gate` needs in BENCH_baseline.json.
-const TIMED_FIGURES: [&str; 11] = [
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8_fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig_clos",
-    "fattree_k8",
-];
-
-/// Runs one figure generator, attributing wall-clock time and processed
+/// Runs one sweep, attributing wall-clock time and processed
 /// simulation events (summed over all worker threads) to it.
 fn timed<T>(stats: &mut Vec<FigStat>, id: &'static str, f: impl Fn() -> T) -> T {
     eprintln!("running {id}...");
@@ -310,52 +295,31 @@ fn bless_baseline_json(stats: &[FigStat], existing: Option<&Baseline>) -> String
     ])
 }
 
-fn nearest(series_x: &[f64], series_y: &[f64], x: f64) -> Option<f64> {
-    series_x
-        .iter()
-        .position(|&xi| (xi - x).abs() < 1e-9)
-        .map(|i| series_y[i])
-}
-
-fn compare_rows(fig: &Figure, series_label: &str, refs: &[(f64, f64)]) -> String {
-    let mut out = String::new();
-    let Some(series) = fig.series.iter().find(|s| s.label == series_label) else {
-        return format!("  (series `{series_label}` missing)\n");
-    };
-    for &(x, published) in refs {
-        match nearest(&series.x, &series.y, x) {
-            Some(measured) => {
-                let ratio = if published != 0.0 {
-                    measured / published
-                } else {
-                    f64::NAN
-                };
-                let _ = writeln!(
-                    out,
-                    "| {x} | {published:.2} | {measured:.2} | {ratio:.2}× |"
-                );
-            }
-            None => {
-                let _ = writeln!(out, "| {x} | {published:.2} | - | - |");
-            }
-        }
+/// One paper check as an EXPERIMENTS.md table: `series`' measured value
+/// beside each published `(x, y)` point.
+fn check_table(fig: &Figure, series: &Series, spec: &SeriesSpec) -> String {
+    let title = fig.id.trim_start_matches("fig");
+    let mut out = format!(
+        "**Fig. {title} check** (`{}`, {})\n\n\
+         | x | paper | measured | ratio |\n|---|---|---|---|\n",
+        series.label,
+        spec.value.unit()
+    );
+    for &(x, published) in &spec.checks {
+        let measured = series
+            .y_at(x)
+            .expect("a checked x is one of its series' points");
+        let ratio = if published != 0.0 {
+            measured / published
+        } else {
+            f64::NAN
+        };
+        let _ = writeln!(
+            out,
+            "| {x} | {published:.2} | {measured:.2} | {ratio:.2}× |"
+        );
     }
-    out
-}
-
-fn comparison_table(
-    title: &str,
-    fig: &Figure,
-    series: &str,
-    refs: &[(f64, f64)],
-    unit: &str,
-) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "**{title}** (`{series}`, {unit})\n");
-    let _ = writeln!(out, "| x | paper | measured | ratio |");
-    let _ = writeln!(out, "|---|---|---|---|");
-    out.push_str(&compare_rows(fig, series, refs));
-    let _ = writeln!(out);
+    out.push('\n');
     out
 }
 
@@ -395,242 +359,20 @@ fn main() {
         effort.scale
     );
 
-    // Fig. 4.
-    let fig4 = timed(&mut stats, "fig4", || figures::fig4(&effort));
-    md.push_str(&fig4.to_markdown());
-    for (label, refs) in [
-        (
-            "50th (w/o switch)",
-            paper::FIG4_NO_SWITCH_NS
-                .iter()
-                .map(|&(x, p50, _)| (x, p50))
-                .collect::<Vec<_>>(),
-        ),
-        (
-            "99.9th (w/o switch)",
-            paper::FIG4_NO_SWITCH_NS
-                .iter()
-                .map(|&(x, _, p999)| (x, p999))
-                .collect(),
-        ),
-        (
-            "50th (w/ switch)",
-            paper::FIG4_WITH_SWITCH_NS
-                .iter()
-                .map(|&(x, p50, _)| (x, p50))
-                .collect(),
-        ),
-        (
-            "99.9th (w/ switch)",
-            paper::FIG4_WITH_SWITCH_NS
-                .iter()
-                .map(|&(x, _, p999)| (x, p999))
-                .collect(),
-        ),
-    ] {
-        md.push_str(&comparison_table("Fig. 4 check", &fig4, label, &refs, "ns"));
+    for sweep in Sweep::all() {
+        let figs = timed(&mut stats, sweep.id, || sweep.run(&effort));
+        for fig in &figs {
+            md.push_str(&fig.to_markdown());
+        }
+        md.push_str(&(sweep.note)(&figs));
+        for (spec, fig) in sweep.figures.iter().zip(&figs) {
+            for (s, series) in spec.series.iter().zip(&fig.series) {
+                if !s.checks.is_empty() {
+                    md.push_str(&check_table(fig, series, s));
+                }
+            }
+        }
     }
-
-    // Fig. 5.
-    let fig5 = timed(&mut stats, "fig5", || figures::fig5(&effort));
-    md.push_str(&fig5.to_markdown());
-    let refs_no: Vec<(f64, f64)> = paper::FIG5_GBPS.iter().map(|&(x, a, _)| (x, a)).collect();
-    let refs_sw: Vec<(f64, f64)> = paper::FIG5_GBPS.iter().map(|&(x, _, b)| (x, b)).collect();
-    md.push_str(&comparison_table(
-        "Fig. 5 check",
-        &fig5,
-        "w/o switch",
-        &refs_no,
-        "Gbps",
-    ));
-    md.push_str(&comparison_table(
-        "Fig. 5 check",
-        &fig5,
-        "w/ switch",
-        &refs_sw,
-        "Gbps",
-    ));
-
-    // Fig. 6.
-    let fig6 = timed(&mut stats, "fig6", || figures::fig6(&effort));
-    md.push_str(&fig6.to_markdown());
-    let pf50: Vec<(f64, f64)> = paper::FIG6_PERFTEST_US
-        .iter()
-        .map(|&(x, p, _)| (x, p))
-        .collect();
-    let pf999: Vec<(f64, f64)> = paper::FIG6_PERFTEST_US
-        .iter()
-        .map(|&(x, _, t)| (x, t))
-        .collect();
-    md.push_str(&comparison_table(
-        "Fig. 6 check",
-        &fig6,
-        "50th (Perftest)",
-        &pf50,
-        "µs",
-    ));
-    md.push_str(&comparison_table(
-        "Fig. 6 check",
-        &fig6,
-        "99.9th (Perftest)",
-        &pf999,
-        "µs",
-    ));
-    md.push_str(&comparison_table(
-        "Fig. 6 check",
-        &fig6,
-        "50th (Qperf)",
-        paper::FIG6_QPERF_US,
-        "µs",
-    ));
-
-    // Figs. 7a/7b.
-    let (fig7a, fig7b) = timed(&mut stats, "fig7", || figures::fig7(&effort));
-    md.push_str(&fig7a.to_markdown());
-    md.push_str(&fig7b.to_markdown());
-    let f7a50: Vec<(f64, f64)> = paper::FIG7A_US.iter().map(|&(x, p, _)| (x, p)).collect();
-    md.push_str(&comparison_table(
-        "Fig. 7a check",
-        &fig7a,
-        "50th",
-        &f7a50,
-        "µs",
-    ));
-    md.push_str(&comparison_table(
-        "Fig. 7b check",
-        &fig7b,
-        "total",
-        paper::FIG7B_GBPS,
-        "Gbps",
-    ));
-
-    // Figs. 8/9.
-    let (fig8, fig9) = timed(&mut stats, "fig8_fig9", || figures::fig8_fig9(&effort));
-    md.push_str(&fig8.to_markdown());
-    md.push_str(&fig9.to_markdown());
-    let f8: Vec<(f64, f64)> = paper::FIG8_US.iter().map(|&(x, p, _)| (x, p)).collect();
-    md.push_str(&comparison_table("Fig. 8 check", &fig8, "50th", &f8, "µs"));
-    md.push_str(&comparison_table(
-        "Fig. 9 check",
-        &fig9,
-        "total",
-        paper::FIG9_GBPS,
-        "Gbps",
-    ));
-
-    // Fig. 10.
-    let fig10 = timed(&mut stats, "fig10", || figures::fig10(&effort));
-    md.push_str(&fig10.to_markdown());
-    let fcfs: Vec<(f64, f64)> = paper::FIG10_FCFS_US
-        .iter()
-        .map(|&(x, p, _)| (x, p))
-        .collect();
-    let rr: Vec<(f64, f64)> = paper::FIG10_RR_US.iter().map(|&(x, p, _)| (x, p)).collect();
-    md.push_str(&comparison_table(
-        "Fig. 10 check",
-        &fig10,
-        "50th (FCFS)",
-        &fcfs,
-        "µs",
-    ));
-    md.push_str(&comparison_table(
-        "Fig. 10 check",
-        &fig10,
-        "50th (RR)",
-        &rr,
-        "µs",
-    ));
-
-    // Fig. 11.
-    let fig11 = timed(&mut stats, "fig11", || figures::fig11(&effort));
-    md.push_str(&fig11.to_markdown());
-    let f11: Vec<(f64, f64)> = paper::FIG11_US
-        .iter()
-        .enumerate()
-        .map(|(i, &(_, p50, _))| (i as f64, p50))
-        .collect();
-    md.push_str(&comparison_table(
-        "Fig. 11 check",
-        &fig11,
-        "50th",
-        &f11,
-        "µs",
-    ));
-
-    // Fig. 12.
-    let fig12 = timed(&mut stats, "fig12", || figures::fig12(&effort));
-    md.push_str(&fig12.to_markdown());
-    let _ = writeln!(md, "Setups: {:?}\n", figures::FIG12_SETUPS);
-    let f12: Vec<(f64, f64)> = paper::FIG12_US
-        .iter()
-        .enumerate()
-        .map(|(i, &(_, p50, _))| (i as f64, p50))
-        .collect();
-    md.push_str(&comparison_table(
-        "Fig. 12 check",
-        &fig12,
-        "50th",
-        &f12,
-        "µs",
-    ));
-
-    // Fig. 13.
-    let fig13 = timed(&mut stats, "fig13", || figures::fig13(&effort));
-    md.push_str(&fig13.to_markdown());
-    let _ = writeln!(
-        md,
-        "Paper: pretend LSG {:.1} Gbps, honest BSGs {:.1}–{:.1} Gbps, totals \
-         {:.1} (gamed) vs {:.1} (shared).\n",
-        paper::FIG13_PRETEND_GBPS,
-        paper::FIG13_HONEST_GBPS.0,
-        paper::FIG13_HONEST_GBPS.1,
-        paper::FIG13_TOTALS_GBPS.0,
-        paper::FIG13_TOTALS_GBPS.1
-    );
-
-    // Clos scale-out extension (no paper reference values: the paper
-    // stops at two switches; these figures answer its open question at
-    // fabric scale).
-    let fig_clos = timed(&mut stats, "fig_clos", || figures::fig_clos(&effort));
-    md.push_str(&fig_clos.to_markdown());
-    let slope = |series_idx: usize| {
-        let s = &fig_clos.series[series_idx];
-        // Per-BSG latency slope over the contended points (>= 1 BSG),
-        // where queueing rather than propagation dominates.
-        (s.y.last().unwrap() - s.y[1]) / (s.x.last().unwrap() - s.x[1]).max(1.0)
-    };
-    let _ = writeln!(
-        md,
-        "**Multi-hop slope check** — the paper measures ~5 µs of victim\n\
-         latency per added BSG through *one* switch and leaves deeper\n\
-         fabrics open. Above, the same victim/BSG mix runs at 1, 3 and 5\n\
-         hops of a routed 3-tier k = 4 fat-tree (destination-based\n\
-         forwarding tables programmed by the subnet planner):\n\n\
-         - zero-load RTT is additive in path length ({:.2} → {:.2} →\n\
-           {:.2} µs p50 at 1/3/5 hops);\n\
-         - under load the *last-hop* incast still dominates: the p50\n\
-           slope per BSG beyond the first is {:.2} / {:.2} / {:.2}\n\
-           µs/BSG at 1/3/5 hops — converging traffic, not path length,\n\
-           sets the contended latency, consistent with the paper's\n\
-           single-switch mechanism.\n",
-        fig_clos.series[0].y[0],
-        fig_clos.series[2].y[0],
-        fig_clos.series[4].y[0],
-        slope(0),
-        slope(2),
-        slope(4),
-    );
-
-    // 128-host leaf-spine scale row (wall-time accounting for
-    // BENCH_report.json; the figure doubles as a sanity table here).
-    let ft128 = timed(&mut stats, "fattree_k8", || figures::fattree128(&effort));
-    md.push_str(&ft128.to_markdown());
-    let _ = writeln!(
-        md,
-        "The k = 8, o = 2 leaf-spine (128 hosts, 16 leaves, 4 spines) is\n\
-         the largest routed fabric in the suite; the row above is its\n\
-         `wall_s` entry in BENCH_report.json.\n"
-    );
 
     let _ = writeln!(
         md,
@@ -671,11 +413,6 @@ fn main() {
          changes latency only, never results. The cache key folds in the\n\
          code version, so a rebuild never replays stale outcomes. See\n\
          DESIGN.md §8.\n"
-    );
-
-    assert!(
-        stats.iter().map(|s| s.id).eq(TIMED_FIGURES),
-        "TIMED_FIGURES must list the timed figures in report order"
     );
 
     std::fs::write(&out_path, md).expect("write EXPERIMENTS.md");
@@ -795,7 +532,8 @@ mod tests {
         let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_baseline.json");
         let base = load_baseline(&path).expect("BENCH_baseline.json loads as a gate baseline");
         assert!(base.total_wall_s > 0.0, "total_wall_s must be positive");
-        for id in TIMED_FIGURES {
+        for sweep in Sweep::all() {
+            let id = sweep.id;
             let fig = base
                 .figures
                 .iter()

@@ -2,10 +2,11 @@
 //! evaluation, reproduced from the simulation.
 //!
 //! The paper's evaluation consists of Figures 4–13 (it has no numbered
-//! tables). Each `figN` function in [`figures`] runs the corresponding
-//! scenario sweep — averaged over seeds, as the paper averages three
-//! runs — and returns [`rperf_stats::Figure`] series ready to print as
-//! Markdown or serialize as JSON.
+//! tables). [`figures`] holds them as one table of sweeps: each entry's
+//! scenario runs are averaged over seeds, as the paper averages three
+//! runs, into [`rperf_stats::Figure`] series ready to print as Markdown
+//! or serialize as JSON, and carries the paper checks EXPERIMENTS.md
+//! prints beside them.
 //!
 //! Sweeps execute through [`sweep_over_seeds`], which fans the independent
 //! `(point, seed)` simulations across threads (`rperf-runner`) while
@@ -39,7 +40,7 @@ pub struct Effort {
 
 impl Effort {
     /// Full effort: three seeds, full measurement windows, all cores.
-    /// This is what the `fig*` binaries and the report use.
+    /// This is what `figure` and `report` use by default.
     pub fn full() -> Self {
         Effort {
             seeds: vec![1, 2, 3],
@@ -99,18 +100,6 @@ impl Effort {
     /// A measurement window of `base_ms` milliseconds under this effort.
     pub fn window(&self, base_ms: f64) -> SimDuration {
         SimDuration::from_secs_f64(base_ms * 1e-3 * self.scale)
-    }
-
-    /// Averages `f(seed)` over the configured seeds, serially.
-    ///
-    /// For sweeps over many points prefer [`sweep_over_seeds`], which
-    /// parallelizes across points × seeds.
-    pub fn average<F>(&self, mut f: F) -> f64
-    where
-        F: FnMut(u64) -> f64,
-    {
-        let sum: f64 = self.seeds.iter().map(|&s| f(s)).sum();
-        sum / self.seeds.len() as f64
     }
 }
 
@@ -188,13 +177,6 @@ mod tests {
 
     #[test]
     fn average_is_arithmetic_mean() {
-        let e = Effort {
-            seeds: vec![1, 2, 3],
-            scale: 1.0,
-            jobs: 1,
-        };
-        let avg = e.average(|s| s as f64);
-        assert_eq!(avg, 2.0);
         assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
     }
 

@@ -6,6 +6,7 @@
 //! the serialized figures byte for byte.
 
 use rperf_bench::{figures, Effort};
+use rperf_stats::Figure;
 
 fn tiny(jobs: usize) -> Effort {
     Effort {
@@ -15,10 +16,15 @@ fn tiny(jobs: usize) -> Effort {
     }
 }
 
+fn fig7(jobs: usize) -> [Figure; 2] {
+    let figs = figures::by_id("7", &tiny(jobs)).expect("fig 7 is in the table");
+    figs.try_into().expect("fig 7 prints 7a and 7b")
+}
+
 #[test]
 fn converged_sweep_is_byte_identical_across_worker_counts() {
-    let (serial_a, serial_b) = figures::fig7(&tiny(1));
-    let (par_a, par_b) = figures::fig7(&tiny(4));
+    let [serial_a, serial_b] = fig7(1);
+    let [par_a, par_b] = fig7(4);
     assert_eq!(
         serial_a.to_json(),
         par_a.to_json(),
@@ -51,6 +57,17 @@ const GOLDEN: [(&str, &str); 11] = [
     ("13", include_str!("golden/fig13.json")),
     ("clos", include_str!("golden/fig_clos.json")),
 ];
+
+/// Every figure `figure` prints has a golden: a table entry added
+/// without one fails here.
+#[test]
+fn every_figure_id_has_a_golden() {
+    let sweeps = figures::Sweep::all();
+    let figs = sweeps.iter().flat_map(|s| &s.figures);
+    let mut ids: Vec<&str> = figs.filter_map(|f| f.cli_id).collect();
+    ids.dedup();
+    assert_eq!(ids, GOLDEN.map(|(id, _)| id));
+}
 
 fn rendered(id: &str, jobs: usize) -> String {
     figures::by_id(id, &tiny(jobs))
@@ -89,8 +106,9 @@ fn one_to_one_sweep_is_byte_identical_across_worker_counts() {
         scale: 0.03,
         jobs: 1,
     };
-    let serial = figures::fig5(&effort).to_json();
-    let parallel = figures::fig5(&effort.clone().with_jobs(3)).to_json();
+    let fig5 = |effort: &Effort| figures::by_id("5", effort).expect("fig 5")[0].to_json();
+    let serial = fig5(&effort);
+    let parallel = fig5(&effort.clone().with_jobs(3));
     assert_eq!(
         serial, parallel,
         "fig5 diverged between --jobs 1 and --jobs 3"

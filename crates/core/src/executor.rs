@@ -13,7 +13,7 @@ use rperf_fabric::{FabricBuilder, Sim};
 use rperf_model::ClusterConfig;
 use rperf_sim::{RunOutcome, SimDuration, SimTime};
 use rperf_stats::{json, LatencySummary};
-use rperf_workloads::{Bsg, BsgConfig, ClosedLoopPing, LsgConfig, PretendLsg, Sink};
+use rperf_workloads::{Bsg, BsgConfig, ClosedLoopPing, LsgConfig, Sink};
 
 use crate::perftest::{PerftestClient, PerftestConfig, PingPongServer};
 use crate::qperf::{QperfClient, QperfConfig, QperfReport};
@@ -202,9 +202,15 @@ fn build_app(spec: &ScenarioSpec, r: &RoleSpec, seed: u64) -> Box<dyn rperf_fabr
                 .with_sl(sl)
                 .with_warmup(spec.warmup),
         )),
-        Role::PretendLsg { target, chunk, .. } => {
-            Box::new(PretendLsg::new(*target, *chunk, sl, spec.warmup))
-        }
+        // The QoS-gaming adversary: `chunk`-byte messages on the latency
+        // SL, posted in batches of 32 with a 512-message window.
+        Role::PretendLsg { target, chunk, .. } => Box::new(Bsg::new(
+            BsgConfig::new(*target, *chunk)
+                .with_window(512)
+                .with_batch(32)
+                .with_sl(sl)
+                .with_warmup(spec.warmup),
+        )),
         Role::Perftest { peer, payload } => Box::new(PerftestClient::new(
             PerftestConfig::new(*peer)
                 .with_payload(*payload)
@@ -232,11 +238,9 @@ fn collect(sim: &Sim, r: &RoleSpec, end: SimTime) -> RoleReport {
             sim.app_as::<ClosedLoopPing>(r.node).histogram(),
         )),
         Role::Bsg { .. } => RoleReport::BsgGbps(sim.app_as::<Bsg>(r.node).gbps_until(end.as_ps())),
-        Role::PretendLsg { .. } => RoleReport::PretendGbps(
-            sim.app_as::<PretendLsg>(r.node)
-                .bsg()
-                .gbps_until(end.as_ps()),
-        ),
+        Role::PretendLsg { .. } => {
+            RoleReport::PretendGbps(sim.app_as::<Bsg>(r.node).gbps_until(end.as_ps()))
+        }
         Role::Perftest { .. } => {
             RoleReport::Latency(sim.app_as::<PerftestClient>(r.node).summary())
         }

@@ -52,11 +52,12 @@ pub fn converged_outcome(out: &ScenarioOutcome) -> ConvergedOutcome {
 
 /// The paper's experimental setups as plain-data scenario tables.
 ///
-/// Each function returns a [`ScenarioSpec`] with the suite's default run
-/// window; callers pick warm-up, measurement window, configuration and
-/// seed at execution time. The node layouts, service levels and RPerf
-/// seed salts reproduce the historical hand-coded setups exactly (the
-/// golden figure test in `rperf-bench` pins this byte-for-byte).
+/// Each function returns a [`ScenarioSpec`](crate::ScenarioSpec) with
+/// the suite's default run window; callers pick warm-up, measurement
+/// window, configuration and seed at execution time. The node layouts,
+/// service levels and RPerf seed salts reproduce the historical
+/// hand-coded setups exactly (the golden figure test in `rperf-bench`
+/// pins this byte-for-byte).
 pub mod specs {
     use rperf_fabric::Topology;
     use rperf_model::config::SchedPolicy;

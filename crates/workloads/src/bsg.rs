@@ -174,51 +174,6 @@ impl App for Bsg {
     }
 }
 
-/// A bandwidth hog masquerading as latency-sensitive traffic
-/// (Section VIII-C "Gaming the dedicated SL/VL setup"): bulk data
-/// segmented into 256-byte messages on the latency SL, posted in large
-/// batched bursts to maximize throughput.
-#[derive(Debug)]
-pub struct PretendLsg {
-    inner: Bsg,
-}
-
-impl PretendLsg {
-    /// Creates the adversary: `payload`-byte messages (the paper uses
-    /// 256 B — small enough to qualify for the latency SL) on `sl`, batch
-    /// 64, a deep window.
-    pub fn new(target: usize, payload: u64, sl: ServiceLevel, warmup: SimDuration) -> Self {
-        PretendLsg {
-            inner: Bsg::new(
-                BsgConfig::new(target, payload)
-                    .with_sl(sl)
-                    .with_batch(32)
-                    .with_window(512)
-                    .with_warmup(warmup),
-            ),
-        }
-    }
-
-    /// The underlying generator (for metering).
-    pub fn bsg(&self) -> &Bsg {
-        &self.inner
-    }
-}
-
-impl App for PretendLsg {
-    fn start(&mut self, ctx: &mut Ctx<'_>) {
-        self.inner.start(ctx);
-    }
-
-    fn on_cqe(&mut self, ctx: &mut Ctx<'_>, cqe: Cqe) {
-        self.inner.on_cqe(ctx, cqe);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,13 +263,6 @@ mod tests {
             "only {} completions",
             bsg.completed()
         );
-    }
-
-    #[test]
-    fn pretend_lsg_uses_the_configured_sl() {
-        let pretend = PretendLsg::new(1, 256, ServiceLevel::new(1), SimDuration::ZERO);
-        assert_eq!(pretend.bsg().cfg.sl, ServiceLevel::new(1));
-        assert_eq!(pretend.bsg().cfg.batch, 32);
     }
 
     #[test]

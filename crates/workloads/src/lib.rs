@@ -4,14 +4,13 @@
 //! * [`Bsg`] — the **Bandwidth-Sensitive Generator** (Section V): open-loop
 //!   RC SEND flows with a configurable payload size, posting window and
 //!   doorbell batching; measures its achieved goodput from acknowledged
-//!   messages inside the measurement window.
+//!   messages inside the measurement window. The QoS-gaming adversary of
+//!   Section VIII-C, the pretend LSG, is a `Bsg` too: bulk data in small
+//!   messages on the latency SL, posted in batched bursts.
 //! * [`ClosedLoopPing`] — the **Latency-Sensitive Generator** skeleton:
 //!   synchronous (closed-loop) small messages, one outstanding at a time.
 //!   The paper's LSG measures its RTT with RPerf (crate `rperf`); this app
 //!   provides the plain application-level view used for cross-checks.
-//! * [`PretendLsg`] — a BSG that games the QoS configuration
-//!   (Section VIII-C): bulk data segmented into small high-SL messages,
-//!   posted in aggressive bursts.
 //! * [`Sink`] — the destination server: keeps receive queues charged and
 //!   counts per-run deliveries.
 //! * [`pair_at_hops`] / [`incast_sources`] — pod-aware placement over
@@ -26,7 +25,7 @@ mod lsg;
 mod placement;
 mod sink;
 
-pub use bsg::{Bsg, BsgConfig, PretendLsg};
+pub use bsg::{Bsg, BsgConfig};
 pub use lsg::{ClosedLoopPing, LsgConfig};
 pub use placement::{incast_sources, pair_at_hops};
 pub use sink::Sink;
