@@ -77,13 +77,16 @@ quick-report:
 
 # CI smoke: report on the reduced (--quick) point set, single job for
 # determinism, then the dispatch-layer microbench (link delivery
-# through the fabric) and the set-up layer's numbers (route planning
-# and fabric build for fat trees of 16, 128 and 1024 hosts).
+# through the fabric), the RNIC handlers' number (a 128-WR batch
+# through one RNIC's send path, no fabric) and the set-up layer's
+# numbers (route planning and fabric build for fat trees of 16, 128
+# and 1024 hosts).
 # Fails if any packet handle leaks; BENCH_report.json is uploaded as a
 # workflow artifact.
 bench-smoke:
 	$(CARGO) run --release -p rperf-bench --bin report -- --quick --jobs 1
 	$(CARGO) bench -p rperf-fabric --bench link_delivery
+	$(CARGO) bench -p rperf-rnic --bench tx_path
 	$(CARGO) bench -p rperf-fabric --bench fabric_build
 
 # Re-blesses the perf baseline: discards BENCH_baseline.json and

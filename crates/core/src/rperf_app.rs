@@ -151,7 +151,7 @@ impl RPerf {
             .via_loopback();
         // One doorbell for the pair: over-the-wire first, loopback second,
         // exactly as Section IV describes.
-        if ctx.post_send_batch(qp, vec![wire, lback]).is_err() {
+        if ctx.post_send_batch(qp, &[wire, lback]).is_err() {
             debug_assert!(false, "invalid RPerf probes");
         }
     }

@@ -32,7 +32,7 @@ impl App for Blaster {
             })
             .collect();
         self.remaining -= wrs.len() as u64;
-        ctx.post_send_batch(qp, wrs).unwrap();
+        ctx.post_send_batch(qp, &wrs).unwrap();
     }
 
     fn on_cqe(&mut self, ctx: &mut Ctx<'_>, cqe: Cqe) {

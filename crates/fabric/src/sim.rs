@@ -642,24 +642,21 @@ impl Ctx<'_> {
         self.sim.rnics[self.node].create_qp(transport)
     }
 
-    /// Posts a send work request on this node's RNIC.
+    /// Posts a send work request on this node's RNIC: a batch of one.
     ///
     /// # Errors
     ///
-    /// Propagates verbs validation errors.
+    /// As [`Ctx::post_send_batch`].
     pub fn post_send(&mut self, qp: QpNum, wr: SendWr) -> Result<(), VerbsError> {
-        let s = &mut *self.sim;
-        s.rnics[self.node].post_send(self.now, qp, wr, &mut s.net.slab, &mut s.rnic_out)?;
-        s.net.route_rnic(self.node, self.now, &mut s.rnic_out);
-        Ok(())
+        self.post_send_batch(qp, std::slice::from_ref(&wr))
     }
 
     /// Posts a batch of send work requests with one doorbell.
     ///
     /// # Errors
     ///
-    /// If any work request fails validation, nothing is enqueued.
-    pub fn post_send_batch(&mut self, qp: QpNum, wrs: Vec<SendWr>) -> Result<(), VerbsError> {
+    /// If any work request fails validation, none is launched.
+    pub fn post_send_batch(&mut self, qp: QpNum, wrs: &[SendWr]) -> Result<(), VerbsError> {
         let s = &mut *self.sim;
         s.rnics[self.node].post_send_batch(self.now, qp, wrs, &mut s.net.slab, &mut s.rnic_out)?;
         s.net.route_rnic(self.node, self.now, &mut s.rnic_out);
@@ -756,7 +753,7 @@ mod tests {
                 })
                 .collect();
             self.remaining -= burst;
-            ctx.post_send_batch(qp, wrs).unwrap();
+            ctx.post_send_batch(qp, &wrs).unwrap();
         }
 
         fn on_cqe(&mut self, ctx: &mut Ctx<'_>, cqe: Cqe) {

@@ -233,14 +233,14 @@ mod tests {
         fn start(&mut self, ctx: &mut Ctx<'_>) {
             let qp = ctx.create_qp(Transport::Rc);
             let dst = ctx.lid_of(self.target);
-            let wrs = (0..self.count)
+            let wrs: Vec<SendWr> = (0..self.count)
                 .map(|i| {
                     SendWr::new(WrId(i), Verb::Send, self.payload)
                         .to(dst, QpNum::new(1))
                         .with_sl(self.sl)
                 })
                 .collect();
-            ctx.post_send_batch(qp, wrs).unwrap();
+            ctx.post_send_batch(qp, &wrs).unwrap();
         }
 
         fn on_cqe(&mut self, ctx: &mut Ctx<'_>, cqe: Cqe) {
@@ -433,7 +433,7 @@ mod tests {
                     })
                     .collect();
                 self.remaining -= self.outstanding;
-                ctx.post_send_batch(qp, wrs).unwrap();
+                ctx.post_send_batch(qp, &wrs).unwrap();
             }
             fn on_cqe(&mut self, ctx: &mut Ctx<'_>, cqe: Cqe) {
                 if cqe.opcode == CqeOpcode::Send && self.remaining > 0 {

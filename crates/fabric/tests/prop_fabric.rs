@@ -32,7 +32,7 @@ impl App for ScriptedSender {
                     .to(ctx.lid_of(self.target), QpNum::new(1))
             })
             .collect();
-        ctx.post_send_batch(qp, wrs).unwrap();
+        ctx.post_send_batch(qp, &wrs).unwrap();
     }
 
     fn on_cqe(&mut self, ctx: &mut Ctx<'_>, cqe: Cqe) {

@@ -1,7 +1,6 @@
 //! The RNIC device state machine.
 
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use rperf_model::arena::{PacketRef, PacketSlab};
@@ -76,47 +75,6 @@ pub struct RnicStats {
     pub loopbacks: u64,
 }
 
-#[derive(Debug, Clone, Copy)]
-enum PendingTx {
-    Data(VirtualLane, PacketRef, u64),
-    Ack(VirtualLane, PacketRef, u64),
-}
-
-/// A pending-TX timer: `item` becomes injectable at `at`. Ordered by
-/// `(at, seq)` with the comparison reversed so a max-[`BinaryHeap`] pops the
-/// earliest timer first, FIFO within a timestamp — the same drain order the
-/// previous `BTreeMap<SimTime, Vec<PendingTx>>` produced, without a `Vec`
-/// allocation per distinct timestamp.
-#[derive(Debug, Clone, Copy)]
-struct TxTimer {
-    at: SimTime,
-    seq: u64,
-    item: PendingTx,
-}
-
-impl PartialEq for TxTimer {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-
-impl Eq for TxTimer {}
-
-impl PartialOrd for TxTimer {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for TxTimer {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
 /// The RNIC device.
 ///
 /// Pure state machine driven by five entry points: [`Rnic::post_send`] /
@@ -166,10 +124,9 @@ pub struct Rnic {
     /// Monotone ACK-generation horizon: IB acknowledgments are cumulative
     /// and ordered; per-packet processing jitter must not reorder them.
     ack_horizon: SimTime,
+    /// Outbound packets from the moment they are scheduled until they are
+    /// injected, each with the instant it becomes injectable.
     txq: TxQueue,
-    pending_tx: BinaryHeap<TxTimer>,
-    /// FIFO tie-break for `pending_tx` timers at the same instant.
-    pending_seq: u64,
     /// Credits held toward the downstream peer (switch ingress buffer or a
     /// directly attached RNIC's receive buffer), one per lane.
     peer_credits: CreditLedger,
@@ -213,8 +170,6 @@ impl Rnic {
             rx_deliver_horizon: SimTime::ZERO,
             ack_horizon: SimTime::ZERO,
             txq: TxQueue::new(lanes),
-            pending_tx: BinaryHeap::new(),
-            pending_seq: 0,
             peer_credits: CreditLedger::unlimited(lanes),
             rx_accum: BTreeMap::new(),
             stats: RnicStats::default(),
@@ -319,34 +274,33 @@ impl Rnic {
         self.pcie_rate.serialize_time(bytes)
     }
 
-    fn schedule_tx(&mut self, at: SimTime, item: PendingTx, out: &mut Vec<RnicAction>) {
-        let seq = self.pending_seq;
-        self.pending_seq += 1;
-        self.pending_tx.push(TxTimer { at, seq, item });
-        out.push(RnicAction::Wake { at });
-    }
-
-    /// Schedules an outbound data packet: allocates it into the slab and
-    /// queues the handle with its lane and wire size.
-    fn schedule_data(
+    /// Allocates an outbound packet into the slab and queues it to be
+    /// injected from `ready` on, asking for a wake then. Every caller's
+    /// `ready` is no earlier than its own instant, which keeps each queue
+    /// in the order its packets become ready (see [`TxQueue`]).
+    fn schedule_tx(
         &mut self,
-        at: SimTime,
+        ready: SimTime,
         packet: Packet,
         slab: &mut PacketSlab,
         out: &mut Vec<RnicAction>,
     ) {
         let (vl, wire) = (packet.vl, packet.wire_size());
+        let ack = matches!(packet.kind, PacketKind::Ack);
         let handle = slab.alloc(packet);
-        self.schedule_tx(at, PendingTx::Data(vl, handle, wire), out);
+        if ack {
+            self.txq.push_ack(ready, handle, vl, wire);
+        } else {
+            self.txq.push_data(ready, handle, vl, wire);
+        }
+        out.push(RnicAction::Wake { at: ready });
     }
 
-    /// Posts one send work request (one doorbell), appending resulting
-    /// actions to `out`. Single-WR fast path: no batch `Vec` is built.
+    /// Posts one send work request (one doorbell): a batch of one.
     ///
     /// # Errors
     ///
-    /// Propagates verbs-layer validation errors (invalid verb/transport,
-    /// oversized payload, unknown QP is a panic — a harness bug).
+    /// As [`Rnic::post_send_batch`].
     pub fn post_send(
         &mut self,
         now: SimTime,
@@ -355,54 +309,36 @@ impl Rnic {
         slab: &mut PacketSlab,
         out: &mut Vec<RnicAction>,
     ) -> Result<(), VerbsError> {
-        let Some(qp) = self.qp_slot_mut(qp_num.raw()) else {
-            debug_assert!(false, "post_send on unknown QP");
-            return Ok(());
-        };
-        qp.post_send(wr)?;
-        let wqe_at = now + self.cfg.mmio_post;
-        let Some(wr) = self.qp_slot_mut(qp_num.raw()).and_then(QueuePair::pop_send) else {
-            debug_assert!(false, "send queue lost a just-posted WR");
-            return Ok(());
-        };
-        self.launch_wr(wqe_at, qp_num, wr, slab, out);
-        Ok(())
+        self.post_send_batch(now, qp_num, std::slice::from_ref(&wr), slab, out)
     }
 
     /// Posts a batch of send work requests with a single doorbell —
     /// the batching optimization the paper's BSGs (Section VIII-A) and the
-    /// pretend-LSG (Section VIII-C) use. Resulting actions are appended to
-    /// `out`.
+    /// pretend-LSG (Section VIII-C) use. Every WR is checked, then each is
+    /// launched in slice order. Resulting actions are appended to `out`.
     ///
     /// # Errors
     ///
-    /// If any work request fails validation, no work is enqueued.
-    /// Posting on an unknown QP is a harness bug: debug builds assert,
-    /// release builds drop the batch and append no actions.
+    /// If a WR fails the verbs-layer checks, its error is returned and no
+    /// WR is launched. Posting on an unknown QP is a harness bug: debug
+    /// builds assert, release builds drop the batch and append no actions.
     pub fn post_send_batch(
         &mut self,
         now: SimTime,
         qp_num: QpNum,
-        wrs: Vec<SendWr>,
+        wrs: &[SendWr],
         slab: &mut PacketSlab,
         out: &mut Vec<RnicAction>,
     ) -> Result<(), VerbsError> {
-        // Validate everything up front.
-        let Some(qp) = self.qp_slot_mut(qp_num.raw()) else {
+        let Some(qp) = self.qp_slot(qp_num.raw()) else {
             debug_assert!(false, "post_send_batch on unknown QP");
             return Ok(());
         };
-        for wr in &wrs {
-            qp.post_send(*wr)?;
-        }
+        wrs.iter().try_for_each(|wr| qp.check_send(wr))?;
+        let transport = qp.transport();
         let wqe_at = now + self.cfg.mmio_post;
-        for _ in 0..wrs.len() {
-            // launch_wr needs &mut self, so re-fetch the QP each round.
-            let Some(wr) = self.qp_slot_mut(qp_num.raw()).and_then(QueuePair::pop_send) else {
-                debug_assert!(false, "send queue lost a just-posted WR");
-                break;
-            };
-            self.launch_wr(wqe_at, qp_num, wr, slab, out);
+        for &wr in wrs {
+            self.launch_wr(wqe_at, qp_num, transport, wr, slab, out);
         }
         Ok(())
     }
@@ -412,6 +348,7 @@ impl Rnic {
         &mut self,
         wqe_at: SimTime,
         qp_num: QpNum,
+        transport: Transport,
         wr: SendWr,
         slab: &mut PacketSlab,
         out: &mut Vec<RnicAction>,
@@ -425,10 +362,6 @@ impl Rnic {
         let engine_done = engine_start + self.cfg.engine_time(n_packets);
         self.engine_free = engine_done;
 
-        let Some(transport) = self.qp_slot(qp_num.raw()).map(QueuePair::transport) else {
-            debug_assert!(false, "launch_wr on unknown QP");
-            return;
-        };
         let msg = self.in_flight.open(qp_num, wr);
 
         if wr.loopback {
@@ -464,7 +397,7 @@ impl Rnic {
                 overhead: self.cfg.headers.read_request_overhead(),
                 injected_at: ready,
             };
-            self.schedule_data(ready, packet, slab, out);
+            self.schedule_tx(ready, packet, slab, out);
             return;
         }
 
@@ -503,7 +436,7 @@ impl Rnic {
                 overhead: self.cfg.headers.data_overhead(wr.verb, transport, first),
                 injected_at: ready,
             };
-            self.schedule_data(ready, packet, slab, out);
+            self.schedule_tx(ready, packet, slab, out);
         }
     }
 
@@ -584,32 +517,9 @@ impl Rnic {
         })
     }
 
-    /// A self-scheduled wake-up: moves ready packets to the injection
-    /// queues and dispatches the wire, appending actions to `out`.
+    /// A self-scheduled wake-up: if the wire is free, injects the next
+    /// packet that is ready and has credits, appending actions to `out`.
     pub fn wake(&mut self, now: SimTime, slab: &PacketSlab, out: &mut Vec<RnicAction>) {
-        self.drain_pending(now);
-        self.dispatch(now, slab, out);
-    }
-
-    fn drain_pending(&mut self, now: SimTime) {
-        // Timers pop in (at, seq) order — time-ascending, FIFO within an
-        // instant — so injection-queue order matches the schedule order.
-        loop {
-            match self.pending_tx.peek() {
-                Some(timer) if timer.at <= now => {}
-                _ => break,
-            }
-            let Some(timer) = self.pending_tx.pop() else {
-                break;
-            };
-            match timer.item {
-                PendingTx::Data(vl, h, wire) => self.txq.push_data(vl, h, wire),
-                PendingTx::Ack(vl, h, wire) => self.txq.push_ack(h, vl, wire),
-            }
-        }
-    }
-
-    fn dispatch(&mut self, now: SimTime, slab: &PacketSlab, out: &mut Vec<RnicAction>) {
         // A busy wire needs no wake of its own: the transmit that set
         // `wire_free` already queued the one wake its busy period needs,
         // and that wake pops before any later-emitted wake at the same
@@ -618,7 +528,9 @@ impl Rnic {
             return;
         }
         let credits = &mut self.peer_credits;
-        let picked = self.txq.pop_next(|vl, bytes| credits.can_send(vl, bytes));
+        let picked = self
+            .txq
+            .pop_next(now, |vl, bytes| credits.can_send(vl, bytes));
         let Some((packet, vl, size)) = picked else {
             return;
         };
@@ -681,8 +593,7 @@ impl Rnic {
         out: &mut Vec<RnicAction>,
     ) {
         self.peer_credits.replenish(vl, bytes);
-        self.drain_pending(now);
-        self.dispatch(now, slab, out);
+        self.wake(now, slab, out);
     }
 
     /// A packet's last bit arrived from the wire at `now`. The RNIC is the
@@ -792,7 +703,7 @@ impl Rnic {
                     .data_overhead(Verb::Read, Transport::Rc, i == 0),
                 injected_at: ready,
             };
-            self.schedule_data(ready, response, slab, out);
+            self.schedule_tx(ready, response, slab, out);
         }
     }
 
@@ -840,9 +751,7 @@ impl Rnic {
                 overhead: self.cfg.headers.ack_overhead(),
                 injected_at: ack_at,
             };
-            let (vl, wire) = (ack.vl, ack.wire_size());
-            let handle = slab.alloc(ack);
-            self.schedule_tx(ack_at, PendingTx::Ack(vl, handle, wire), out);
+            self.schedule_tx(ack_at, ack, slab, out);
         }
 
         if verb == Verb::Send {
@@ -1043,7 +952,7 @@ mod tests {
         let wrs: Vec<SendWr> = (0..50).map(|i| send_wr(i, 64, 2)).collect();
         let mut actions = Vec::new();
         p.rnic
-            .post_send_batch(SimTime::ZERO, qp, wrs, &mut p.slab, &mut actions)
+            .post_send_batch(SimTime::ZERO, qp, &wrs, &mut p.slab, &mut actions)
             .unwrap();
         p.absorb(SimTime::ZERO, actions);
         p.run();
@@ -1324,7 +1233,7 @@ mod tests {
         let wrs = vec![send_wr(1, 4096, 2), send_wr(2, 4096, 2)];
         let mut actions = Vec::new();
         p.rnic
-            .post_send_batch(SimTime::ZERO, qp, wrs, &mut p.slab, &mut actions)
+            .post_send_batch(SimTime::ZERO, qp, &wrs, &mut p.slab, &mut actions)
             .unwrap();
         p.absorb(SimTime::ZERO, actions);
         p.run();
@@ -1440,5 +1349,29 @@ mod tests {
         assert!(p.transmitted.is_empty());
         assert!(p.slab.is_empty());
         assert!(p.rnic.in_flight.is_empty());
+    }
+
+    #[test]
+    fn rejected_batch_leaves_no_wr_behind() {
+        let mut p = Pump::new(1);
+        let qp = p.rnic.create_qp(Transport::Ud);
+        let write = SendWr::new(WrId(11), Verb::Write, 64).to(Lid::new(2), QpNum::new(1));
+        let batch = [send_wr(10, 64, 2), write];
+        let mut actions = Vec::new();
+        let err = p
+            .rnic
+            .post_send_batch(SimTime::ZERO, qp, &batch, &mut p.slab, &mut actions)
+            .unwrap_err();
+        assert!(matches!(err, VerbsError::InvalidVerbForTransport { .. }));
+        assert!(actions.is_empty(), "a rejected batch appends no action");
+        assert!(p.slab.is_empty());
+        // The valid SEND ahead of the rejected WRITE was not launched and
+        // does not ride out with the next post.
+        p.post(SimTime::from_ns(10), qp, send_wr(20, 64, 2))
+            .unwrap();
+        p.run();
+        let completed: Vec<WrId> = p.completions.iter().map(|c| c.wr_id).collect();
+        assert_eq!(completed, [WrId(20)]);
+        assert_eq!(p.transmitted.len(), 1);
     }
 }

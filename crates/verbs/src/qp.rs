@@ -10,13 +10,13 @@ use crate::wr::{RecvWr, SendWr};
 /// IB's maximum message size (2 GB).
 pub const MAX_MESSAGE_BYTES: u64 = 1 << 31;
 
-/// One side of an RDMA connection: its send and receive queues. The
-/// messages its sends launched are tracked per RNIC, in
-/// [`crate::InFlight`].
+/// One side of an RDMA connection: its transport, which every send work
+/// request is checked against, and its receive queue. The messages its
+/// sends launched are tracked per RNIC, in [`crate::InFlight`].
 ///
 /// The queue pair is a *semantic* state machine: the RNIC model drives it
-/// and attaches timing. All transitions validate protocol rules and return
-/// [`VerbsError`] on violations.
+/// and attaches timing. Its checks and transitions return [`VerbsError`]
+/// on protocol violations.
 ///
 /// # Examples
 ///
@@ -25,17 +25,14 @@ pub const MAX_MESSAGE_BYTES: u64 = 1 << 31;
 /// use rperf_verbs::{QueuePair, SendWr, WrId};
 /// use rperf_model::QpNum;
 ///
-/// let mut qp = QueuePair::new(QpNum::new(1), Transport::Rc);
-/// qp.post_send(SendWr::new(WrId(1), Verb::Send, 64))?;
-/// let wr = qp.pop_send().unwrap();
-/// assert_eq!(wr.wr_id, WrId(1));
-/// # Ok::<(), rperf_verbs::VerbsError>(())
+/// let qp = QueuePair::new(QpNum::new(1), Transport::Ud);
+/// assert!(qp.check_send(&SendWr::new(WrId(1), Verb::Send, 64)).is_ok());
+/// assert!(qp.check_send(&SendWr::new(WrId(2), Verb::Write, 64)).is_err());
 /// ```
 #[derive(Debug, Clone)]
 pub struct QueuePair {
     num: QpNum,
     transport: Transport,
-    sq: VecDeque<SendWr>,
     rq: VecDeque<RecvWr>,
 }
 
@@ -45,7 +42,6 @@ impl QueuePair {
         QueuePair {
             num,
             transport,
-            sq: VecDeque::new(),
             rq: VecDeque::new(),
         }
     }
@@ -60,13 +56,14 @@ impl QueuePair {
         self.transport
     }
 
-    /// Posts a send-queue work request.
+    /// Checks a send work request against this queue pair's transport and
+    /// IB's message-size limit.
     ///
     /// # Errors
     ///
     /// * [`VerbsError::InvalidVerbForTransport`] for one-sided verbs on UD.
     /// * [`VerbsError::PayloadTooLarge`] beyond IB's 2 GB message limit.
-    pub fn post_send(&mut self, wr: SendWr) -> Result<(), VerbsError> {
+    pub fn check_send(&self, wr: &SendWr) -> Result<(), VerbsError> {
         if !wr.valid_for(self.transport) {
             return Err(VerbsError::InvalidVerbForTransport {
                 verb: wr.verb,
@@ -79,23 +76,12 @@ impl QueuePair {
                 limit: MAX_MESSAGE_BYTES,
             });
         }
-        self.sq.push_back(wr);
         Ok(())
     }
 
     /// Posts a receive-queue work request.
     pub fn post_recv(&mut self, wr: RecvWr) {
         self.rq.push_back(wr);
-    }
-
-    /// Takes the next work request off the send queue (engine side).
-    pub fn pop_send(&mut self) -> Option<SendWr> {
-        self.sq.pop_front()
-    }
-
-    /// Pending send-queue depth.
-    pub fn sq_depth(&self) -> usize {
-        self.sq.len()
     }
 
     /// Pending receive-queue depth.
@@ -126,31 +112,20 @@ mod tests {
     }
 
     #[test]
-    fn post_pop_fifo() {
-        let mut qp = rc_qp();
-        qp.post_send(SendWr::new(WrId(1), Verb::Send, 64)).unwrap();
-        qp.post_send(SendWr::new(WrId(2), Verb::Send, 64)).unwrap();
-        assert_eq!(qp.sq_depth(), 2);
-        assert_eq!(qp.pop_send().unwrap().wr_id, WrId(1));
-        assert_eq!(qp.pop_send().unwrap().wr_id, WrId(2));
-        assert!(qp.pop_send().is_none());
-    }
-
-    #[test]
     fn ud_rejects_one_sided() {
-        let mut qp = QueuePair::new(QpNum::new(2), Transport::Ud);
+        let qp = QueuePair::new(QpNum::new(2), Transport::Ud);
         let err = qp
-            .post_send(SendWr::new(WrId(1), Verb::Write, 64))
+            .check_send(&SendWr::new(WrId(1), Verb::Write, 64))
             .unwrap_err();
         assert!(matches!(err, VerbsError::InvalidVerbForTransport { .. }));
-        assert!(qp.post_send(SendWr::new(WrId(1), Verb::Send, 64)).is_ok());
+        assert!(qp.check_send(&SendWr::new(WrId(1), Verb::Send, 64)).is_ok());
     }
 
     #[test]
     fn oversized_payload_rejected() {
-        let mut qp = rc_qp();
+        let qp = rc_qp();
         let err = qp
-            .post_send(SendWr::new(WrId(1), Verb::Send, MAX_MESSAGE_BYTES + 1))
+            .check_send(&SendWr::new(WrId(1), Verb::Send, MAX_MESSAGE_BYTES + 1))
             .unwrap_err();
         assert!(matches!(err, VerbsError::PayloadTooLarge { .. }));
     }

@@ -13,7 +13,7 @@ impl WrId {
     }
 }
 
-/// A send-queue work request: one SEND, WRITE or READ operation.
+/// A send work request: one SEND, WRITE or READ operation.
 ///
 /// # Examples
 ///

@@ -135,7 +135,7 @@ impl Bsg {
             return;
         };
         let wrs: Vec<SendWr> = (0..count).map(|_| self.make_wr(ctx)).collect();
-        if ctx.post_send_batch(qp, wrs).is_err() {
+        if ctx.post_send_batch(qp, &wrs).is_err() {
             debug_assert!(false, "invalid BSG work requests");
         }
     }
