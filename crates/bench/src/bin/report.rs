@@ -1,9 +1,14 @@
 //! Runs every figure and writes EXPERIMENTS.md (paper vs measured) plus
 //! BENCH_report.json (per-figure wall-clock seconds and processed
-//! simulation events, in total and per event kind).
+//! simulation events, in total and per event kind, and the switch and
+//! RNIC wakes among them that transmitted nothing).
 //!
 //! Usage: `cargo run --release -p rperf-bench --bin report
 //!         [--quick] [--jobs N] [--out PATH] [--gate [PCT]] [--bless]`
+//!
+//! EXPERIMENTS.md goes to `--out` (default: the checkout root) and
+//! BENCH_report.json beside it; BENCH_baseline.json is always the one
+//! committed at the checkout root.
 //!
 //! `--gate` turns the run into a perf-regression gate: after the report is
 //! written, every figure's wall seconds — and the total — are compared
@@ -32,7 +37,7 @@ use std::time::Instant;
 
 use rperf_bench::figures::{SeriesSpec, Sweep};
 use rperf_bench::Effort;
-use rperf_fabric::KIND_NAMES;
+use rperf_fabric::{IdleWakes, KIND_NAMES};
 use rperf_stats::{json, Figure, Series};
 
 /// Wall-clock and event-count attribution for one figure sweep.
@@ -41,6 +46,8 @@ struct FigStat {
     wall_s: f64,
     /// Events processed, per kind ([`KIND_NAMES`] order).
     events_by_kind: [u64; KIND_NAMES.len()],
+    /// Wakes among them that transmitted nothing.
+    idle_wakes: IdleWakes,
 }
 
 impl FigStat {
@@ -58,35 +65,39 @@ const TIMED_RERUN_BELOW_S: f64 = 0.25;
 const TIMED_MAX_RUNS: u32 = 5;
 
 /// Runs one sweep, attributing wall-clock time and processed
-/// simulation events (summed over all worker threads) to it.
-fn timed<T>(stats: &mut Vec<FigStat>, id: &'static str, f: impl Fn() -> T) -> T {
+/// simulation events (summed over all worker threads) to it; the sweep
+/// itself returns its idle wakes, summed over its runs.
+fn timed<T>(stats: &mut Vec<FigStat>, id: &'static str, f: impl Fn() -> (T, IdleWakes)) -> T {
     eprintln!("running {id}...");
     let one = || {
         let before = rperf_fabric::events_by_kind_total();
         let start = Instant::now();
-        let out = f();
+        let (out, idle_wakes) = f();
         let wall_s = start.elapsed().as_secs_f64();
         let after = rperf_fabric::events_by_kind_total();
-        (out, wall_s, std::array::from_fn(|k| after[k] - before[k]))
+        let by_kind: [u64; KIND_NAMES.len()] = std::array::from_fn(|k| after[k] - before[k]);
+        (out, wall_s, (by_kind, idle_wakes))
     };
-    let (mut out, mut wall_s, events_by_kind) = one();
+    let (mut out, mut wall_s, counts) = one();
     let mut runs = 1;
     while wall_s < TIMED_RERUN_BELOW_S && runs < TIMED_MAX_RUNS {
-        let (rerun_out, rerun_wall, rerun_by_kind) = one();
+        let (rerun_out, rerun_wall, rerun_counts) = one();
         // The sweep is deterministic; a drifting event count across
         // back-to-back runs means a real bug, not timing noise.
         assert_eq!(
-            rerun_by_kind, events_by_kind,
-            "{id}: per-kind event counts changed across identical re-runs"
+            rerun_counts, counts,
+            "{id}: event counts changed across identical re-runs"
         );
         out = rerun_out;
         wall_s = wall_s.min(rerun_wall);
         runs += 1;
     }
+    let (events_by_kind, idle_wakes) = counts;
     let stat = FigStat {
         id,
         wall_s,
         events_by_kind,
+        idle_wakes,
     };
     eprintln!(
         "  {id}: {wall_s:.3} s, {} events (best of {runs})",
@@ -103,11 +114,18 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<Option<&'a str>> {
     Some(args.get(i + 1).map(String::as_str))
 }
 
+/// `file` at the checkout root.
+fn at_root(file: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(file)
+}
+
 /// `--out PATH`, by default EXPERIMENTS.md at the checkout root. A
 /// missing path (`--out` last, or before another `--flag`) is an error.
 fn out_path(args: &[String]) -> Result<PathBuf, String> {
     match flag_value(args, "--out") {
-        None => Ok(PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../EXPERIMENTS.md")),
+        None => Ok(at_root("EXPERIMENTS.md")),
         Some(Some(path)) if !path.starts_with("--") => Ok(PathBuf::from(path)),
         Some(Some(flag)) => Err(format!("`--out` needs a path, got `{flag}`")),
         Some(None) => Err("`--out` needs a path, got nothing".into()),
@@ -238,11 +256,16 @@ fn bench_report_json(effort: &Effort, stats: &[FigStat], baseline: Option<f64>) 
                     .zip(s.events_by_kind)
                     .map(|(kind, n)| (*kind, json::num(n as f64))),
             );
+            let idle = json::object([
+                ("switch_wake", json::num(s.idle_wakes.switch as f64)),
+                ("rnic_wake", json::num(s.idle_wakes.rnic as f64)),
+            ]);
             json::object([
                 ("id", json::string(s.id)),
                 ("wall_s", json::num(s.wall_s)),
                 ("events", json::num(s.events() as f64)),
                 ("events_by_kind", by_kind),
+                ("idle_wakes", idle),
             ])
         })
         .collect();
@@ -360,7 +383,7 @@ fn main() {
     );
 
     for sweep in Sweep::all() {
-        let figs = timed(&mut stats, sweep.id, || sweep.run(&effort));
+        let figs = timed(&mut stats, sweep.id, || sweep.run_counted(&effort));
         for fig in &figs {
             md.push_str(&fig.to_markdown());
         }
@@ -419,7 +442,8 @@ fn main() {
     eprintln!("wrote {}", out_path.display());
 
     let bench_path = out_path.with_file_name("BENCH_report.json");
-    let baseline_path = out_path.with_file_name("BENCH_baseline.json");
+    // The committed baseline, wherever `--out` puts the report.
+    let baseline_path = at_root("BENCH_baseline.json");
     let baseline = load_baseline(&baseline_path);
     std::fs::write(
         &bench_path,
@@ -529,8 +553,8 @@ mod tests {
     /// every figure the report times.
     #[test]
     fn committed_baseline_loads_with_every_timed_figure() {
-        let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_baseline.json");
-        let base = load_baseline(&path).expect("BENCH_baseline.json loads as a gate baseline");
+        let base = load_baseline(&at_root("BENCH_baseline.json"))
+            .expect("BENCH_baseline.json loads as a gate baseline");
         assert!(base.total_wall_s > 0.0, "total_wall_s must be positive");
         for sweep in Sweep::all() {
             let id = sweep.id;

@@ -19,6 +19,7 @@ use std::ops::Range;
 
 use rperf::scenario::{converged_outcome, specs};
 use rperf::{execute, DeviceProfile, QosMode, ScenarioOutcome, ScenarioSpec};
+use rperf_fabric::IdleWakes;
 use rperf_model::config::SchedPolicy;
 use rperf_stats::{Figure, Series};
 
@@ -555,6 +556,12 @@ impl Sweep {
     /// returns the figures, each series' value averaged over the seeds in
     /// seed order.
     pub fn run(&self, effort: &Effort) -> Vec<Figure> {
+        self.run_counted(effort).0
+    }
+
+    /// [`Sweep::run`], also returning the wakes that transmitted nothing,
+    /// summed over every run of the sweep.
+    pub fn run_counted(&self, effort: &Effort) -> (Vec<Figure>, IdleWakes) {
         let window = effort.window(self.base_ms);
         let runs = sweep_over_seeds(
             effort,
@@ -562,6 +569,10 @@ impl Sweep {
             |(_, spec), seed| execute(&spec.clone().with_duration(window), seed),
             |_, per_seed| per_seed,
         );
+        let mut idle = IdleWakes::default();
+        for out in runs.iter().flatten() {
+            idle += out.idle_wakes;
+        }
         let fill = |f: &FigureSpec| {
             let mut fig = f.frame.clone();
             for s in &f.series {
@@ -574,7 +585,7 @@ impl Sweep {
             }
             fig
         };
-        self.figures.iter().map(fill).collect()
+        (self.figures.iter().map(fill).collect(), idle)
     }
 }
 

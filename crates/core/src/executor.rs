@@ -9,7 +9,7 @@
 //! through this function, so there is exactly one place that turns a
 //! traffic matrix into applications.
 
-use rperf_fabric::{FabricBuilder, Sim};
+use rperf_fabric::{FabricBuilder, IdleWakes, Sim};
 use rperf_model::ClusterConfig;
 use rperf_sim::{RunOutcome, SimDuration, SimTime};
 use rperf_stats::{json, LatencySummary};
@@ -67,6 +67,9 @@ pub struct ScenarioOutcome {
     pub end: SimTime,
     /// One report per role, keyed by node, in spec order.
     pub reports: Vec<(usize, RoleReport)>,
+    /// The run's wakes that transmitted nothing: simulator telemetry, not
+    /// a measurement, so [`ScenarioOutcome::to_json`] leaves it out.
+    pub idle_wakes: IdleWakes,
 }
 
 impl ScenarioOutcome {
@@ -354,7 +357,7 @@ pub fn execute_budgeted(
 }
 
 /// The configuration a spec's device profile and policy select.
-fn profile_config(spec: &ScenarioSpec) -> ClusterConfig {
+pub(crate) fn profile_config(spec: &ScenarioSpec) -> ClusterConfig {
     spec.profile.cluster_config().with_policy(spec.policy)
 }
 
@@ -389,30 +392,8 @@ fn execute_budgeted_with_config(
     seed: u64,
     budget: ExecBudget<'_>,
 ) -> Result<ScenarioOutcome, ExecInterrupt> {
-    if let Err(msg) = spec.validate() {
-        panic!("invalid scenario `{}`: {msg}", spec.name);
-    }
-    let mut cfg = cfg;
-    if spec.qos != QosMode::SharedSl {
-        cfg = cfg.with_dedicated_sl();
-    }
-    let mut builder = FabricBuilder::new(cfg.clone(), seed);
-    for r in &spec.roles {
-        if matches!(r.role, Role::PretendLsg { .. }) {
-            // The adversary optimizes its posting path (multiple QPs plus
-            // aggressive doorbell batching); modelled as a faster WQE
-            // engine.
-            let mut hot = cfg.rnic.clone();
-            hot.wqe_engine = SimDuration::from_ns(65);
-            builder = builder.with_rnic_override(r.node, hot);
-        }
-    }
-    let mut sim = Sim::new(builder.build(&spec.topology));
-    for r in &spec.roles {
-        sim.add_app(r.node, build_app(spec, r, seed));
-    }
+    let (mut sim, end) = build(spec, cfg, seed);
     sim.start();
-    let end = SimTime::ZERO + spec.warmup + spec.duration;
     let mut never = || false;
     let cancelled = budget.cancelled.unwrap_or(&mut never);
     let outcome = sim.run_until_budgeted(end, budget.max_events, budget.check_every, cancelled);
@@ -439,7 +420,40 @@ fn execute_budgeted_with_config(
         seed,
         end,
         reports,
+        idle_wakes: sim.idle_wakes(),
     })
+}
+
+/// Builds the simulation `spec` describes against `cfg`, with every
+/// role's app attached but not started, and the instant its run ends.
+///
+/// # Panics
+///
+/// Panics if the spec fails [`ScenarioSpec::validate`].
+pub(crate) fn build(spec: &ScenarioSpec, cfg: ClusterConfig, seed: u64) -> (Sim, SimTime) {
+    if let Err(msg) = spec.validate() {
+        panic!("invalid scenario `{}`: {msg}", spec.name);
+    }
+    let mut cfg = cfg;
+    if spec.qos != QosMode::SharedSl {
+        cfg = cfg.with_dedicated_sl();
+    }
+    let mut builder = FabricBuilder::new(cfg.clone(), seed);
+    for r in &spec.roles {
+        if matches!(r.role, Role::PretendLsg { .. }) {
+            // The adversary optimizes its posting path (multiple QPs plus
+            // aggressive doorbell batching); modelled as a faster WQE
+            // engine.
+            let mut hot = cfg.rnic.clone();
+            hot.wqe_engine = SimDuration::from_ns(65);
+            builder = builder.with_rnic_override(r.node, hot);
+        }
+    }
+    let mut sim = Sim::new(builder.build(&spec.topology));
+    for r in &spec.roles {
+        sim.add_app(r.node, build_app(spec, r, seed));
+    }
+    (sim, SimTime::ZERO + spec.warmup + spec.duration)
 }
 
 /// Renders every switch's programmed forwarding table as deterministic

@@ -40,6 +40,8 @@ mod qperf;
 mod rperf_app;
 pub mod scenario;
 pub mod spec;
+#[cfg(test)]
+mod wake_exactness;
 
 pub use executor::{
     dump_routes, execute, execute_budgeted, execute_with_config, ExecBudget, ExecInterrupt,

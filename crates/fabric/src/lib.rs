@@ -40,7 +40,7 @@ mod topology;
 mod trace;
 mod world;
 
-pub use sim::{Ctx, Sim};
+pub use sim::{Ctx, IdleWakes, Sim};
 pub use topology::{Endpoint, Fabric, FabricBuilder, Topology};
 pub use trace::{TraceEvent, TraceRecord, Tracer};
 pub use world::{

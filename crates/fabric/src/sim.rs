@@ -79,6 +79,13 @@ impl KeySlot {
     }
 
     /// The ordering key of this device's next emission at `now`.
+    #[inline]
+    fn key(&mut self, now: SimTime) -> u128 {
+        let ctr = self.next(now);
+        emit_key(now, self.dev, ctr)
+    }
+
+    /// Takes the emission counter of this device's next emission at `now`.
     ///
     /// The counter saturates instead of wrapping, so it can never carry
     /// into the device id or reorder earlier emissions. Reaching the
@@ -86,15 +93,39 @@ impl KeySlot {
     /// billions of events pending or handled at one instant, beyond any
     /// run's memory or time — so keys stay unique in every run.
     #[inline]
-    fn key(&mut self, now: SimTime) -> u128 {
+    fn next(&mut self, now: SimTime) -> u32 {
         if self.last != now {
             self.last = now;
             self.ctr = 0;
         }
         let ctr = self.ctr;
         self.ctr = ctr.saturating_add(1);
-        emit_key(now, self.dev, ctr)
+        ctr
     }
+
+    /// Keys a wake for `at` now and returns it held instead of scheduled.
+    #[inline]
+    fn hold(&mut self, now: SimTime, at: SimTime) -> HeldWake {
+        debug_assert!(at > now, "a held wake at {at:?} does not follow {now:?}");
+        let ctr = self.next(now);
+        HeldWake {
+            at,
+            emitted: now,
+            ctr,
+        }
+    }
+}
+
+/// A wake a device asked the router to hold ([`RnicAction::HoldWake`],
+/// [`SwitchAction::HoldWake`]): its instant and the emission key it was
+/// minted with, less the device id its slot implies. A held wake is for
+/// the instant a port frees, strictly after the transmit that busied it,
+/// so a zero `at` marks an empty slot.
+#[derive(Debug, Clone, Copy, Default)]
+struct HeldWake {
+    at: SimTime,
+    emitted: SimTime,
+    ctr: u32,
 }
 
 /// A cable's far end.
@@ -186,12 +217,29 @@ struct Net {
     cqes: CqeSlab,
     rnic_link: Vec<Hop>,
     rnic_key: Vec<KeySlot>,
+    rnic_held: Vec<HeldWake>,
     /// Per switch, per port (`None` = unconnected).
     switch_link: Vec<Vec<Option<Hop>>>,
     switch_key: Vec<KeySlot>,
+    /// Per switch, per egress port.
+    switch_held: Vec<Vec<HeldWake>>,
 }
 
 impl Net {
+    /// Schedules `held` as `event` under the key device `dev` minted it
+    /// with, if that still pops after the event being handled. A wake
+    /// whose turn has passed would have found nothing to do then and is
+    /// dropped, as is an empty slot.
+    fn release(&mut self, held: HeldWake, dev: u32, event: FabricEvent) {
+        if held.at == SimTime::ZERO {
+            return;
+        }
+        let key = emit_key(held.emitted, dev, held.ctr);
+        if (held.at, key) > (self.q.now(), self.q.now_key()) {
+            self.q.schedule(held.at, key, event);
+        }
+    }
+
     /// Routes RNIC `node`'s pending actions, draining `out` in place (no
     /// per-call allocation).
     fn route_rnic(&mut self, node: usize, now: SimTime, out: &mut Vec<RnicAction>) {
@@ -202,6 +250,14 @@ impl Net {
                 RnicAction::Wake { at } => {
                     let k = self.rnic_key[node].key(now);
                     self.q.schedule(at, k, FabricEvent::RnicWake(node as u32));
+                }
+                RnicAction::HoldWake { at } => {
+                    self.rnic_held[node] = self.rnic_key[node].hold(now, at);
+                }
+                RnicAction::ReleaseWake => {
+                    let held = std::mem::take(&mut self.rnic_held[node]);
+                    let dev = self.rnic_key[node].dev;
+                    self.release(held, dev, FabricEvent::RnicWake(node as u32));
                 }
                 RnicAction::Complete { cqe } => {
                     let at = cqe.visible_at.max(now);
@@ -240,6 +296,15 @@ impl Net {
                     self.q
                         .schedule(at, k, FabricEvent::SwitchWake { switch, egress });
                 }
+                SwitchAction::HoldWake { egress, at } => {
+                    self.switch_held[sw][egress.index()] = self.switch_key[sw].hold(now, at);
+                }
+                SwitchAction::ReleaseWake { egress } => {
+                    let held = std::mem::take(&mut self.switch_held[sw][egress.index()]);
+                    let dev = self.switch_key[sw].dev;
+                    let switch = sw as u32;
+                    self.release(held, dev, FabricEvent::SwitchWake { switch, egress });
+                }
                 SwitchAction::Transmit {
                     egress,
                     packet,
@@ -273,6 +338,25 @@ impl Net {
     }
 }
 
+/// Wakes that transmitted nothing, per device kind: the `switch_wake`
+/// events ([`crate::KIND_NAMES`]) that forwarded no packet and the
+/// `rnic_wake` events that injected none. Deterministic, like the
+/// per-kind event counts beside them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct IdleWakes {
+    /// Switch wakes that forwarded no packet.
+    pub switch: u64,
+    /// RNIC wakes that injected no packet (and so emitted no action).
+    pub rnic: u64,
+}
+
+impl std::ops::AddAssign for IdleWakes {
+    fn add_assign(&mut self, other: IdleWakes) {
+        self.switch += other.switch;
+        self.rnic += other.rnic;
+    }
+}
+
 /// A ready-to-run simulation: the sole owner of a fabric's devices, the
 /// apps attached to its nodes, and the event queue and packet slab they
 /// share.
@@ -296,6 +380,8 @@ pub struct Sim {
     tracer: Option<Tracer>,
     /// Events dispatched so far, per kind ([`crate::KIND_NAMES`] order).
     events_by_kind: [u64; KINDS],
+    /// Wakes dispatched so far that transmitted nothing.
+    idle_wakes: IdleWakes,
     started: bool,
     /// Set by the first run that drains the queue, which counts leaks;
     /// nothing can schedule afterwards, so later runs count nothing.
@@ -332,6 +418,11 @@ impl Sim {
             cqes: CqeSlab::default(),
             rnic_link: rnic_peer.into_iter().map(Hop::of).collect(),
             rnic_key: (0..nodes).map(KeySlot::new).collect(),
+            rnic_held: vec![HeldWake::default(); rnics.len()],
+            switch_held: switch_peer
+                .iter()
+                .map(|peers| vec![HeldWake::default(); peers.len()])
+                .collect(),
             switch_link: switch_peer
                 .into_iter()
                 .map(|peers| peers.into_iter().map(|p| p.map(Hop::of)).collect())
@@ -350,6 +441,7 @@ impl Sim {
             switch_out: Vec::with_capacity(64),
             tracer: None,
             events_by_kind: [0; KINDS],
+            idle_wakes: IdleWakes::default(),
             started: false,
             drained: false,
         }
@@ -385,6 +477,10 @@ impl Sim {
                 self.events_by_kind[1] += 1;
                 let sw = switch as usize;
                 self.switches[sw].egress_wake(now, egress, &mut self.switch_out);
+                let sent = |a: &SwitchAction| matches!(a, SwitchAction::Transmit { .. });
+                if !self.switch_out.iter().any(sent) {
+                    self.idle_wakes.switch += 1;
+                }
                 self.net.route_switch(sw, now, &mut self.switch_out);
             }
             FabricEvent::RnicPacket { node, packet } => {
@@ -397,6 +493,10 @@ impl Sim {
                 self.events_by_kind[3] += 1;
                 let n = node as usize;
                 self.rnics[n].wake(now, &self.net.slab, &mut self.rnic_out);
+                // An RNIC wake either transmits or emits nothing.
+                if self.rnic_out.is_empty() {
+                    self.idle_wakes.rnic += 1;
+                }
                 self.net.route_rnic(n, now, &mut self.rnic_out);
             }
             FabricEvent::SwitchCredit {
@@ -539,6 +639,11 @@ impl Sim {
     /// Events processed so far, per kind, in [`crate::KIND_NAMES`] order.
     pub fn events_by_kind(&self) -> [u64; KINDS] {
         self.events_by_kind
+    }
+
+    /// Wakes dispatched so far that transmitted nothing.
+    pub fn idle_wakes(&self) -> IdleWakes {
+        self.idle_wakes
     }
 
     /// Live packet handles in the slab (leak diagnostics).
@@ -839,6 +944,278 @@ mod tests {
         assert_eq!(
             whole.app_as::<Sink>(3).last_at,
             sim.app_as::<Sink>(3).last_at
+        );
+    }
+
+    /// Posts RC SENDs on one QP, each `(delay, target, payload)` its
+    /// delay after the start.
+    struct Poster(Vec<(SimDuration, usize, u64)>);
+
+    impl Poster {
+        fn post(&self, ctx: &mut Ctx<'_>, i: usize) {
+            let (_, target, payload) = self.0[i];
+            let qp = QpNum::new(1);
+            let wr = SendWr::new(WrId(i as u64), Verb::Send, payload).to(ctx.lid_of(target), qp);
+            ctx.post_send(qp, wr).unwrap();
+        }
+    }
+
+    impl App for Poster {
+        fn start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.create_qp(Transport::Rc);
+            for (i, &(delay, ..)) in self.0.iter().enumerate() {
+                if delay == SimDuration::ZERO {
+                    self.post(ctx, i);
+                } else {
+                    ctx.set_timer(delay, i as u64);
+                }
+            }
+        }
+
+        fn on_cqe(&mut self, _: &mut Ctx<'_>, _: Cqe) {}
+
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+            self.post(ctx, token as usize);
+        }
+
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+    }
+
+    fn poster(sends: &[(SimDuration, usize, u64)]) -> Box<dyn App> {
+        Box::new(Poster(sends.to_vec()))
+    }
+
+    fn ns(n: u64) -> SimDuration {
+        SimDuration::from_ns(n)
+    }
+
+    /// Runs `fabric` with `apps` (the other nodes sink) to quiescence,
+    /// tracing; returns the simulation.
+    fn run_traced(fabric: Fabric, apps: Vec<(usize, Box<dyn App>)>) -> Sim {
+        let nodes = fabric.nodes();
+        let mut sim = Sim::new(fabric);
+        sim.enable_trace(10_000);
+        for node in 0..nodes {
+            sim.add_app(node, Box::new(Sink::new()));
+        }
+        for (node, app) in apps {
+            sim.add_app(node, app);
+        }
+        sim.start();
+        sim.run_to_quiescence();
+        sim
+    }
+
+    /// The instants packets of `payload` bytes reached `node`'s RNIC.
+    fn arrivals(sim: &Sim, node: usize, payload: u64) -> Vec<SimTime> {
+        let trace = sim.trace().expect("traced");
+        trace
+            .records()
+            .iter()
+            .filter_map(|r| match r.event {
+                TraceEvent::HostArrival {
+                    node: n,
+                    payload: p,
+                    ..
+                } if n == node && p == payload => Some(r.at),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Serialization time of an RC SEND's only packet on the link.
+    fn wire_time(cfg: &ClusterConfig, payload: u64) -> SimDuration {
+        let overhead = cfg
+            .rnic
+            .headers
+            .data_overhead(Verb::Send, Transport::Rc, true);
+        cfg.link.data_rate().serialize_time(payload + overhead)
+    }
+
+    const RNIC_WAKE: usize = 3;
+    const SWITCH_WAKE: usize = 1;
+
+    /// Hold: with nothing queued behind it, neither a transmit's wake
+    /// nor a dispatch's is ever scheduled. One SEND and its ACK through
+    /// a switch wake each RNIC once and each egress once, and no wake
+    /// goes idle.
+    #[test]
+    fn a_lone_send_schedules_no_idle_wake() {
+        let fabric = Fabric::single_switch(ClusterConfig::omnet_simulator(), 2, 1);
+        let sim = run_traced(fabric, vec![(0, poster(&[(ns(0), 1, 64)]))]);
+        assert_eq!(sim.app_as::<Sink>(1).recvs, 1);
+        let by_kind = sim.events_by_kind();
+        assert_eq!((by_kind[RNIC_WAKE], by_kind[SWITCH_WAKE]), (2, 2));
+        assert_eq!(sim.idle_wakes(), IdleWakes::default());
+    }
+
+    /// RNIC release on a packet and drop: a 64 B SEND posted while a
+    /// 4 KB one is on the wire is ready before the wire frees. Its own
+    /// wake would pop on a busy wire and is never asked for; it releases
+    /// the 4 KB packet's held wake instead, which sends it right behind.
+    #[test]
+    fn a_packet_ready_while_the_wire_is_busy_releases_the_held_wake() {
+        let cfg = ClusterConfig::omnet_simulator();
+        let big = wire_time(&cfg, 4096);
+        let rnic = &cfg.rnic;
+        // The 4 KB SEND reaches the wire after its doorbell, WQE and
+        // payload DMA; the 64 B one is inlined.
+        let first_on_wire = rnic.mmio_post
+            + rnic.engine_time(1)
+            + rnic.dma_read_latency
+            + rnic.pcie_rate.serialize_time(4096);
+        let small_at = first_on_wire + big / 2 - rnic.mmio_post - rnic.engine_time(1);
+        let sends = poster(&[(ns(0), 1, 4096), (small_at, 1, 64)]);
+        let sim = run_traced(Fabric::direct_pair(cfg.clone(), 1), vec![(0, sends)]);
+        let (large, small) = (arrivals(&sim, 1, 4096), arrivals(&sim, 1, 64));
+        assert_eq!((large.len(), small.len()), (1, 1), "both SENDs arrive");
+        assert_eq!(
+            small[0] - large[0],
+            cfg.rnic.tx_ipg + wire_time(&cfg, 64),
+            "the 64 B packet leaves as the wire frees"
+        );
+        assert_eq!(sim.idle_wakes(), IdleWakes::default());
+    }
+
+    /// RNIC release on a credit: with receive buffers for two 4 KB
+    /// packets, every transmit from the second on spends the last credit
+    /// and holds its wake, and the credit of the packet before returns
+    /// while the wire is still busy. Releasing the wake then keeps the burst back to back,
+    /// exactly as with credits to spare.
+    #[test]
+    fn a_credit_returned_while_the_wire_is_busy_releases_the_held_wake() {
+        let burst = [(ns(0), 1, 4096); 6];
+        let run = |rx_buffer_bytes| {
+            let mut cfg = ClusterConfig::omnet_simulator();
+            cfg.rnic.rx_buffer_bytes = rx_buffer_bytes;
+            let sim = run_traced(Fabric::direct_pair(cfg, 1), vec![(0, poster(&burst))]);
+            arrivals(&sim, 1, 4096)
+        };
+        let cfg = ClusterConfig::omnet_simulator();
+        let (link, rnic) = (&cfg.link, &cfg.rnic);
+        let packet = 4096 + rnic.headers.data_overhead(Verb::Send, Transport::Rc, true);
+        // A credit comes back 2 × propagation + RX processing after its
+        // packet's last bit leaves: after the next packet starts, before
+        // it ends.
+        let credit_back = link.propagation * 2 + rnic.rx_per_packet;
+        assert!(credit_back > rnic.tx_ipg && credit_back < wire_time(&cfg, 4096));
+        let tight = run(2 * packet);
+        assert_eq!(tight.len(), burst.len());
+        assert_eq!(tight, run(cfg.rnic.rx_buffer_bytes));
+    }
+
+    /// Switch hold, release on an arrival and drop: a 4 KB packet
+    /// dispatched alone holds its egress's wake; a second one arriving
+    /// while it is on the wire asks for a wake when the port frees, which
+    /// releases the held wake and is itself dropped. The held wake sends
+    /// the second packet back to back, and no switch wake goes idle.
+    #[test]
+    fn an_arrival_at_a_busy_egress_releases_its_held_wake() {
+        let cfg = ClusterConfig::omnet_simulator();
+        // The second packet reaches the switch after the first is
+        // dispatched and becomes eligible before the port frees.
+        let (pipeline, ser) = (cfg.switch.pipeline_latency, wire_time(&cfg, 4096));
+        let gap = (pipeline + ser) / 2;
+        assert!(gap > pipeline && gap + pipeline < ser);
+        let fabric = Fabric::single_switch(cfg.clone(), 3, 1);
+        let sim = run_traced(
+            fabric,
+            vec![
+                (0, poster(&[(ns(0), 2, 4096)])),
+                (1, poster(&[(gap, 2, 4096)])),
+            ],
+        );
+        let at = arrivals(&sim, 2, 4096);
+        assert_eq!(at.len(), 2);
+        assert_eq!(
+            at[1] - at[0],
+            ser,
+            "the second packet leaves as the port frees"
+        );
+        assert_eq!(sim.idle_wakes().switch, 0);
+    }
+
+    /// Switch release on a chained wake and its drop: a 64 B packet
+    /// queues behind a 4 KB one bound for a busy egress. A third host's
+    /// packet then goes out alone on the 64 B packet's egress and holds
+    /// its wake. Dispatching the 4 KB packet exposes the 64 B one while
+    /// that egress still transmits: the chained wake releases the held
+    /// wake and is dropped, and the 64 B packet leaves right behind.
+    #[test]
+    fn an_exposed_head_at_a_busy_egress_releases_its_held_wake() {
+        let cfg = ClusterConfig::omnet_simulator();
+        let ser = |bytes| wire_time(&cfg, bytes);
+        // Node 1 keeps egress 2 busy; node 0's 4 KB packet waits for it,
+        // with the 64 B packet behind; node 4 then occupies egress 3.
+        let fabric = Fabric::single_switch(cfg.clone(), 5, 1);
+        let sim = run_traced(
+            fabric,
+            vec![
+                (1, poster(&[(ns(0), 2, 4096)])),
+                (0, poster(&[(ns(100), 2, 4096), (ns(100), 3, 64)])),
+                (4, poster(&[(ns(560), 3, 4096)])),
+            ],
+        );
+        assert_eq!(arrivals(&sim, 2, 4096).len(), 2);
+        let (big, small) = (arrivals(&sim, 3, 4096), arrivals(&sim, 3, 64));
+        assert_eq!((big.len(), small.len()), (1, 1));
+        assert_eq!(
+            small[0] - big[0],
+            ser(64),
+            "the exposed packet leaves as its egress frees"
+        );
+    }
+
+    /// The router's "still ahead" check: a released wake is scheduled
+    /// under its minted key only if that pops after the event being
+    /// handled; one whose turn has passed is dropped.
+    #[test]
+    fn a_released_wake_whose_turn_has_passed_is_dropped() {
+        let mut sim = Sim::new(Fabric::direct_pair(ClusterConfig::omnet_simulator(), 1));
+        let net = &mut sim.net;
+        let t = SimTime::from_ns(10);
+        let held = |ctr| HeldWake {
+            at: t,
+            emitted: SimTime::from_ns(2),
+            ctr,
+        };
+        let event = FabricEvent::RnicWake(0);
+        net.q
+            .schedule(t, emit_key(SimTime::from_ns(2), 0, 5), event.clone());
+        net.q.pop();
+        net.release(held(4), 0, event.clone());
+        assert!(net.q.is_empty(), "keyed before the event being handled");
+        net.release(held(6), 0, event.clone());
+        assert_eq!(net.q.len(), 1, "keyed after it");
+        net.release(HeldWake::default(), 0, event);
+        assert_eq!(net.q.len(), 1, "an empty slot releases nothing");
+    }
+
+    /// A hold keys the wake where it is asked for, and a newer hold
+    /// replaces an older one: the release schedules the newer wake under
+    /// its own key.
+    #[test]
+    fn a_newer_hold_replaces_the_older() {
+        let mut sim = Sim::new(Fabric::direct_pair(ClusterConfig::omnet_simulator(), 1));
+        let net = &mut sim.net;
+        let now = SimTime::ZERO;
+        let (first, second) = (SimTime::from_ns(5), SimTime::from_ns(7));
+        let mut out = vec![
+            RnicAction::HoldWake { at: first },
+            RnicAction::HoldWake { at: second },
+        ];
+        net.route_rnic(0, now, &mut out);
+        assert!(net.q.is_empty(), "held wakes are not scheduled");
+        out.push(RnicAction::ReleaseWake);
+        net.route_rnic(0, now, &mut out);
+        assert_eq!(net.q.len(), 1);
+        assert_eq!(net.q.pop().map(|(at, _)| at), Some(second));
+        assert_eq!(
+            net.q.now_key(),
+            emit_key(now, 0, 1),
+            "the second key minted"
         );
     }
 

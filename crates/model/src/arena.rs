@@ -41,12 +41,11 @@ struct Slot {
 /// use rperf_model::arena::PacketSlab;
 /// # use rperf_model::wire::{Packet, PacketKind};
 /// # use rperf_model::ids::{FlowId, Lid, MsgId, PacketId, QpNum, ServiceLevel, VirtualLane};
-/// # use rperf_sim::SimTime;
 /// # fn mk() -> Packet {
 /// #     Packet { id: PacketId::new(1), flow: FlowId::new(0), msg: MsgId::new(0),
 /// #         src: Lid::new(1), dst: Lid::new(2), dst_qp: QpNum::new(7),
 /// #         sl: ServiceLevel::new(0), vl: VirtualLane::new(0), kind: PacketKind::Ack, payload: 0,
-/// #         overhead: 36, injected_at: SimTime::ZERO }
+/// #         overhead: 36 }
 /// # }
 /// let mut slab = PacketSlab::new();
 /// let h = slab.alloc(mk());
@@ -192,7 +191,6 @@ mod tests {
     use super::*;
     use crate::ids::{FlowId, Lid, MsgId, PacketId, QpNum, ServiceLevel, VirtualLane};
     use crate::wire::PacketKind;
-    use rperf_sim::SimTime;
 
     fn mk(id: u64) -> Packet {
         Packet {
@@ -207,7 +205,6 @@ mod tests {
             kind: PacketKind::Ack,
             payload: 0,
             overhead: 36,
-            injected_at: SimTime::ZERO,
         }
     }
 

@@ -1,8 +1,6 @@
 //! IB wire formats: verbs, transports, header sizes and the [`Packet`]
 //! unit that flows through the simulated fabric.
 
-use rperf_sim::SimTime;
-
 use crate::ids::{FlowId, Lid, MsgId, PacketId, QpNum, ServiceLevel, VirtualLane};
 
 /// The RDMA operation type ("verb") of a message.
@@ -181,8 +179,6 @@ pub struct Packet {
     pub payload: u64,
     /// Header + link overhead bytes.
     pub overhead: u64,
-    /// When the first bit left the source RNIC.
-    pub injected_at: SimTime,
 }
 
 impl Packet {
@@ -209,7 +205,6 @@ mod tests {
             kind,
             payload,
             overhead,
-            injected_at: SimTime::ZERO,
         }
     }
 

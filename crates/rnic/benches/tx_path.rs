@@ -44,6 +44,9 @@ fn post_and_drain(cfg: &ClusterConfig, payload: u64) -> u64 {
             match action {
                 RnicAction::Wake { at } => wakes.push(Reverse(at)),
                 RnicAction::Transmit { packet, .. } => wire_bytes += slab.free(packet).wire_size(),
+                // Every SEND is queued, and its wake asked for, before the
+                // first transmit, so nothing can release a held wake.
+                RnicAction::HoldWake { .. } | RnicAction::ReleaseWake => {}
                 RnicAction::ReturnCredit { .. } | RnicAction::Complete { .. } => {}
             }
         }

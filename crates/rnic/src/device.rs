@@ -23,6 +23,18 @@ pub enum RnicAction {
         /// The wake-up instant.
         at: SimTime,
     },
+    /// The wake after a transmit, asked for when nothing queued could use
+    /// the wire when it frees at `at`: the fabric keys it as it would a
+    /// [`RnicAction::Wake`] but holds it unscheduled until a
+    /// [`RnicAction::ReleaseWake`]. A newer hold replaces it.
+    HoldWake {
+        /// The instant the wire frees.
+        at: SimTime,
+    },
+    /// A packet or a credit may let the held wake send: the fabric
+    /// schedules it under its key if that still pops after the event being
+    /// handled, and discards it otherwise.
+    ReleaseWake,
     /// Begin transmitting `packet` on the port now; the last bit leaves
     /// `serialize` from now. The packet stays in the fabric's slab until
     /// the destination RNIC consumes it.
@@ -127,6 +139,9 @@ pub struct Rnic {
     /// Outbound packets from the moment they are scheduled until they are
     /// injected, each with the instant it becomes injectable.
     txq: TxQueue,
+    /// The last transmit's wake at `wire_free` went out as a
+    /// [`RnicAction::HoldWake`] and no release has been asked for since.
+    wake_held: bool,
     /// Credits held toward the downstream peer (switch ingress buffer or a
     /// directly attached RNIC's receive buffer), one per lane.
     peer_credits: CreditLedger,
@@ -170,6 +185,7 @@ impl Rnic {
             rx_deliver_horizon: SimTime::ZERO,
             ack_horizon: SimTime::ZERO,
             txq: TxQueue::new(lanes),
+            wake_held: false,
             peer_credits: CreditLedger::unlimited(lanes),
             rx_accum: BTreeMap::new(),
             stats: RnicStats::default(),
@@ -278,6 +294,12 @@ impl Rnic {
     /// injected from `ready` on, asking for a wake then. Every caller's
     /// `ready` is no earlier than its own instant, which keeps each queue
     /// in the order its packets become ready (see [`TxQueue`]).
+    ///
+    /// A packet ready by the time the wire frees may be what the held
+    /// post-transmit wake sends, so it releases that wake. Its own wake is
+    /// asked for only if the wire is free by then: one earlier would pop
+    /// while the wire is busy and do nothing, and the wake at `wire_free`
+    /// (queued, held until it can send, or just released) comes first.
     fn schedule_tx(
         &mut self,
         ready: SimTime,
@@ -293,7 +315,27 @@ impl Rnic {
         } else {
             self.txq.push_data(ready, handle, vl, wire);
         }
-        out.push(RnicAction::Wake { at: ready });
+        self.release_if_sendable(out);
+        if ready >= self.wire_free {
+            out.push(RnicAction::Wake { at: ready });
+        }
+    }
+
+    /// `true` if [`TxQueue::pop_next`] at `at` would offer a packet with
+    /// the credits held now.
+    fn sendable_at(&self, at: SimTime) -> bool {
+        let credits = &self.peer_credits;
+        self.txq
+            .has_ready(at, |vl, bytes| credits.can_send(vl, bytes))
+    }
+
+    /// Releases the held post-transmit wake once it has a packet to send
+    /// when the wire frees: one ready by then, with the credits held now.
+    fn release_if_sendable(&mut self, out: &mut Vec<RnicAction>) {
+        if self.wake_held && self.sendable_at(self.wire_free) {
+            self.wake_held = false;
+            out.push(RnicAction::ReleaseWake);
+        }
     }
 
     /// Posts one send work request (one doorbell): a batch of one.
@@ -395,7 +437,6 @@ impl Rnic {
                 kind: PacketKind::ReadRequest { bytes: wr.payload },
                 payload: 0,
                 overhead: self.cfg.headers.read_request_overhead(),
-                injected_at: ready,
             };
             self.schedule_tx(ready, packet, slab, out);
             return;
@@ -434,7 +475,6 @@ impl Rnic {
                 },
                 payload: chunk,
                 overhead: self.cfg.headers.data_overhead(wr.verb, transport, first),
-                injected_at: ready,
             };
             self.schedule_tx(ready, packet, slab, out);
         }
@@ -519,10 +559,15 @@ impl Rnic {
 
     /// A self-scheduled wake-up: if the wire is free, injects the next
     /// packet that is ready and has credits, appending actions to `out`.
+    ///
+    /// A transmit asks for a wake when the wire frees. It is a
+    /// [`RnicAction::HoldWake`] when no queued packet is ready by then with
+    /// the credits held now: only a packet scheduled or a credit returned
+    /// before then can give it work, and either releases it once it does.
     pub fn wake(&mut self, now: SimTime, slab: &PacketSlab, out: &mut Vec<RnicAction>) {
         // A busy wire needs no wake of its own: the transmit that set
-        // `wire_free` already queued the one wake its busy period needs,
-        // and that wake pops before any later-emitted wake at the same
+        // `wire_free` asked for the one wake its busy period needs, and
+        // that wake pops before any later-emitted wake at the same
         // instant.
         if self.wire_free > now {
             return;
@@ -563,7 +608,13 @@ impl Rnic {
         }
 
         out.push(RnicAction::Transmit { packet, serialize });
-        out.push(RnicAction::Wake { at: self.wire_free });
+        let at = self.wire_free;
+        self.wake_held = !self.sendable_at(at);
+        out.push(if self.wake_held {
+            RnicAction::HoldWake { at }
+        } else {
+            RnicAction::Wake { at }
+        });
     }
 
     fn complete_requester(&mut self, msg: MsgId, base: SimTime, out: &mut Vec<RnicAction>) {
@@ -584,6 +635,8 @@ impl Rnic {
     }
 
     /// Credits returned by the attached peer; appends actions to `out`.
+    /// While the wire is busy they can only help the wake at `wire_free`,
+    /// so they release it if it is held and now has a packet to send.
     pub fn credit_from_peer(
         &mut self,
         now: SimTime,
@@ -593,6 +646,10 @@ impl Rnic {
         out: &mut Vec<RnicAction>,
     ) {
         self.peer_credits.replenish(vl, bytes);
+        if self.wire_free > now {
+            self.release_if_sendable(out);
+            return;
+        }
         self.wake(now, slab, out);
     }
 
@@ -701,7 +758,6 @@ impl Rnic {
                     .cfg
                     .headers
                     .data_overhead(Verb::Read, Transport::Rc, i == 0),
-                injected_at: ready,
             };
             self.schedule_tx(ready, response, slab, out);
         }
@@ -749,7 +805,6 @@ impl Rnic {
                 kind: PacketKind::Ack,
                 payload: 0,
                 overhead: self.cfg.headers.ack_overhead(),
-                injected_at: ack_at,
             };
             self.schedule_tx(ack_at, ack, slab, out);
         }
@@ -808,6 +863,8 @@ mod tests {
         rnic: Rnic,
         slab: PacketSlab,
         wakes: BinaryHeap<Reverse<u64>>,
+        /// The held post-transmit wake, as the fabric keeps it.
+        held: Option<u64>,
         transmitted: Vec<(SimTime, Packet, SimDuration)>,
         completions: Vec<Cqe>,
         credits_returned: Vec<(SimTime, VirtualLane, u64)>,
@@ -831,6 +888,7 @@ mod tests {
                 ),
                 slab: PacketSlab::new(),
                 wakes: BinaryHeap::new(),
+                held: None,
                 transmitted: Vec::new(),
                 completions: Vec::new(),
                 credits_returned: Vec::new(),
@@ -841,6 +899,12 @@ mod tests {
             for a in actions {
                 match a {
                     RnicAction::Wake { at } => self.wakes.push(Reverse(at.as_ps())),
+                    RnicAction::HoldWake { at } => self.held = Some(at.as_ps()),
+                    RnicAction::ReleaseWake => {
+                        if let Some(at) = self.held.take().filter(|&at| at >= now.as_ps()) {
+                            self.wakes.push(Reverse(at));
+                        }
+                    }
                     RnicAction::Transmit { packet, serialize } => {
                         let pkt = self.slab.free(packet);
                         self.transmitted.push((now, pkt, serialize))
@@ -1071,7 +1135,6 @@ mod tests {
             },
             payload: 4096,
             overhead: 68,
-            injected_at: SimTime::ZERO,
         };
         let t = SimTime::from_ns(100);
         b.deliver(t, packet.clone());
@@ -1270,7 +1333,6 @@ mod tests {
             },
             payload: 64,
             overhead: 52,
-            injected_at: SimTime::ZERO,
         };
         let t = SimTime::from_ns(10);
         p.deliver(t, packet);
@@ -1305,7 +1367,6 @@ mod tests {
             },
             payload: 4096,
             overhead: 52,
-            injected_at: SimTime::ZERO,
         };
         p.deliver(SimTime::from_ns(10), packet);
         let lanes: Vec<VirtualLane> = p.credits_returned.iter().map(|c| c.1).collect();

@@ -24,6 +24,13 @@ fn insert(q: &mut VecDeque<(SimTime, TxEntry)>, ready: SimTime, entry: TxEntry) 
     q.insert(at, (ready, entry));
 }
 
+/// Where [`TxQueue::pop_next`] takes its packet from.
+#[derive(Debug, Clone, Copy)]
+enum Head {
+    Ack,
+    Lane(usize),
+}
+
 /// The RNIC's wire-injection stage: a high-priority ACK queue plus one
 /// queue per lane for data packets (the fabric's lane count, not the
 /// port's configured VLs).
@@ -108,30 +115,47 @@ impl TxQueue {
     pub fn pop_next<F>(
         &mut self,
         now: SimTime,
-        mut credit_ok: F,
+        credit_ok: F,
     ) -> Option<(PacketRef, VirtualLane, u64)>
     where
         F: FnMut(VirtualLane, u64) -> bool,
     {
-        // TxEntry is Copy: peek by value, then dequeue only on success.
-        if let Some((ready, e)) = self.acks.front().copied() {
-            if ready <= now && credit_ok(e.vl, e.wire) {
-                self.acks.pop_front();
-                return Some((e.packet, e.vl, e.wire));
+        let (_, e) = match self.next_head(now, credit_ok)? {
+            Head::Ack => self.acks.pop_front(),
+            Head::Lane(i) => {
+                self.cursor = (i + 1) % self.data.len();
+                self.data[i].pop_front()
             }
+        }?;
+        Some((e.packet, e.vl, e.wire))
+    }
+
+    /// `true` if [`TxQueue::pop_next`] at `at` would offer a packet under
+    /// `credit_ok`, with no entry pushed or credit changed in between.
+    pub fn has_ready<F>(&self, at: SimTime, credit_ok: F) -> bool
+    where
+        F: FnMut(VirtualLane, u64) -> bool,
+    {
+        self.next_head(at, credit_ok).is_some()
+    }
+
+    /// The queue [`TxQueue::pop_next`] would pop at `now`.
+    fn next_head<F>(&self, now: SimTime, mut credit_ok: F) -> Option<Head>
+    where
+        F: FnMut(VirtualLane, u64) -> bool,
+    {
+        let sendable = |q: &VecDeque<(SimTime, TxEntry)>, credit_ok: &mut F| {
+            q.front()
+                .is_some_and(|&(ready, e)| ready <= now && credit_ok(e.vl, e.wire))
+        };
+        if sendable(&self.acks, &mut credit_ok) {
+            return Some(Head::Ack);
         }
         let lanes = self.data.len();
-        for step in 0..lanes {
-            let i = (self.cursor + step) % lanes;
-            if let Some((ready, e)) = self.data[i].front().copied() {
-                if ready <= now && credit_ok(e.vl, e.wire) {
-                    self.data[i].pop_front();
-                    self.cursor = (i + 1) % lanes;
-                    return Some((e.packet, e.vl, e.wire));
-                }
-            }
-        }
-        None
+        (0..lanes)
+            .map(|step| (self.cursor + step) % lanes)
+            .find(|&i| sendable(&self.data[i], &mut credit_ok))
+            .map(Head::Lane)
     }
 
     /// Queued data packets on one lane, ready or not (0 beyond the lanes).
@@ -240,7 +264,6 @@ mod tests {
             kind,
             payload: 64,
             overhead: 52,
-            injected_at: SimTime::ZERO,
         }
     }
 
@@ -418,7 +441,8 @@ mod tests {
         /// entry, as READ responses are) and the same pops at
         /// non-decreasing instants under a per-lane credit mask, the
         /// ready-ordered queues pop what the timer heap drained into
-        /// FIFOs pops, in the same order.
+        /// FIFOs pops, in the same order, and `has_ready` says beforehand
+        /// whether a pop will return a packet.
         #[test]
         fn matches_the_timer_heap_oracle(
             lanes in 1u8..3,
@@ -437,7 +461,9 @@ mod tests {
                     0 | 1 => {
                         now += step * (x % 4);
                         let credit_ok = |vl: VirtualLane, _| mask >> vl.raw() & 1 == 1;
+                        let ready = q.has_ready(now, credit_ok);
                         let ours = q.pop_next(now, credit_ok);
+                        prop_assert_eq!(ready, ours.is_some(), "op {}", i);
                         prop_assert_eq!(ours, oracle.pop_next(now, credit_ok), "op {}", i);
                     }
                     2 => {

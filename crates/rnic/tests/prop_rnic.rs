@@ -24,6 +24,7 @@ struct Pumped {
 /// left, starting from the actions of its posts at time zero.
 fn pump(rnic: &mut Rnic, slab: &mut PacketSlab, first: Vec<RnicAction>) -> Pumped {
     let mut wakes: BinaryHeap<Reverse<u64>> = BinaryHeap::new();
+    let mut held = None;
     let mut done = Pumped::default();
     let mut actions = first;
     let mut now = SimTime::ZERO;
@@ -31,6 +32,12 @@ fn pump(rnic: &mut Rnic, slab: &mut PacketSlab, first: Vec<RnicAction>) -> Pumpe
         for a in actions.drain(..) {
             match a {
                 RnicAction::Wake { at } => wakes.push(Reverse(at.as_ps())),
+                RnicAction::HoldWake { at } => held = Some(at.as_ps()),
+                RnicAction::ReleaseWake => {
+                    if let Some(at) = held.take().filter(|&at| at >= now.as_ps()) {
+                        wakes.push(Reverse(at));
+                    }
+                }
                 RnicAction::Transmit { packet, serialize } => {
                     done.transmitted.push((now, slab.free(packet), serialize))
                 }

@@ -122,6 +122,8 @@ pub struct EventQueue<E> {
     cur_tick: u64,
     len: usize,
     now: SimTime,
+    /// The ordering key of the most recently popped event.
+    now_key: u128,
     popped: u64,
 }
 
@@ -162,6 +164,12 @@ impl<E> Entry<E> {
             key_lo: key as u64,
             event,
         }
+    }
+
+    /// The ordering key, reassembled from its halves.
+    #[inline]
+    fn key(&self) -> u128 {
+        (u128::from(self.key_hi) << 64) | u128::from(self.key_lo)
     }
 
     /// The pop-order sort key: time, then the emission key.
@@ -218,6 +226,7 @@ impl<E> EventQueue<E> {
             cur_tick: 0,
             len: 0,
             now: SimTime::ZERO,
+            now_key: 0,
             popped: 0,
         }
     }
@@ -231,6 +240,15 @@ impl<E> EventQueue<E> {
     #[inline]
     pub fn now(&self) -> SimTime {
         self.now
+    }
+
+    /// The ordering key of the most recently popped event (0 initially).
+    /// With [`EventQueue::now`] it names the position of the event being
+    /// handled: an event scheduled at `(at, key)` pops after it exactly
+    /// when `(at, key) > (now, now_key)`.
+    #[inline]
+    pub fn now_key(&self) -> u128 {
+        self.now_key
     }
 
     /// Number of events waiting in the queue.
@@ -323,6 +341,7 @@ impl<E> EventQueue<E> {
             self.now
         );
         self.now = entry.at;
+        self.now_key = entry.key();
         self.popped += 1;
         self.len -= 1;
         if self.ready.is_empty() && self.early.is_empty() && self.len > 0 {
@@ -587,6 +606,19 @@ mod tests {
             popped.push(e);
         }
         assert_eq!(popped, vec![0, 1, 2, 3, 4, 5, 6]);
+    }
+
+    #[test]
+    fn now_key_is_the_popped_events_key() {
+        let mut q = EventQueue::new();
+        assert_eq!(q.now_key(), 0);
+        let high = (7u128 << 64) | 9;
+        q.schedule(SimTime::from_ns(5), high, "second");
+        q.schedule(SimTime::from_ns(5), 3, "first");
+        assert_eq!(q.pop().unwrap().1, "first");
+        assert_eq!((q.now(), q.now_key()), (SimTime::from_ns(5), 3));
+        assert_eq!(q.pop().unwrap().1, "second");
+        assert_eq!(q.now_key(), high, "both key halves come back");
     }
 
     #[test]

@@ -303,7 +303,6 @@ mod tests {
             },
             payload: bytes - 52,
             overhead: 52,
-            injected_at: SimTime::ZERO,
         });
         BufEntry {
             packet,

@@ -52,6 +52,25 @@ pub enum SwitchAction {
         /// The wake-up instant.
         at: SimTime,
     },
+    /// The wake for the instant `egress` frees after a dispatch, asked for
+    /// when no other buffered head is bound for the port: the fabric keys
+    /// it as it would a [`SwitchAction::Wake`] but holds it unscheduled
+    /// until a [`SwitchAction::ReleaseWake`] for the port. A newer hold on
+    /// the port replaces it.
+    HoldWake {
+        /// The egress port.
+        egress: PortId,
+        /// The instant the port frees.
+        at: SimTime,
+    },
+    /// A head bound for `egress` arrived or was exposed in time for the
+    /// port's held wake: the fabric schedules that wake under its key if
+    /// it still pops after the event being handled, and discards it
+    /// otherwise.
+    ReleaseWake {
+        /// The egress port.
+        egress: PortId,
+    },
 }
 
 /// Aggregate switch counters.
@@ -91,6 +110,9 @@ pub struct Switch {
     vlarbs: Vec<VlArbiter>,
     scheds: Vec<PacketScheduler>,
     busy_until: Vec<SimTime>,
+    /// Per egress: the last dispatch's wake at `busy_until` went out as a
+    /// [`SwitchAction::HoldWake`] and no release has been asked for since.
+    wake_held: Vec<bool>,
     fwd: ForwardingTable,
     rng: SimRng,
     stats: SwitchStats,
@@ -132,6 +154,7 @@ impl Switch {
             vlarbs: vec![VlArbiter::new(&cfg.vlarb); ports],
             scheds: vec![PacketScheduler::new(cfg.policy, cfg.ports); ports],
             busy_until: vec![SimTime::ZERO; ports],
+            wake_held: vec![false; ports],
             fwd: ForwardingTable::new(),
             rng,
             stats: SwitchStats::default(),
@@ -253,13 +276,42 @@ impl Switch {
                 eligible_at,
             },
         );
-        if self.busy_until[egress.index()] <= now && eligible_at <= now {
+        let busy_until = self.busy_until[egress.index()];
+        if busy_until <= now && eligible_at <= now {
             self.try_dispatch(now, egress, out);
         } else {
-            out.push(SwitchAction::Wake {
-                egress,
-                at: eligible_at.max(self.busy_until[egress.index()]),
-            });
+            self.request_wake(now, egress, eligible_at.max(busy_until), out);
+        }
+    }
+
+    /// Asks for a wake at `at` for a head that arrived at, or was exposed
+    /// for, `egress`.
+    ///
+    /// A wake no later than the port's `busy_until` is covered by the
+    /// dispatch wake at `busy_until`, which pops first (it was keyed at
+    /// the dispatch) and may now find this head: that wake is released if
+    /// held, and while the port transmits this one is dropped unkeyed — it
+    /// would pop behind the dispatch wake and find the port busy again or
+    /// nothing new to send.
+    fn request_wake(
+        &mut self,
+        now: SimTime,
+        egress: PortId,
+        at: SimTime,
+        out: &mut Vec<SwitchAction>,
+    ) {
+        let e = egress.index();
+        let busy_until = self.busy_until[e];
+        if at > busy_until {
+            out.push(SwitchAction::Wake { egress, at });
+            return;
+        }
+        if self.wake_held[e] {
+            self.wake_held[e] = false;
+            out.push(SwitchAction::ReleaseWake { egress });
+        }
+        if busy_until <= now {
+            out.push(SwitchAction::Wake { egress, at });
         }
     }
 
@@ -404,21 +456,31 @@ impl Switch {
             start_after: scan,
             serialize,
         });
-        out.push(SwitchAction::Wake {
-            egress,
-            at: self.busy_until[e],
+
+        // The port frees at `busy_until`. When this packet was the only
+        // head bound for it and the FIFO's next head leaves elsewhere, the
+        // wake then finds nothing to send unless a head arrives or is
+        // exposed first, and each such head asks for a wake that releases
+        // it.
+        let next = self
+            .buffers
+            .head(ingress, vl)
+            .map(|h| (h.egress, h.eligible_at));
+        let at = self.busy_until[e];
+        self.wake_held[e] = scanned <= 1 && next.is_none_or(|(to, _)| to != egress);
+        out.push(if self.wake_held[e] {
+            SwitchAction::HoldWake { egress, at }
+        } else {
+            SwitchAction::Wake { egress, at }
         });
 
         // The dequeue may expose a head packet bound for a *different*
         // egress whose arbiter has no pending wake (its arrival wake fired
         // while this packet blocked the FIFO). Chain a wake so progress on
         // one output port can never strand traffic for another.
-        if let Some(next) = self.buffers.head(ingress, vl) {
-            if next.egress != egress {
-                out.push(SwitchAction::Wake {
-                    egress: next.egress,
-                    at: now.max(next.eligible_at),
-                });
+        if let Some((to, eligible_at)) = next {
+            if to != egress {
+                self.request_wake(now, to, now.max(eligible_at), out);
             }
         }
     }
@@ -466,7 +528,6 @@ mod tests {
             },
             payload,
             overhead: 52,
-            injected_at: SimTime::ZERO,
         }
     }
 
@@ -489,11 +550,12 @@ mod tests {
         out
     }
 
+    /// The instant of the first wake asked for, held or not.
     fn wake_of(actions: &[SwitchAction]) -> SimTime {
         actions
             .iter()
             .find_map(|a| match a {
-                SwitchAction::Wake { at, .. } => Some(*at),
+                SwitchAction::Wake { at, .. } | SwitchAction::HoldWake { at, .. } => Some(*at),
                 _ => None,
             })
             .expect("expected a wake action")

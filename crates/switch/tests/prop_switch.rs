@@ -32,7 +32,6 @@ fn packet(id: u64, dst: u16, payload: u64) -> Packet {
         },
         payload,
         overhead: 32,
-        injected_at: SimTime::ZERO,
     }
 }
 
@@ -44,6 +43,8 @@ struct Harness {
     /// Credits each upstream port holds toward the switch, per VL.
     up_credits: Vec<CreditLedger>,
     wakes: BinaryHeap<Reverse<(u64, u8)>>,
+    /// Per egress, the held wake, as the fabric keeps it.
+    held: Vec<Option<u64>>,
     forwarded: Vec<(SimTime, Packet)>,
 }
 
@@ -73,6 +74,7 @@ impl Harness {
                 .map(|_| CreditLedger::new(lanes, buffer))
                 .collect(),
             wakes: BinaryHeap::new(),
+            held: vec![None; usize::from(ports)],
             forwarded: Vec::new(),
         }
     }
@@ -83,6 +85,15 @@ impl Harness {
             match a {
                 SwitchAction::Wake { egress, at } => {
                     self.wakes.push(Reverse((at.as_ps(), egress.raw())));
+                }
+                SwitchAction::HoldWake { egress, at } => {
+                    self.held[egress.index()] = Some(at.as_ps());
+                }
+                SwitchAction::ReleaseWake { egress } => {
+                    let held = self.held[egress.index()].take();
+                    if let Some(at) = held.filter(|&at| at >= now.as_ps()) {
+                        self.wakes.push(Reverse((at, egress.raw())));
+                    }
                 }
                 SwitchAction::Transmit { egress, packet, .. } => {
                     // The (synthetic, infinitely fast) downstream peer frees
